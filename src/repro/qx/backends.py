@@ -31,7 +31,7 @@ engine is chosen on the configuration that actually executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -334,6 +334,52 @@ def profile_program(
     )
 
 
+def profile_plan(plan, circuit, *, shots: int = 1, noise: str = "none") -> CircuitProfile:
+    """Profile the program a :class:`~repro.qx.compiled.LoweringPlan` lowers to.
+
+    Equivalent to ``profile_program(lower(circuit))`` for every feature the
+    policy reads — gate arities, operand pairs, span, measurement and
+    trajectory flags, ``is_clifford=False`` — without materialising the
+    program.  (Fused runs count one gate each even when a particular
+    circuit's run would elide to the identity; that total only feeds the
+    cost model beyond the dense-engine tier.)
+    """
+    gate_count = 0
+    two_qubit = 0
+    span = 0
+    max_arity = 1
+    pairs: list[tuple[int, int]] = []
+    ops = circuit.operations
+    for step in plan.steps:
+        kind = step[0]
+        if kind == "run":
+            gate_count += 1
+        elif kind != "measure":  # "gate" or "cond"
+            qubits = ops[step[1]].qubits
+            arity = len(qubits)
+            gate_count += 1
+            if arity > max_arity:
+                max_arity = arity
+            if arity == 2:
+                first, second = qubits
+                two_qubit += 1
+                span += abs(first - second)
+                pairs.append((first, second))
+    return CircuitProfile(
+        num_qubits=circuit.num_qubits,
+        shots=shots,
+        gate_count=gate_count,
+        two_qubit_gate_count=two_qubit,
+        num_measurements=plan.num_measurements,
+        needs_trajectories=plan.needs_trajectories,
+        is_clifford=False,
+        noise=noise,
+        max_gate_qubits=max_arity,
+        total_gate_span=span,
+        _pairs=pairs,
+    )
+
+
 # ---------------------------------------------------------------------- #
 # The dispatch policy
 # ---------------------------------------------------------------------- #
@@ -545,3 +591,31 @@ class DispatchPolicy:
                 f"({reasons})\n\n{capability_matrix()}"
             )
         return min(candidates)[1]
+
+    # ------------------------------------------------------------------ #
+    # Shot-sharded points
+    # ------------------------------------------------------------------ #
+    def evolve_once_engine(self, profile: CircuitProfile, shard_shots, backend: str | None = None):
+        """The engine that serves every shard of a point from one evolution.
+
+        The single rule for which points are deterministic: every shard
+        size dispatches to one engine (the cost model sees one shard's
+        shots, so distinct sizes can split), and that engine draws no
+        randomness before sampling the final distribution — the dense and
+        MPS sampled paths (noise-free, terminal measurements only) and the
+        exact density engine (compiled channels plus read-out confusion).
+        ``None`` means each shard needs its own run: per-shot trajectories,
+        the tableau, or shard sizes that split across engines.  A pinned
+        ``backend`` is taken as is; callers validate it against the full
+        profile.
+        """
+        if backend is None:
+            sizes = sorted(set(shard_shots))
+            engines = {self.choose(replace(profile, shots=size)) for size in sizes}
+            if len(engines) > 1:
+                return None
+            (backend,) = engines
+        sampled = profile.noise_free and not profile.needs_trajectories
+        if backend == "density" or (backend in ("statevector", "mps") and sampled):
+            return backend
+        return None

@@ -48,7 +48,12 @@ from repro.qx.error_models import (
     error_model_for,
     noise_kind,
 )
-from repro.qx.keying import bits_histogram, counts_to_bits, sample_index_counts
+from repro.qx.keying import (
+    PreparedIndexSampler,
+    bits_histogram,
+    counts_to_bits,
+    sample_index_counts,
+)
 from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
@@ -250,12 +255,78 @@ class QXSimulator:
         Noisy execution requires an *unfused* program, because gate fusion
         removes error-injection points.
         """
+        register, requested, policy, profile = self._profile_program(
+            program, shots, num_qubits, backend, initial_state, keep_final_state
+        )
+        name = requested if requested is not None else policy.choose(profile)
+        if name == "mps":
+            return self._run_mps(program, register, shots, keep_final_state)
+        if name == "density":
+            return self._run_density(program, register, shots)
+        if profile.noise_free and not program.needs_trajectories:
+            return self._run_sampled(program, register, shots, keep_final_state, initial_state)
+        return self._run_trajectories(program, register, shots, keep_final_state, initial_state)
+
+    def run_program_shards(
+        self,
+        program,
+        shards,
+        num_qubits: int | None = None,
+        backend: str | None = None,
+    ) -> list[SimulationResult]:
+        """Execute one lowered program for many ``(shots, rng)`` shards.
+
+        The runtime's evolve-once entry point.  When every shard size
+        dispatches to one engine that serves all shots from a single
+        evolution (:meth:`~repro.qx.backends.DispatchPolicy
+        .evolve_once_engine`), the program evolves once and each shard
+        samples the prepared distribution with its own generator, drawing
+        exactly what :meth:`run_program` would draw on a simulator seeded
+        with that generator — so every shard's histogram is bit-identical to
+        its own ``run_program`` call.  Any other program runs
+        :meth:`run_program` once per shard on the shard's generator.
+        Results carry histograms only: per-shot classical bits are not
+        materialised.
+        """
+        shards = list(shards)
+        if not shards:
+            return []
+        sizes = [shots for shots, _ in shards]
+        register, requested, policy, profile = self._profile_program(
+            program, min(sizes), num_qubits, backend
+        )
+        name = policy.evolve_once_engine(profile, sizes, requested)
+        if name is None:
+            results = []
+            own_rng = self.rng
+            try:
+                for shots, rng in shards:
+                    self.rng = rng
+                    results.append(self.run_program(program, shots, register, backend=backend))
+            finally:
+                self.rng = own_rng
+            return results
+        sample, truncation_error = self._prepare(name, program, register)
+        return [
+            SimulationResult(
+                num_qubits=register,
+                shots=shots,
+                counts=sample(shots, rng),
+                backend=name,
+                truncation_error=truncation_error,
+            )
+            for shots, rng in shards
+        ]
+
+    def _profile_program(
+        self, program, shots, num_qubits, backend, initial_state=None, keep_final_state=False
+    ):
+        """Validate one lowered-program run; returns ``(register, requested, policy, profile)``."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         register = num_qubits or self.num_qubits or program.num_qubits
         if program.num_qubits > register:
             raise ValueError("program does not fit the simulator register")
-        noise_free = isinstance(self.error_model, NoError)
         requested = backend if backend is not None else self.backend
         if requested == "stabilizer":
             raise UnsupportedBackendError(
@@ -272,21 +343,43 @@ class QXSimulator:
             has_initial_state=initial_state is not None,
             keep_final_state=keep_final_state,
         )
-        if requested is None:
-            name = policy.choose(profile)
-        else:
-            name = policy.validate(requested, profile)
-        if not noise_free and program.fused:
+        if requested is not None:
+            policy.validate(requested, profile)
+        if not profile.noise_free and program.fused:
             raise ValueError(
                 "noisy execution requires an unfused program (lower with fuse=False)"
             )
+        return register, requested, policy, profile
+
+    def _prepare(self, name, program, num_qubits):
+        """Evolve ``program`` once on an evolve-once engine.
+
+        Returns ``(sample, truncation_error)``, where ``sample(shots, rng)``
+        draws one histogram from the final distribution under the shared
+        keying convention, consuming the draws the engine's single-run path
+        takes from its generator.
+        """
         if name == "mps":
-            return self._run_mps(program, register, shots, keep_final_state)
+            state = self._evolve_mps(program, num_qubits)
+            ordered_bits = tuple(sorted(program.bit_sources))
+            num_bits = max(program.num_bits, num_qubits)
+
+            def sample(shots, rng):
+                if not program.num_measurements:
+                    return {}
+                state.rng = rng
+                return bits_histogram(_mps_bits(program, state, shots, num_bits), ordered_bits)
+
+            return sample, state.truncation_error
         if name == "density":
-            return self._run_density(program, register, shots)
-        if noise_free and not program.needs_trajectories:
-            return self._run_sampled(program, register, shots, keep_final_state, initial_state)
-        return self._run_trajectories(program, register, shots, keep_final_state, initial_state)
+            probabilities = self._density_distribution(program, num_qubits)
+        else:
+            state = StateVector(num_qubits, rng=self.rng)
+            state.amplitudes = program.apply_unitaries(state.amplitudes)
+            probabilities = state.probabilities() if program.num_measurements else None
+        if probabilities is None:
+            return (lambda shots, rng: {}), 0.0
+        return PreparedIndexSampler(probabilities, program.sample_sources()[1]).sample, 0.0
 
     # ------------------------------------------------------------------ #
     def _run_sampled(self, program, num_qubits, shots, keep_final_state, initial_state):
@@ -384,6 +477,14 @@ class QXSimulator:
             rng=self.rng,
         )
 
+    def _evolve_mps(self, program, num_qubits) -> MPSState:
+        """One noise-free MPS evolution of every unconditional gate."""
+        state = self._mps_state(num_qubits)
+        for op in program.ops:
+            if op.kind == GATE:
+                state.apply_gate(op.matrix, op.qubits)
+        return state
+
     def _run_mps(self, program, num_qubits, shots, keep_final_state):
         """Execute a lowered program on the matrix-product-state engine.
 
@@ -397,15 +498,9 @@ class QXSimulator:
         result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="mps")
         num_bits = max(program.num_bits, num_qubits)
         if noise_free and not program.needs_trajectories:
-            state = self._mps_state(num_qubits)
-            for op in program.ops:
-                if op.kind == GATE:
-                    state.apply_gate(op.matrix, op.qubits)
+            state = self._evolve_mps(program, num_qubits)
             if program.num_measurements:
-                samples = state.sample_bits(shots)
-                all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-                for bit, source in program.bit_sources.items():
-                    all_bits[:, bit] = samples[:, source]
+                all_bits = _mps_bits(program, state, shots, num_bits)
                 result.counts = bits_histogram(all_bits, tuple(sorted(program.bit_sources)))
                 result.classical_bits = all_bits.tolist()
             result.truncation_error = state.truncation_error
@@ -446,6 +541,25 @@ class QXSimulator:
             result.classical_bits = all_bits.tolist()
         return result
 
+    def _density_distribution(self, program, num_qubits) -> np.ndarray | None:
+        """Evolve the compiled channel program; the reported outcome distribution.
+
+        Flat over basis indices, with the read-out confusion already
+        applied; ``None`` for a program that never measures.
+        """
+        error_model = None if isinstance(self.error_model, NoError) else self.error_model
+        channels = compile_channels(
+            program, error_model, num_qubits=num_qubits, fuse=self.channel_fusion
+        )
+        engine = DensityMatrixSimulator(num_qubits)
+        engine.run_channels(channels)
+        if not program.num_measurements:
+            return None
+        probabilities = engine.probabilities()
+        if channels.confusion is not None:
+            probabilities = _confuse(probabilities, channels.confusion, program.sample_sources()[1])
+        return probabilities
+
     def _run_density(self, program, num_qubits, shots):
         """Exact ensemble execution on the density-matrix engine.
 
@@ -457,18 +571,10 @@ class QXSimulator:
         classical confusion matrix applied to the exact outcome
         distribution before sampling under the shared keying convention.
         """
-        error_model = None if isinstance(self.error_model, NoError) else self.error_model
-        channels = compile_channels(
-            program, error_model, num_qubits=num_qubits, fuse=self.channel_fusion
-        )
-        engine = DensityMatrixSimulator(num_qubits)
-        engine.run_channels(channels)
+        probabilities = self._density_distribution(program, num_qubits)
         result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="density")
-        if program.num_measurements:
+        if probabilities is not None:
             ordered_bits, sources = program.sample_sources()
-            probabilities = engine.probabilities()
-            if channels.confusion is not None:
-                probabilities = _confuse(probabilities, channels.confusion, sources)
             result.counts = sample_index_counts(probabilities, shots, sources, self.rng)
             result.classical_bits = counts_to_bits(
                 result.counts,
@@ -507,6 +613,15 @@ class QXSimulator:
                     self.error_model.apply_after_gate(state, op.qubits, op.duration, self.rng)
             total += float(abs(np.vdot(ideal, state.amplitudes)) ** 2)
         return total / shots
+
+
+def _mps_bits(program, state: MPSState, shots: int, num_bits: int) -> np.ndarray:
+    """Sample ``shots`` terminal measurements of an evolved MPS into a bit array."""
+    samples = state.sample_bits(shots)
+    all_bits = np.zeros((shots, num_bits), dtype=np.int64)
+    for bit, source in program.bit_sources.items():
+        all_bits[:, bit] = samples[:, source]
+    return all_bits
 
 
 def _confuse(

@@ -46,7 +46,7 @@ import numpy as np
 from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
 from repro.qx import compiled, kernels
-from repro.qx.backends import CircuitProfile, DispatchPolicy, profile_circuit
+from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
 from repro.qx.compiled import LoweringPlan, program_for
 from repro.qx.error_models import error_model_for, noise_kind
 from repro.qx.keying import PreparedIndexSampler
@@ -505,52 +505,6 @@ class BatchResult:
         return atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _plan_profile(plan: LoweringPlan, circuit: Circuit, shots: int, noise: str) -> CircuitProfile:
-    """Build the dispatch profile of a plan's lowered form.
-
-    Equivalent to ``profile_program(lower(circuit))`` for every feature the
-    policy reads — gate arities, operand pairs, span, measurement and
-    trajectory flags, ``is_clifford=False`` — without materialising the
-    program.  (Fused runs count one gate each even when a particular
-    circuit's run would elide to the identity; that total only feeds the
-    cost model beyond the dense-engine tier, where stacking is off anyway.)
-    """
-    gate_count = 0
-    two_qubit = 0
-    span = 0
-    max_arity = 1
-    pairs: list[tuple[int, int]] = []
-    ops = circuit.operations
-    for step in plan.steps:
-        kind = step[0]
-        if kind == "run":
-            gate_count += 1
-        elif kind != "measure":  # "gate" or "cond"
-            qubits = ops[step[1]].qubits
-            arity = len(qubits)
-            gate_count += 1
-            if arity > max_arity:
-                max_arity = arity
-            if arity == 2:
-                first, second = qubits
-                two_qubit += 1
-                span += abs(first - second)
-                pairs.append((first, second))
-    return CircuitProfile(
-        num_qubits=circuit.num_qubits,
-        shots=shots,
-        gate_count=gate_count,
-        two_qubit_gate_count=two_qubit,
-        num_measurements=plan.num_measurements,
-        needs_trajectories=plan.needs_trajectories,
-        is_clifford=False,
-        noise=noise,
-        max_gate_qubits=max_arity,
-        total_gate_span=span,
-        _pairs=pairs,
-    )
-
-
 # ---------------------------------------------------------------------- #
 # The batch runner
 # ---------------------------------------------------------------------- #
@@ -580,8 +534,8 @@ class BatchRunner:
         else:
             self.cache = None
         self.policy = DispatchPolicy()
-        #: (plan, shard shots, pinned backend, noise) -> chosen engine.
-        self._dispatch_memo: dict[tuple, str] = {}
+        #: (plan, shard sizes, pinned backend, noise) -> stackable.
+        self._dispatch_memo: dict[tuple, bool] = {}
         #: Plans already dataflow-verified (identity-keyed, like the
         #: dispatch memo): structurally identical fleet circuits share a
         #: plan, so the batch pays for one verification per structure.
@@ -592,33 +546,32 @@ class BatchRunner:
         self,
         plan: LoweringPlan,
         circuit: Circuit,
-        size: int,
+        shard_shots: list[int],
         backend: str | None,
         noise: str,
-    ) -> str:
-        """The engine a shard of ``size`` shots would dispatch to.
+    ) -> bool:
+        """Whether every shard lands on the dense evolve-once path.
 
-        Mirrors the worker's ``profile_program`` + ``DispatchPolicy.choose``
-        on the lowered program, built from the plan instead: every profile
-        feature is structural (lowered programs are never Clifford-eligible,
-        and fused runs count one gate each), so one decision serves every
-        circuit sharing the plan.  Gates wider than two qubits are mapped to
-        a non-stackable pseudo-engine, since the batched kernels stop at 4x4.
+        The worker's rule (:meth:`~repro.qx.backends.DispatchPolicy
+        .evolve_once_engine`) applied to the plan's profile instead of the
+        lowered program: every profile feature is structural (lowered
+        programs are never Clifford-eligible, and fused runs count one gate
+        each), so one decision serves every circuit sharing the plan.
+        Gates wider than two qubits never stack, since the batched kernels
+        stop at 4x4.
         """
         # Keyed on the plan object itself (identity hash): holding the
         # reference prevents an evicted-and-freed plan's id being reused.
-        key = (plan, size, backend, noise)
-        chosen = self._dispatch_memo.get(key)
-        if chosen is None:
-            profile = _plan_profile(plan, circuit, size, noise)
-            if profile.max_gate_qubits > 2:
-                chosen = "unstackable"
-            elif backend is not None:
-                chosen = backend
-            else:
-                chosen = self.policy.choose(profile)
-            self._dispatch_memo[key] = chosen
-        return chosen
+        key = (plan, tuple(shard_shots), backend, noise)
+        stackable = self._dispatch_memo.get(key)
+        if stackable is None:
+            profile = profile_plan(plan, circuit, noise=noise)
+            stackable = (
+                profile.max_gate_qubits <= 2
+                and self.policy.evolve_once_engine(profile, shard_shots, backend) == "statevector"
+            )
+            self._dispatch_memo[key] = stackable
+        return stackable
 
     # ------------------------------------------------------------------ #
     def _plan_circuit(
@@ -703,17 +656,12 @@ class BatchRunner:
 
         stackable = (
             plan is not None
-            and not plan.needs_trajectories
             and plan.num_measurements > 0
             # The engine run_shard would pick, per shard size (the cost
             # model sees the shard's shots, not the circuit's): stack only
             # when every shard lands on the dense sampled path.  The
-            # decision is structural, so it is memoised per (plan, size).
-            and all(
-                self._stack_dispatch(plan, exec_circuit, size, simulation.backend, noise)
-                == "statevector"
-                for size in sorted(set(shard_shots))
-            )
+            # decision is structural, so it is memoised per plan.
+            and self._stack_dispatch(plan, exec_circuit, shard_shots, simulation.backend, noise)
         )
 
         planned = PlannedBatchCircuit(
@@ -739,7 +687,7 @@ class BatchRunner:
                 # Pre-warm the disk program cache like the serial planner,
                 # so pool workers get artifact hits instead of re-lowering.
                 disk_key = program_cache_key(cqasm, True)
-                if self.cache.get(disk_key) is None:
+                if not self.cache.contains(disk_key):
                     self.cache.put(disk_key, program_for(exec_circuit, fuse=True))
             cache_dir = str(self.cache.directory) if self.cache is not None else None
             planned.tasks = [

@@ -100,6 +100,20 @@ class ArtifactCache:
         return self.directory / key[:2] / f"{key}.pkl"
 
     # ------------------------------------------------------------------ #
+    def contains(self, key: str) -> bool:
+        """Cheap existence probe, counted as a hit or miss like :meth:`get`.
+
+        For planners that only need to know whether a worker will find an
+        artifact: nothing is unpickled.  A corrupt entry probes as a hit;
+        the reader's :meth:`get` purges it and its owner republishes.
+        """
+        found = self.path_for(key).exists()
+        if found:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return found
+
     def get(self, key: str):
         """Load a cached value, or ``None`` on a miss (corrupt entries are purged)."""
         path = self.path_for(key)
@@ -137,15 +151,27 @@ class ArtifactCache:
         self.writes += 1
 
     # ------------------------------------------------------------------ #
-    def _entries(self) -> list[tuple[float, int, Path]]:
-        """``(mtime, size, path)`` per entry; vanished files are skipped."""
-        entries: list[tuple[float, int, Path]] = []
-        for path in sorted(self.directory.glob("*/*.pkl")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
+    def _entries(self) -> list[tuple[float, int, str]]:
+        """``(mtime, size, path)`` per entry, unordered; vanished files are skipped.
+
+        ``os.scandir`` rather than ``Path.glob`` + ``Path.stat``: the
+        service scans the store once per delivered point, so the walk's
+        per-entry overhead is on its I/O thread's hot path.
+        """
+        entries: list[tuple[float, int, str]] = []
+        with os.scandir(self.directory) as buckets:
+            for bucket in buckets:
+                if not bucket.is_dir():
+                    continue
+                with os.scandir(bucket.path) as files:
+                    for entry in files:
+                        if not entry.name.endswith(".pkl"):
+                            continue
+                        try:
+                            stat = entry.stat()
+                        except OSError:
+                            continue
+                        entries.append((stat.st_mtime, stat.st_size, entry.path))
         return entries
 
     def size_bytes(self) -> int:
@@ -165,11 +191,11 @@ class ArtifactCache:
         total = sum(size for _, size, _ in entries)
         evicted = 0
         # Oldest mtime first; path as a deterministic tie-break.
-        for _, size, path in sorted(entries, key=lambda entry: (entry[0], str(entry[2]))):
+        for _, size, path in sorted(entries, key=lambda entry: (entry[0], entry[2])):
             if total <= max_bytes:
                 break
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 continue
             total -= size

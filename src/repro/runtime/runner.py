@@ -10,11 +10,15 @@ into executed results in three stages:
    pool workers get disk hits instead of re-lowering);
 2. **shard** — split each point's shot budget into a worker-independent
    list of shards, each carrying its ``(root seed, point, shard)`` seed
-   coordinates (:mod:`repro.runtime.seeding`);
-3. **execute** — run every shard inline (``workers=1``) or across a
-   ``ProcessPoolExecutor``, then merge shard histograms per point.  Merging
-   is a commutative sum over a deterministic shard list, so the merged
-   counts are bit-identical for any worker count.
+   coordinates (:mod:`repro.runtime.seeding`), and group them into work
+   units: a deterministic point (one evolution serves every shot, see
+   :meth:`~repro.qx.backends.DispatchPolicy.evolve_once_engine`) is one
+   unit that evolves once and samples every shard's stream; any other
+   point is one unit per shard;
+3. **execute** — run every unit inline (``workers=1``, or a single unit)
+   or across a ``ProcessPoolExecutor``, then merge unit histograms per
+   point.  Merging is a commutative sum over a deterministic shard list,
+   so the merged counts are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from dataclasses import dataclass, field
 from repro.analysis.circuit_check import report
 from repro.cqasm.parser import cqasm_to_circuit
 from repro.cqasm.writer import circuit_to_cqasm
-from repro.qx.compiled import lower
+from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
+from repro.qx.compiled import lower, plan_for
+from repro.qx.error_models import error_model_for, noise_kind
 from repro.runtime.aggregate import ExperimentResult, PointResult, merge_counts, merge_metrics
 from repro.runtime.cache import ArtifactCache, default_cache_dir
 from repro.runtime.seeding import shard_sizes
@@ -52,7 +58,7 @@ def available_workers() -> int:
 
 @dataclass
 class PlannedPoint:
-    """A sweep point compiled down to executable shard tasks."""
+    """A sweep point compiled down to executable work units."""
 
     point: SweepPoint
     cqasm: str
@@ -127,33 +133,37 @@ class ExperimentRunner:
         qubit_model = platform.qubit_model
         fuse = qubit_model.is_perfect
         if self.cache is not None:
+            # Workers load the program themselves; planning only probes.
             program_key = program_cache_key(cqasm, fuse)
-            if self.cache.get(program_key) is None:
+            if not self.cache.contains(program_key):
                 self.cache.put(program_key, lower(canonical, fuse=fuse))
         compile_time = time.perf_counter() - start
 
         simulation = spec.simulation
+        noise = noise_kind(error_model_for(qubit_model))
+        policy = DispatchPolicy()
         if simulation.backend is not None:
             # Fail fast in the parent: an explicitly pinned engine that
             # cannot run this point's circuit should surface as one clear
             # UnsupportedBackendError, not as N worker crashes.
-            from repro.qx.backends import DispatchPolicy, profile_circuit
-            from repro.qx.error_models import error_model_for, noise_kind
-
-            DispatchPolicy().validate(
+            policy.validate(
                 simulation.backend,
-                profile_circuit(
-                    canonical,
-                    shots=spec.shots,
-                    noise=noise_kind(error_model_for(qubit_model)),
-                ),
+                profile_circuit(canonical, shots=spec.shots, noise=noise),
             )
+        sizes = shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards)
+        # A deterministic point is one unit that evolves once and samples
+        # every shard's stream; any other point is one unit per shard.
+        profile = profile_plan(plan_for(canonical, fuse=fuse), canonical, noise=noise)
+        if len(sizes) > 1 and policy.evolve_once_engine(profile, sizes, simulation.backend):
+            units = [(0, tuple(sizes))]
+        else:
+            units = [(shard_index, (size,)) for shard_index, size in enumerate(sizes)]
         cache_dir = str(self.cache.directory) if self.cache is not None else None
         tasks = [
             ShardTask(
                 cqasm=cqasm,
                 num_qubits=canonical.num_qubits,
-                shots=size,
+                shots=sum(unit_shots),
                 root_seed=spec.seed,
                 point_index=point.index,
                 shard_index=shard_index,
@@ -163,10 +173,9 @@ class ExperimentRunner:
                 max_bond=simulation.max_bond,
                 truncation_threshold=simulation.truncation_threshold,
                 channel_fusion=simulation.channel_fusion,
+                shard_shots=unit_shots,
             )
-            for shard_index, size in enumerate(
-                shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards)
-            )
+            for shard_index, unit_shots in units
         ]
         return PlannedPoint(
             point=point,
@@ -245,15 +254,8 @@ class ExperimentRunner:
             point_index=point.index,
             cache_dir=str(self.cache.directory) if self.cache is not None else None,
         )
-        cached = False
-        if self.cache is not None:
-            # Cheap existence probe (the worker loads the artifact itself),
-            # recorded in the cache stats so warm compile runs report hits.
-            cached = self.cache.path_for(mapping_cache_key(task)).exists()
-            if cached:
-                self.cache.hits += 1
-            else:
-                self.cache.misses += 1
+        # The worker loads the artifact itself; planning only probes for it.
+        cached = self.cache is not None and self.cache.contains(mapping_cache_key(task))
         return PlannedPoint(
             point=point,
             cqasm=source_cqasm,

@@ -14,16 +14,25 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.qubits import QubitModel
 from repro.qx.compiled import KernelProgram, lower
 from repro.qx.simulator import QXSimulator
+from repro.runtime.aggregate import merge_counts
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.seeding import shard_seed
 
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One batch of shots of one sweep point, with its seed coordinates.
+    """One work unit of one sweep point: a run of shards, with seed coordinates.
+
+    A unit covers the consecutive shards ``shard_index, shard_index + 1,
+    ...`` whose sizes are ``shard_shots`` (empty: the single shard
+    ``shots``); ``shots`` is the unit's total.  A deterministic point plans
+    all its shards into one unit, which evolves once and samples each shard
+    from its own seed stream; any other point plans one unit per shard.
 
     ``backend`` pins the simulation engine (``None`` = policy
     auto-dispatch); ``max_bond`` and ``truncation_threshold`` are the MPS
@@ -46,6 +55,17 @@ class ShardTask:
     max_bond: int | None = None
     truncation_threshold: float | None = None
     channel_fusion: bool = True
+    shard_shots: tuple[int, ...] = ()
+
+    @property
+    def shards(self) -> list[tuple[int, int]]:
+        """``(shard index, shots)`` of every shard this unit covers."""
+        return list(enumerate(self.shard_shots or (self.shots,), start=self.shard_index))
+
+    @property
+    def cost(self) -> int:
+        """Scheduler cost: the unit's total shots."""
+        return self.shots
 
 
 @dataclass
@@ -82,6 +102,11 @@ class QecShardTask:
     noise_model: str = "phenomenological"
     decoder: str | None = None
 
+    @property
+    def cost(self) -> int:
+        """Scheduler cost: the shard's trials."""
+        return self.trials
+
 
 @dataclass(frozen=True)
 class CompileShardTask:
@@ -106,6 +131,9 @@ class CompileShardTask:
     point_index: int
     shard_index: int = 0
     cache_dir: str | None = None
+
+    #: Scheduler cost: one compile pipeline run.
+    cost = 1
 
 
 def program_cache_key(cqasm: str, fuse: bool) -> str:
@@ -323,16 +351,20 @@ def _run_compile_shard(task: CompileShardTask) -> ShardResult:
 
 
 def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
-    """Execute one shard and return its merged-ready histogram."""
+    """Execute one work unit and return its merged-ready histogram.
+
+    A circuit unit covering several shards samples each from its own
+    ``(root seed, point, shard)`` stream and returns their merged counts,
+    reported under the unit's first shard index.
+    """
     if isinstance(task, QecShardTask):
         return _run_qec_shard(task)
     if isinstance(task, CompileShardTask):
         return _run_compile_shard(task)
-    seed = shard_seed(task.root_seed, task.point_index, task.shard_index)
     simulator = QXSimulator(
         num_qubits=task.num_qubits,
         qubit_model=None if _noise_free(task.qubit_model) else task.qubit_model,
-        seed=seed,
+        seed=shard_seed(task.root_seed, task.point_index, task.shard_index),
         backend=task.backend,
         max_bond=task.max_bond,
         truncation_threshold=task.truncation_threshold,
@@ -345,21 +377,27 @@ def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
         # loading the cached KernelProgram.
         from repro.cqasm.parser import cqasm_to_circuit
 
-        result = simulator.run(cqasm_to_circuit(task.cqasm), shots=task.shots)
+        results = [simulator.run(cqasm_to_circuit(task.cqasm), shots=task.shots)]
     else:
         before = dict(_program_memo_stats)
-        result = simulator.run_program(load_program(task), shots=task.shots)
+        program = load_program(task)
         metrics["program_cache_hits"] = _program_memo_stats["hits"] - before["hits"]
         metrics["program_cache_misses"] = _program_memo_stats["misses"] - before["misses"]
-    if result.backend != "statevector":
-        metrics["backend"] = result.backend
-    if result.backend == "mps":
-        metrics["truncation_error"] = result.truncation_error
+        shards = [
+            (size, np.random.default_rng(shard_seed(task.root_seed, task.point_index, index)))
+            for index, size in task.shards
+        ]
+        results = simulator.run_program_shards(program, shards)
+    backend = results[0].backend
+    if backend != "statevector":
+        metrics["backend"] = backend
+    if backend == "mps":
+        metrics["truncation_error"] = max(result.truncation_error for result in results)
     return ShardResult(
         point_index=task.point_index,
         shard_index=task.shard_index,
         shots=task.shots,
-        counts=result.counts,
-        errors_injected=result.errors_injected,
+        counts=merge_counts(result.counts for result in results),
+        errors_injected=sum(result.errors_injected for result in results),
         metrics=metrics,
     )

@@ -11,12 +11,15 @@ sweep points are classified exactly once:
   so this job subscribes to that execution and receives the result when it
   lands (exactly one execution, many subscribers);
 - **fresh** — the point is planned (compile + shard, in the planning
-  executor) and its shard tasks enter the weighted-fair scheduler.
+  executor) and its work units enter the weighted-fair scheduler, each
+  charged its declared ``cost``: a deterministic circuit point is one unit
+  (it evolves once and samples every shard), any other point one unit per
+  shard.
 
-A pump coroutine moves shard tasks from the scheduler into a process pool
-as slots free up; every blocking runtime entry point — planning, shard
+A pump coroutine moves units from the scheduler into a process pool as
+slots free up; every blocking runtime entry point — planning, unit
 execution, cache and journal I/O — runs in an executor, never on the event
-loop (contract rule REPRO008).  Shard merging reuses the runtime's
+loop (contract rule REPRO008).  Unit merging reuses the runtime's
 :func:`~repro.runtime.aggregate.merge_counts` /
 :func:`~repro.runtime.aggregate.merge_metrics` over the deterministic
 shard list, so a job's histograms are bit-identical to a serial
@@ -33,6 +36,7 @@ uninterrupted run bit-for-bit.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -114,13 +118,19 @@ class JobService:
     async def start(self) -> None:
         """Bind loop state, start the pump, and resume journalled jobs."""
         self._loop = asyncio.get_running_loop()
+        if self.use_processes:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # Start every worker now, while no other thread of ours exists:
+            # a pool that forks on demand would otherwise fork mid-job while
+            # the I/O thread holds locks, and the child can hang on them.
+            await asyncio.gather(
+                *(self._loop.run_in_executor(self._pool, os.getpid) for _ in range(self.workers))
+            )
+        else:
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         # Single thread: planning, cache I/O and journal appends stay
         # strictly ordered without blocking the event loop.
         self._io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svc-io")
-        if self.use_processes:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         self._slots = self.workers
         self._wake = asyncio.Condition()
         self._pump_task = asyncio.create_task(self._pump())
@@ -282,9 +292,8 @@ class JobService:
                 self.counters["points_executed"] += 1
                 fresh += 1
                 for task in planned.tasks:
-                    cost = getattr(task, "shots", None) or getattr(task, "trials", None) or 1
                     self._scheduler.push(
-                        job.client, weight=job.priority, item=(key, task), cost=cost
+                        job.client, weight=job.priority, item=(key, task), cost=task.cost
                     )
                 async with self._wake:
                     self._wake.notify_all()

@@ -4,8 +4,9 @@ A *job* is one client submission: an :class:`~repro.runtime.spec.ExperimentSpec`
 (``kind="experiment"``) or a :class:`~repro.runtime.batch.BatchSpec`
 (``kind="batch"``), plus the client identity and priority the scheduler
 uses for weighted-fair sharing.  Jobs are decomposed into *sweep points* —
-the service's unit of dedup and streaming — and points into *shard tasks*,
-the unit of fair scheduling and pool dispatch.
+the service's unit of dedup and streaming — and points into *work units*
+(one per deterministic point, one per shard otherwise), the unit of fair
+scheduling and pool dispatch.
 
 Batch specs are rewritten into one single-circuit point per fleet entry
 with ``point_index = circuit index`` and ``root seed = resolved per-circuit

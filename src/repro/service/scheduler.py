@@ -1,17 +1,19 @@
-"""Weighted-fair scheduling of shard work across service clients.
+"""Weighted-fair scheduling of work units across service clients.
 
-Classic stride scheduling over *shards*, not whole jobs: each client owns a
-FIFO of runnable work units and a virtual time; picking always takes the
+Classic stride scheduling over *work units*, not whole jobs: each client
+owns a FIFO of runnable units and a virtual time; picking always takes the
 backlogged client with the smallest virtual time, then advances that time
-by ``cost / weight``.  Shots are the cost metric, the client's priority is
-its weight, so over any window each backlogged tenant receives pool shot
-throughput proportional to its priority — a priority-2 client simulates
-twice the shots of a priority-1 client, regardless of how many jobs either
-has queued or how large those jobs are.
+by ``cost / weight``.  Each unit declares its cost (shots for circuit
+units, trials for QEC units, 1 for compile units), the client's priority
+is its weight, so over any window each backlogged tenant receives pool
+shot throughput proportional to its priority — a priority-2 client
+simulates twice the shots of a priority-1 client, regardless of how many
+jobs either has queued or how large those jobs are.
 
-Because the unit is a shard (a few thousand shots), a giant sweep cannot
-monopolise the pool: its shards interleave with everyone else's at shard
-granularity.  An idle client that becomes backlogged re-enters at
+Because a unit is at most one point (a per-shot point is split into
+shards of a few thousand shots), a giant sweep cannot monopolise the pool:
+its units interleave with everyone else's.  An idle client that becomes
+backlogged re-enters at
 ``max(own vtime, global vclock)`` — the standard virtual-clock re-entry
 that prevents saved-up idle time from being spent as a burst that starves
 currently active clients.
@@ -40,7 +42,7 @@ class _ClientQueue:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One schedulable piece of work: a shard task plus accounting info."""
+    """One schedulable piece of work: a runtime task plus accounting info."""
 
     client: str
     cost: float
@@ -48,7 +50,7 @@ class WorkUnit:
 
 
 class FairScheduler:
-    """Stride scheduler distributing shard units across weighted clients."""
+    """Stride scheduler distributing work units across weighted clients."""
 
     def __init__(self) -> None:
         self._clients: dict[str, _ClientQueue] = {}
@@ -59,7 +61,7 @@ class FairScheduler:
         return self._size
 
     def push(self, client: str, weight: float, item: Any, cost: float = 1.0) -> None:
-        """Queue one work unit for ``client`` with the given shot cost."""
+        """Queue one work unit for ``client`` with the given cost."""
         if weight <= 0:
             raise ValueError(f"client {client!r}: weight must be > 0, got {weight}")
         queue = self._clients.get(client)

@@ -5,16 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.accelerator.host import HostCPU
+from repro.core.circuit import ghz_circuit
+from repro.core.qubits import REALISTIC
 from repro.qx.backends import UnsupportedBackendError
+from repro.qx.compiled import KernelProgram, lower
+from repro.qx.simulator import QXSimulator
 from repro.runtime import (
     CircuitSpec,
     ExperimentRunner,
     ExperimentSpec,
     PlatformSpec,
     SimulationSpec,
+    shard_seed,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +140,57 @@ class TestRunnerBackendAxis:
         result = host.run_experiment(spec, cache_dir=tmp_path, backend="mps")
         assert result.points[0].metrics.get("backend") == "mps"
         assert spec.simulation.backend is None  # caller's spec untouched
+
+
+def _measured_ghz(num_qubits):
+    circuit = ghz_circuit(num_qubits)
+    circuit.measure_all()
+    return circuit
+
+
+class TestRunProgramShards:
+    """``QXSimulator.run_program_shards``: one program, many seeded shards."""
+
+    SIZES = (13, 13, 12, 12)
+
+    def _streams(self):
+        return [
+            (size, np.random.default_rng(shard_seed(7, 0, index)))
+            for index, size in enumerate(self.SIZES)
+        ]
+
+    @pytest.mark.parametrize(
+        "backend, noisy",
+        [("statevector", False), ("mps", False), ("density", True), ("statevector", True)],
+    )
+    def test_each_shard_matches_its_own_run(self, backend, noisy):
+        """Evolve-once engines (and the per-shot trajectory fallback) give
+        every shard the histogram of its own seeded run_program call."""
+        qubit_model = REALISTIC if noisy else None
+        program = lower(_measured_ghz(5), fuse=not noisy)
+        shards = QXSimulator(qubit_model=qubit_model, backend=backend).run_program_shards(
+            program, self._streams()
+        )
+        for index, (size, result) in enumerate(zip(self.SIZES, shards, strict=True)):
+            alone = QXSimulator(
+                qubit_model=qubit_model, seed=shard_seed(7, 0, index), backend=backend
+            ).run_program(program, shots=size)
+            assert result.shots == size
+            assert result.counts == alone.counts
+            assert result.backend == alone.backend
+            assert result.errors_injected == alone.errors_injected
+
+    def test_noise_free_dense_shards_evolve_once(self, monkeypatch):
+        calls = []
+        original = KernelProgram.apply_unitaries
+
+        def counting(program, amplitudes):
+            calls.append(program)
+            return original(program, amplitudes)
+
+        monkeypatch.setattr(KernelProgram, "apply_unitaries", counting)
+        QXSimulator().run_program_shards(lower(_measured_ghz(6)), self._streams())
+        assert len(calls) == 1
 
 
 class TestCli:

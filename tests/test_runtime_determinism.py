@@ -15,7 +15,10 @@ import pytest
 
 from repro.accelerator.host import HostCPU
 from repro.core.circuit import Circuit
+from repro.cqasm.parser import cqasm_to_circuit
 from repro.cqasm.writer import circuit_to_cqasm
+from repro.qx.compiled import lower
+from repro.qx.simulator import QXSimulator
 from repro.runtime import (
     ArtifactCache,
     CircuitSpec,
@@ -24,9 +27,11 @@ from repro.runtime import (
     ExperimentSpec,
     PlatformSpec,
     QecSpec,
+    SimulationSpec,
     shard_seed,
     shard_sizes,
 )
+from repro.runtime.aggregate import merge_counts
 from repro.runtime.worker import ShardTask, run_shard
 
 
@@ -132,6 +137,117 @@ def test_conditional_feedback_circuit_identical_across_workers(tmp_path):
     serial = ExperimentRunner(spec, workers=1, cache_dir=tmp_path / "cache").run()
     parallel = ExperimentRunner(spec, workers=2, cache_dir=tmp_path / "cache").run()
     assert _histograms(serial) == _histograms(parallel)
+
+
+# ---------------------------------------------------------------------- #
+# Evolve once per deterministic point
+# ---------------------------------------------------------------------- #
+#: One spec per deterministic point type: dense sampled, MPS-pinned, and
+#: density-pinned with realistic gate noise and read-out error.
+EVOLVE_ONCE_SPECS = {
+    "statevector": dict(circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 5})),
+    "mps": dict(
+        circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 10}),
+        simulation=SimulationSpec(backend="mps"),
+    ),
+    "density": dict(
+        circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}),
+        platform=PlatformSpec(factory="realistic", kwargs={"num_qubits": 4, "error_rate": 2e-2}),
+        simulation=SimulationSpec(backend="density"),
+    ),
+}
+
+
+def _evolve_once_spec(kind: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        name=f"evolve-once-{kind}",
+        shots=200,
+        seed=17,
+        sweep={"shots": [200, 120]},
+        **EVOLVE_ONCE_SPECS[kind],
+    )
+
+
+def _per_shard_reference(spec: ExperimentSpec) -> list[dict]:
+    """Merge one seeded ``run_program`` call per shard: the per-shard oracle."""
+    histograms = []
+    for point in spec.points():
+        bound = point.spec
+        planned = ExperimentRunner(bound, workers=1, use_cache=False).plan_point(point)
+        qubit_model = bound.platform.build(default_num_qubits=planned.num_qubits).qubit_model
+        program = lower(cqasm_to_circuit(planned.cqasm), fuse=qubit_model.is_perfect)
+        sizes = shard_sizes(bound.shots, bound.max_shard_shots, bound.min_shards)
+        shards = [
+            QXSimulator(
+                num_qubits=planned.num_qubits,
+                qubit_model=None if qubit_model.is_perfect else qubit_model,
+                seed=shard_seed(bound.seed, point.index, shard_index),
+                backend=bound.simulation.backend,
+            )
+            .run_program(program, shots=size)
+            .counts
+            for shard_index, size in enumerate(sizes)
+        ]
+        histograms.append(merge_counts(shards))
+    return histograms
+
+
+@pytest.mark.parametrize("kind", sorted(EVOLVE_ONCE_SPECS))
+def test_one_unit_point_matches_per_shard_runs(tmp_path, kind):
+    """A deterministic point runs as one unit, bit-identical to merging its
+    shards run one by one, for 1 and 3 workers and cold and warm caches."""
+    spec = _evolve_once_spec(kind)
+    reference = _per_shard_reference(spec)
+    planned = ExperimentRunner(spec, workers=1, use_cache=False).plan()
+    assert [len(point.tasks) for point in planned] == [1, 1]
+    for workers in (1, 3):
+        cache_dir = tmp_path / f"cache-{workers}"
+        cold = ExperimentRunner(spec, workers=workers, cache_dir=cache_dir).run()
+        warm = ExperimentRunner(spec, workers=workers, cache_dir=cache_dir).run()
+        assert warm.cache_stats["writes"] == 0
+        assert _histograms(cold) == _histograms(warm) == reference
+        assert [point.shots for point in cold.points] == [200, 120]
+
+
+def test_perfect_point_plans_one_unit_over_every_shard(tmp_path):
+    spec = ExperimentSpec(
+        name="plan-perfect",
+        circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 6}),
+        shots=1000,
+        seed=1,
+    )
+    (planned,) = ExperimentRunner(spec, workers=2, cache_dir=tmp_path).plan()
+    (task,) = planned.tasks
+    sizes = shard_sizes(1000, spec.max_shard_shots, spec.min_shards)
+    assert task.shards == list(enumerate(sizes))
+    assert task.shots == task.cost == 1000
+
+
+def test_realistic_point_plans_one_unit_per_shard(tmp_path):
+    (planned,) = ExperimentRunner(_noisy_spec(sweep={}), workers=2, cache_dir=tmp_path).plan()
+    sizes = shard_sizes(64)
+    assert len(planned.tasks) == len(sizes)
+    assert [task.shards for task in planned.tasks] == [[shard] for shard in enumerate(sizes)]
+
+
+def test_shard_sizes_split_across_engines_keep_one_unit_per_shard(tmp_path, monkeypatch):
+    """When the cost model sends distinct shard sizes to different engines,
+    no single evolution serves the point, so each shard stays a unit."""
+    from repro.qx.backends import DispatchPolicy
+
+    def choose(self, profile):
+        return "mps" if profile.shots > 12 else "statevector"
+
+    monkeypatch.setattr(DispatchPolicy, "choose", choose)
+    spec = ExperimentSpec(
+        name="plan-split",
+        circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}),
+        shots=100,  # 8 shards: four of 13 shots, four of 12
+        seed=2,
+    )
+    (planned,) = ExperimentRunner(spec, workers=1, cache_dir=tmp_path).plan()
+    assert sorted({task.shots for task in planned.tasks}) == [12, 13]
+    assert len(planned.tasks) == 8
 
 
 # ---------------------------------------------------------------------- #

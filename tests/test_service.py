@@ -132,6 +132,33 @@ class TestFairScheduler:
         assert scheduler.backlog() == {"a": 2, "b": 1}
         assert len(scheduler) == 3
 
+    def test_one_unit_point_charges_what_its_shards_did(self, tmp_path):
+        """A noise-free point is one unit now; it must cost its tenant the
+        same virtual time its eight shard units did."""
+        spec = _ghz_spec(shots=64, sweep={}, max_shard_shots=4096, min_shards=8)
+        (planned,) = ExperimentRunner(spec, workers=1, cache_dir=tmp_path).plan()
+        (unit,) = planned.tasks
+        assert len(unit.shards) == 8
+        as_unit, as_shards = FairScheduler(), FairScheduler()
+        as_unit.push("a", weight=2, item=unit, cost=unit.cost)
+        for shard in unit.shards:
+            as_shards.push("a", weight=2, item=shard, cost=shard[1])
+        for scheduler in (as_unit, as_shards):
+            while len(scheduler):
+                scheduler.pop()
+        assert as_unit._clients["a"].vtime == as_shards._clients["a"].vtime == 64 / 2
+
+    def test_every_task_type_declares_its_cost(self):
+        from repro.runtime.worker import CompileShardTask, QecShardTask
+
+        qec = QecShardTask(distance=3, trials=40, root_seed=0, point_index=0, shard_index=0)
+        compile_task = CompileShardTask(
+            cqasm="", placement="trivial", router="basic", topology="line", rows=None,
+            cols=None, schedule_policy="asap", lookahead_window=1, decay=0.0, point_index=0,
+        )  # fmt: skip
+        assert qec.cost == 40
+        assert compile_task.cost == 1
+
 
 # ---------------------------------------------------------------------- #
 # Unit: journal durability
@@ -336,9 +363,12 @@ class TestJobServiceEngine:
 
     def test_weighted_fairness_end_to_end(self, tmp_path):
         """With one slot, a priority-2 tenant finishes ahead of a priority-1
-        tenant that submitted first and has the same amount of work."""
-        heavy = _ghz_spec(seed=1, shots=256, max_shard_shots=16, min_shards=16, sweep={})
-        light = _ghz_spec(seed=2, shots=256, max_shard_shots=16, min_shards=16, sweep={})
+        tenant that submitted first and has the same amount of work.
+
+        A noise-free point is one unit however many shards it has, so each
+        job is a 16-point sweep: 16 queued units apiece."""
+        heavy = _ghz_spec(seed=1, shots=16, sweep={"shots": [16] * 16})
+        light = _ghz_spec(seed=2, shots=16, sweep={"shots": [16] * 16})
 
         async def scenario():
             service = _service(tmp_path, workers=1)
@@ -360,6 +390,24 @@ class TestJobServiceEngine:
                 await service.close()
 
         assert asyncio.run(scenario())[0] == "second-high"
+
+    def test_process_pool_is_started_before_any_job(self, tmp_path):
+        """start() forks every pool worker up front, so no worker is forked
+        later while the planning thread runs."""
+
+        async def scenario():
+            service = _service(tmp_path, workers=2, use_processes=True)
+            await service.start()
+            try:
+                live = [process.is_alive() for process in service._pool._processes.values()]
+                _, events = await _run_job(service, _ghz_spec())
+                return live, events
+            finally:
+                await service.close()
+
+        live, events = asyncio.run(scenario())
+        assert live == [True, True]
+        assert _terminal(events)["event"] == "done"
 
     def test_invalid_spec_fails_with_error_event(self, tmp_path):
         async def scenario():
