@@ -58,13 +58,6 @@ from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
 
-#: Back-compat aliases: the dispatch thresholds now live on
-#: :class:`~repro.qx.backends.DispatchPolicy`; these constants mirror the
-#: default policy's values for code that still reads them.
-STABILIZER_DISPATCH_MIN_QUBITS = DispatchPolicy.stabilizer_min_qubits
-STABILIZER_DISPATCH_SAMPLED_MIN_QUBITS = DispatchPolicy.stabilizer_sampled_min_qubits
-
-
 @dataclass
 class SimulationResult:
     """Outcome of one or more shots of a circuit."""
@@ -642,16 +635,6 @@ def _confuse(
         view[:, 0, :] = confusion[0, 0] * zero + confusion[1, 0] * one
         view[:, 1, :] = confusion[0, 1] * zero + confusion[1, 1] * one
     return probabilities
-
-
-#: Back-compat aliases; the implementations live in :mod:`repro.qx.keying`.
-_bits_histogram = bits_histogram
-_counts_to_bits = counts_to_bits
-
-
-def _has_mid_circuit_measurement(circuit: Circuit) -> bool:
-    """Kept for API compatibility; the compiled program caches this flag."""
-    return program_for(circuit, fuse=True).has_mid_circuit_measurement
 
 
 def _strip_measurements(circuit: Circuit) -> Circuit:

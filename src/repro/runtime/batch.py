@@ -23,9 +23,12 @@ Determinism contract: circuit ``i``'s histogram is the merge of its shard
 histograms, where shard ``s`` samples with
 ``SeedSequence(entropy=seed_i, spawn_key=(i, s))`` — exactly the stream a
 serial :class:`~repro.runtime.runner.ExperimentRunner` sweep assigns to
-point ``i``, for any worker count and any chunk layout.  Circuits the
-stacked path cannot take (noise, feedback, pinned or auto-dispatched
-non-dense engines, >2-qubit gates) run through the ordinary
+point ``i``, for any worker count and any chunk layout.  Planning is the
+runner's own :meth:`~repro.runtime.runner.ExperimentRunner.plan_point`
+with stacking on, so circuits the stacked path cannot take (noise,
+feedback, pinned or auto-dispatched non-dense engines, >2-qubit gates) get
+exactly the work units a serial sweep plans — one evolve-once unit for a
+deterministic point — and run through
 :func:`~repro.runtime.worker.run_shard` inside fallback chunks, so their
 results match the serial path by construction.
 """
@@ -36,25 +39,28 @@ import copy
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
 from repro.qx import compiled, kernels
-from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
-from repro.qx.compiled import LoweringPlan, program_for
-from repro.qx.error_models import error_model_for, noise_kind
+from repro.qx.compiled import LoweringPlan
 from repro.qx.keying import PreparedIndexSampler
-from repro.runtime.aggregate import PointResult, merge_counts, merge_metrics
-from repro.runtime.cache import ArtifactCache, default_cache_dir
-from repro.runtime.seeding import shard_seed, shard_sizes
-from repro.runtime.spec import CircuitSpec, CompilerSpec, PlatformSpec, SimulationSpec
-from repro.runtime.worker import ShardResult, ShardTask, program_cache_key, run_shard
+from repro.runtime.aggregate import PointResult, merge_counts
+from repro.runtime.runner import ExperimentRunner, PlannedPoint, merge_points
+from repro.runtime.seeding import shard_seed
+from repro.runtime.spec import (
+    CircuitSpec,
+    CompilerSpec,
+    ExperimentSpec,
+    PlatformSpec,
+    SimulationSpec,
+    SweepPoint,
+)
+from repro.runtime.worker import ShardResult, ShardTask, run_shard
 
 
 @dataclass
@@ -154,29 +160,35 @@ class BatchSpec:
         return cls(name=name, circuits=circuits, **defaults)
 
     # ------------------------------------------------------------------ #
-    def resolved_circuit(self, index: int) -> tuple[int, int, SimulationSpec, str]:
-        """Circuit ``index``'s ``(shots, seed, simulation, label)`` after overrides.
+    def points(self) -> list[SweepPoint]:
+        """One bound single-circuit point per fleet entry, in circuit order.
 
-        The single resolution rule shared by :class:`BatchRunner` and the
-        experiment service (which schedules batch circuits as individual
-        points): ``None`` fields inherit the batch-level default, and the
-        returned :class:`~repro.runtime.spec.SimulationSpec` is an
-        independent copy.
+        ``None`` fields of a :class:`BatchCircuit` inherit the batch-level
+        default.  Point ``i`` carries circuit ``i``'s resolved seed, so its
+        shards sample ``SeedSequence(entropy=seed_i, spawn_key=(i, s))`` —
+        the stream a serial sweep assigns to point ``i``.
         """
-        batch_circuit = self.circuits[index]
-        shots = batch_circuit.shots if batch_circuit.shots is not None else self.shots
-        seed = batch_circuit.seed if batch_circuit.seed is not None else self.seed
-        simulation = copy.deepcopy(self.simulation)
-        if batch_circuit.backend is not None:
-            simulation.backend = batch_circuit.backend
-        if batch_circuit.max_bond is not None:
-            simulation.max_bond = batch_circuit.max_bond
-        if batch_circuit.truncation_threshold is not None:
-            simulation.truncation_threshold = batch_circuit.truncation_threshold
-        if batch_circuit.channel_fusion is not None:
-            simulation.channel_fusion = batch_circuit.channel_fusion
-        label = batch_circuit.label or f"circuit[{index}]"
-        return shots, seed, simulation, label
+        points = []
+        for index, entry in enumerate(self.circuits):
+            simulation = copy.deepcopy(self.simulation)
+            for name in ("backend", "max_bond", "truncation_threshold", "channel_fusion"):
+                value = getattr(entry, name)
+                if value is not None:
+                    setattr(simulation, name, value)
+            bound = ExperimentSpec(
+                name=self.name,
+                circuit=entry.circuit,
+                platform=self.platform,
+                compiler=self.compiler,
+                simulation=simulation,
+                shots=entry.shots if entry.shots is not None else self.shots,
+                seed=entry.seed if entry.seed is not None else self.seed,
+                max_shard_shots=self.max_shard_shots,
+                min_shards=self.min_shards,
+            )
+            label = entry.label or f"circuit[{index}]"
+            points.append(SweepPoint(index=index, params={"label": label}, spec=bound))
+        return points
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
@@ -208,38 +220,15 @@ class BatchSpec:
 
 
 # ---------------------------------------------------------------------- #
-# Planned circuits and chunks
+# Chunks
 # ---------------------------------------------------------------------- #
-@dataclass
-class PlannedBatchCircuit:
-    """One batch circuit resolved down to an executable description."""
-
-    index: int
-    label: str
-    shots: int
-    seed: int
-    num_qubits: int
-    gate_count: int
-    shard_shots: list[int]
-    stackable: bool
-    #: Shared lowering plan and concrete circuit of a stackable circuit
-    #: (matrices are stacked straight off the circuit at chunk build time —
-    #: no per-circuit program is ever materialised on this path).
-    plan: LoweringPlan | None = None
-    circuit: Circuit | None = None
-    #: Ordinary worker tasks of a fallback circuit.
-    tasks: list[ShardTask] = field(default_factory=list)
-    compile_cached: bool = False
-    plan_metrics: dict = field(default_factory=dict)
-
-
 @dataclass
 class StackEntry:
     """One row of a stacked chunk (picklable)."""
 
     index: int
     seed: int
-    shard_shots: list[int]
+    shard_shots: tuple[int, ...]
 
 
 @dataclass
@@ -284,8 +273,11 @@ def _run_stack_chunk(chunk: StackChunk) -> list[ShardResult]:
     shards from its final distribution with the shard's own seed stream —
     the identical draw stream and inverse transform the serial
     ``_run_sampled`` path consumes, with the cumulative distribution
-    prepared once per row instead of once per shard.
+    prepared once per row instead of once per shard.  A row is one unit:
+    its result merges its shards, and its time is an even share of the
+    pass plus its own sampling.
     """
+    start = time.perf_counter()
     entries = chunk.entries
     stacked = np.zeros((len(entries), 1 << chunk.num_qubits), dtype=complex)
     stacked[:, 0] = 1.0
@@ -302,19 +294,24 @@ def _run_stack_chunk(chunk: StackChunk) -> list[ShardResult]:
             result = kernels.apply_gate_batch(stacked, matrices, qubits, structures, scratch=spare)
         if result is spare:
             stacked, spare = spare, stacked
+    evolve_share = (time.perf_counter() - start) / len(entries)
     results: list[ShardResult] = []
     for row, entry in zip(stacked, entries, strict=True):
+        row_start = time.perf_counter()
         sampler = PreparedIndexSampler(np.abs(row) ** 2, chunk.sources)
-        for shard_index, size in enumerate(entry.shard_shots):
-            rng = np.random.default_rng(shard_seed(entry.seed, entry.index, shard_index))
-            results.append(
-                ShardResult(
-                    point_index=entry.index,
-                    shard_index=shard_index,
-                    shots=size,
-                    counts=sampler.sample(size, rng),
-                )
+        counts = merge_counts(
+            sampler.sample(size, np.random.default_rng(shard_seed(entry.seed, entry.index, shard)))
+            for shard, size in enumerate(entry.shard_shots)
+        )
+        results.append(
+            ShardResult(
+                point_index=entry.index,
+                shard_index=0,
+                shots=sum(entry.shard_shots),
+                counts=counts,
+                wall_time_s=evolve_share + time.perf_counter() - row_start,
             )
+        )
     return results
 
 
@@ -508,222 +505,26 @@ class BatchResult:
 # ---------------------------------------------------------------------- #
 # The batch runner
 # ---------------------------------------------------------------------- #
-class BatchRunner:
+class BatchRunner(ExperimentRunner):
     """Plans and executes a :class:`BatchSpec`.
 
-    Mirrors :class:`~repro.runtime.runner.ExperimentRunner`'s three stages
-    (plan, shard, execute) with the fleet-level amortisations described in
-    the module docstring.
+    The runner's planner with stacking on: every fleet circuit is one
+    point of :meth:`BatchSpec.points`, planned as a stack row when the
+    stacked pass can take it and as ordinary work units otherwise.  This
+    class adds only the chunk layout and the :class:`BatchResult`.
     """
 
-    def __init__(
-        self,
-        spec: BatchSpec,
-        workers: int | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        use_cache: bool = True,
-        strict_verify: bool = False,
-    ):
-        from repro.runtime.runner import available_workers
-
-        self.spec = spec
-        self.workers = max(1, workers if workers is not None else available_workers())
-        self.strict_verify = strict_verify
-        if use_cache:
-            self.cache: ArtifactCache | None = ArtifactCache(cache_dir or default_cache_dir())
-        else:
-            self.cache = None
-        self.policy = DispatchPolicy()
-        #: (plan, shard sizes, pinned backend, noise) -> stackable.
-        self._dispatch_memo: dict[tuple, bool] = {}
-        #: Plans already dataflow-verified (identity-keyed, like the
-        #: dispatch memo): structurally identical fleet circuits share a
-        #: plan, so the batch pays for one verification per structure.
-        self._verified_plans: set = set()
-
-    # ------------------------------------------------------------------ #
-    def _stack_dispatch(
-        self,
-        plan: LoweringPlan,
-        circuit: Circuit,
-        shard_shots: list[int],
-        backend: str | None,
-        noise: str,
-    ) -> bool:
-        """Whether every shard lands on the dense evolve-once path.
-
-        The worker's rule (:meth:`~repro.qx.backends.DispatchPolicy
-        .evolve_once_engine`) applied to the plan's profile instead of the
-        lowered program: every profile feature is structural (lowered
-        programs are never Clifford-eligible, and fused runs count one gate
-        each), so one decision serves every circuit sharing the plan.
-        Gates wider than two qubits never stack, since the batched kernels
-        stop at 4x4.
-        """
-        # Keyed on the plan object itself (identity hash): holding the
-        # reference prevents an evicted-and-freed plan's id being reused.
-        key = (plan, tuple(shard_shots), backend, noise)
-        stackable = self._dispatch_memo.get(key)
-        if stackable is None:
-            profile = profile_plan(plan, circuit, noise=noise)
-            stackable = (
-                profile.max_gate_qubits <= 2
-                and self.policy.evolve_once_engine(profile, shard_shots, backend) == "statevector"
-            )
-            self._dispatch_memo[key] = stackable
-        return stackable
-
-    # ------------------------------------------------------------------ #
-    def _plan_circuit(
-        self, index: int, batch_circuit: BatchCircuit, platforms: dict
-    ) -> PlannedBatchCircuit:
-        spec = self.spec
-        shots, seed, simulation, label = spec.resolved_circuit(index)
-        circuit = batch_circuit.circuit.build()
-        platform = platforms.get(circuit.num_qubits)
-        if platform is None:
-            platform = spec.platform.build(default_num_qubits=circuit.num_qubits)
-            platforms[circuit.num_qubits] = platform
-        if circuit.num_qubits > platform.num_qubits:
-            raise ValueError(
-                f"batch circuit {label!r} needs {circuit.num_qubits} qubits, "
-                f"platform {platform.name!r} has {platform.num_qubits}"
-            )
-        qubit_model = platform.qubit_model
-        noise_free = qubit_model.is_perfect
-
-        compile_cached = False
-        cqasm: str | None = None
-        if spec.compiler.enabled:
-            # Same compile-cache key as the serial runner, so batch and
-            # serial runs share compiled artifacts both ways.
-            from repro.cqasm.parser import cqasm_to_circuit
-            from repro.cqasm.writer import circuit_to_cqasm
-
-            source_cqasm = circuit_to_cqasm(circuit)
-            key = ArtifactCache.key_for(
-                "compile",
-                source=source_cqasm,
-                platform=platform.describe(),
-                compiler=vars(spec.compiler),
-            )
-            compiled_cqasm = self.cache.get(key) if self.cache is not None else None
-            if not isinstance(compiled_cqasm, str):
-                built = spec.compiler.build().compile_circuit(circuit, platform)
-                compiled_cqasm = circuit_to_cqasm(built)
-                if self.cache is not None:
-                    self.cache.put(key, compiled_cqasm)
-            else:
-                compile_cached = True
-            cqasm = compiled_cqasm
-            exec_circuit = cqasm_to_circuit(cqasm)
-        else:
-            # No compilation: lower the built circuit directly.  The cQASM
-            # round trip is value-preserving (shortest-round-trip floats,
-            # gates rebuilt from the same mnemonics), so this matches the
-            # serial path's canonicalised lowering while skipping a
-            # write+parse per circuit; the text is only rendered lazily for
-            # circuits that fall back to worker tasks.
-            exec_circuit = circuit
-
-        shard_shots = shard_sizes(shots, spec.max_shard_shots, spec.min_shards)
-        noise = noise_kind(error_model_for(qubit_model))
-        if simulation.backend is not None:
-            # Fail fast in the parent, exactly like the serial runner.
-            self.policy.validate(
-                simulation.backend,
-                profile_circuit(exec_circuit, shots=shots, noise=noise),
-            )
-
-        plan: LoweringPlan | None = None
-        plan_metrics: dict = {}
-        if noise_free:
-            before = compiled.plan_cache_stats()
-            plan = compiled.plan_for(exec_circuit, fuse=True)
-            after = compiled.plan_cache_stats()
-            plan_metrics = {
-                "plan_cache_hits": after["hits"] - before["hits"],
-                "plan_cache_misses": after["misses"] - before["misses"],
-            }
-
-        # Lowering-time dataflow check.  Structurally identical circuits
-        # share a lowering plan, so fleets pay for one verification per
-        # structure rather than per circuit.
-        if plan is None or plan not in self._verified_plans:
-            if plan is not None:
-                self._verified_plans.add(plan)
-            report(exec_circuit, where=f"batch circuit {label!r}", strict=self.strict_verify)
-
-        stackable = (
-            plan is not None
-            and plan.num_measurements > 0
-            # The engine run_shard would pick, per shard size (the cost
-            # model sees the shard's shots, not the circuit's): stack only
-            # when every shard lands on the dense sampled path.  The
-            # decision is structural, so it is memoised per plan.
-            and self._stack_dispatch(plan, exec_circuit, shard_shots, simulation.backend, noise)
-        )
-
-        planned = PlannedBatchCircuit(
-            index=index,
-            label=label,
-            shots=shots,
-            seed=seed,
-            num_qubits=exec_circuit.num_qubits,
-            gate_count=exec_circuit.gate_count(),
-            shard_shots=shard_shots,
-            stackable=stackable,
-            plan=plan if stackable else None,
-            circuit=exec_circuit if stackable else None,
-            compile_cached=compile_cached,
-            plan_metrics=plan_metrics,
-        )
-        if not stackable:
-            if cqasm is None:
-                from repro.cqasm.writer import circuit_to_cqasm
-
-                cqasm = circuit_to_cqasm(circuit)
-            if self.cache is not None and noise_free:
-                # Pre-warm the disk program cache like the serial planner,
-                # so pool workers get artifact hits instead of re-lowering.
-                disk_key = program_cache_key(cqasm, True)
-                if not self.cache.contains(disk_key):
-                    self.cache.put(disk_key, program_for(exec_circuit, fuse=True))
-            cache_dir = str(self.cache.directory) if self.cache is not None else None
-            planned.tasks = [
-                ShardTask(
-                    cqasm=cqasm,
-                    num_qubits=exec_circuit.num_qubits,
-                    shots=size,
-                    root_seed=seed,
-                    point_index=index,
-                    shard_index=shard_index,
-                    qubit_model=None if noise_free else qubit_model,
-                    cache_dir=cache_dir,
-                    backend=simulation.backend,
-                    max_bond=simulation.max_bond,
-                    truncation_threshold=simulation.truncation_threshold,
-                    channel_fusion=simulation.channel_fusion,
-                )
-                for shard_index, size in enumerate(shard_shots)
-            ]
-        return planned
-
-    def plan(self) -> list[PlannedBatchCircuit]:
-        platforms: dict = {}
-        return [
-            self._plan_circuit(index, batch_circuit, platforms)
-            for index, batch_circuit in enumerate(self.spec.circuits)
-        ]
+    def plan(self) -> list[PlannedPoint]:
+        return [self.plan_point(point, stack=True) for point in self.spec.points()]
 
     # ------------------------------------------------------------------ #
     def _chunks(
-        self, planned: list[PlannedBatchCircuit]
+        self, planned: list[PlannedPoint]
     ) -> tuple[list[StackChunk | FallbackChunk], int, int]:
         """Deterministic chunk layout: pure function of the planned batch."""
         spec = self.spec
-        groups: dict[tuple, list[PlannedBatchCircuit]] = {}
-        fallback: list[PlannedBatchCircuit] = []
+        groups: dict[tuple, list[PlannedPoint]] = {}
+        fallback: list[PlannedPoint] = []
         for circuit in planned:
             if not circuit.stackable:
                 fallback.append(circuit)
@@ -753,8 +554,8 @@ class BatchRunner:
                         sources=sources,
                         entries=[
                             StackEntry(
-                                index=member.index,
-                                seed=member.seed,
+                                index=member.point.index,
+                                seed=member.point.spec.seed,
                                 shard_shots=member.shard_shots,
                             )
                             for member in window
@@ -779,28 +580,17 @@ class BatchRunner:
         start = time.perf_counter()
         planned = self.plan()
         chunks, stack_chunk_count, stack_groups = self._chunks(planned)
-        exec_start = time.perf_counter()
-
-        if self.workers == 1 or len(chunks) <= 1:
-            chunk_results = [run_batch_chunk(chunk) for chunk in chunks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-                chunk_results = list(pool.map(run_batch_chunk, chunks))
-        shard_results = [shard for result in chunk_results for shard in result]
-        end = time.perf_counter()
-
-        by_circuit: dict[int, list[ShardResult]] = {}
-        for shard in shard_results:
-            by_circuit.setdefault(shard.point_index, []).append(shard)
-
+        units = [unit for result in self._execute(run_batch_chunk, chunks) for unit in result]
+        stacked = sum(1 for circuit in planned if circuit.stackable)
         result = BatchResult(
             name=self.spec.name,
             workers=self.workers,
+            circuits=merge_points(planned, units),
             cache_stats=self.cache.stats() if self.cache is not None else {},
             plan={
                 "circuits": len(planned),
-                "stacked_circuits": sum(1 for c in planned if c.stackable),
-                "fallback_circuits": sum(1 for c in planned if not c.stackable),
+                "stacked_circuits": stacked,
+                "fallback_circuits": len(planned) - stacked,
                 "stack_groups": stack_groups,
                 "stack_chunks": stack_chunk_count,
                 "chunks": len(chunks),
@@ -808,24 +598,7 @@ class BatchRunner:
                 "program_content_cache": compiled.content_cache_stats(),
             },
         )
-        for circuit in planned:
-            shards = by_circuit.get(circuit.index, [])
-            metrics = merge_metrics([circuit.plan_metrics] + [shard.metrics for shard in shards])
-            result.circuits.append(
-                PointResult(
-                    index=circuit.index,
-                    params={"label": circuit.label},
-                    shots=sum(shard.shots for shard in shards),
-                    num_qubits=circuit.num_qubits,
-                    counts=merge_counts(shard.counts for shard in shards),
-                    errors_injected=sum(shard.errors_injected for shard in shards),
-                    metrics=metrics,
-                    gate_count=circuit.gate_count,
-                    compile_cached=circuit.compile_cached,
-                    wall_time_s=end - exec_start,
-                )
-            )
-        result.total_time_s = end - start
+        result.total_time_s = time.perf_counter() - start
         return result
 
 

@@ -1,11 +1,11 @@
-"""The parallel experiment runner.
+"""The parallel experiment runner and the one circuit planner.
 
 :class:`ExperimentRunner` turns an :class:`~repro.runtime.spec.ExperimentSpec`
 into executed results in three stages:
 
 1. **plan** — expand the sweep into points; for each point build the source
    circuit, build the platform, run the OpenQL-style pass pipeline (through
-   the compile cache) and lower the compiled cQASM to a
+   the compile cache) and lower the circuit to a
    :class:`~repro.qx.compiled.KernelProgram` (through the program cache, so
    pool workers get disk hits instead of re-lowering);
 2. **shard** — split each point's shot budget into a worker-independent
@@ -17,8 +17,13 @@ into executed results in three stages:
    point is one unit per shard;
 3. **execute** — run every unit inline (``workers=1``, or a single unit)
    or across a ``ProcessPoolExecutor``, then merge unit histograms per
-   point.  Merging is a commutative sum over a deterministic shard list,
-   so the merged counts are bit-identical for any worker count.
+   point (:meth:`PlannedPoint.merge`).  Merging is a commutative sum over a
+   deterministic shard list, so the merged counts are bit-identical for any
+   worker count.
+
+The batch driver (:class:`~repro.runtime.batch.BatchRunner`) and the
+experiment service plan through :meth:`ExperimentRunner.plan_point` and
+build their results through :meth:`PlannedPoint.merge` as well.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.analysis.circuit_check import report
+from repro.core.circuit import Circuit
 from repro.cqasm.parser import cqasm_to_circuit
 from repro.cqasm.writer import circuit_to_cqasm
 from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
-from repro.qx.compiled import lower, plan_for
+from repro.qx.compiled import LoweringPlan, lower, plan_cache_stats, plan_for
 from repro.qx.error_models import error_model_for, noise_kind
 from repro.runtime.aggregate import ExperimentResult, PointResult, merge_counts, merge_metrics
 from repro.runtime.cache import ArtifactCache, default_cache_dir
@@ -41,11 +48,15 @@ from repro.runtime.spec import ExperimentSpec, SweepPoint
 from repro.runtime.worker import (
     CompileShardTask,
     QecShardTask,
+    ShardResult,
     ShardTask,
     mapping_cache_key,
     program_cache_key,
     run_shard,
 )
+
+if TYPE_CHECKING:
+    from repro.runtime.batch import BatchSpec
 
 
 def available_workers() -> int:
@@ -58,7 +69,12 @@ def available_workers() -> int:
 
 @dataclass
 class PlannedPoint:
-    """A sweep point compiled down to executable work units."""
+    """A sweep point compiled down to executable work units.
+
+    A *stack row* (planned with ``stack=True``) carries its lowering
+    ``plan`` and executable ``circuit`` instead of ``tasks`` and cQASM:
+    the batch driver evolves it inside a stacked chunk.
+    """
 
     point: SweepPoint
     cqasm: str
@@ -67,14 +83,56 @@ class PlannedPoint:
     compile_cached: bool
     compile_time_s: float
     tasks: list[ShardTask] = field(default_factory=list)
+    #: Shard sizes; unit ``s`` of the point samples with seed coordinates
+    #: ``(root seed, point, s)``.
+    shard_shots: tuple[int, ...] = ()
+    #: Planning counters (``plan_cache_*``), merged into the point's metrics.
+    metrics: dict = field(default_factory=dict)
+    plan: LoweringPlan | None = None
+    circuit: Circuit | None = None
+
+    @property
+    def stackable(self) -> bool:
+        return self.plan is not None
+
+    def merge(self, unit_results) -> PointResult:
+        """The point's result: its units' histograms, metrics and times summed."""
+        units = list(unit_results)
+        return PointResult(
+            index=self.point.index,
+            params=self.point.params,
+            shots=sum(unit.shots for unit in units),
+            num_qubits=self.num_qubits,
+            counts=merge_counts(unit.counts for unit in units),
+            errors_injected=sum(unit.errors_injected for unit in units),
+            metrics=merge_metrics([self.metrics, *(unit.metrics for unit in units)]),
+            gate_count=self.gate_count,
+            compile_cached=self.compile_cached,
+            compile_time_s=self.compile_time_s,
+            # Each unit timed its own execution, so the sum is the point's
+            # execution time whatever else shared the pool.
+            wall_time_s=sum(unit.wall_time_s for unit in units),
+        )
+
+
+def merge_points(planned: list[PlannedPoint], unit_results) -> list[PointResult]:
+    """Group unit results by point once, then merge each planned point."""
+    by_point: dict[int, list[ShardResult]] = {}
+    for unit in unit_results:
+        by_point.setdefault(unit.point_index, []).append(unit)
+    return [point.merge(by_point.get(point.point.index, ())) for point in planned]
 
 
 class ExperimentRunner:
-    """Executes one spec's sweep points and shot shards, possibly in parallel."""
+    """Executes one spec's sweep points and shot shards, possibly in parallel.
+
+    :meth:`plan_point` is the one circuit planner: the batch driver and the
+    experiment service plan their points through it too.
+    """
 
     def __init__(
         self,
-        spec: ExperimentSpec,
+        spec: ExperimentSpec | BatchSpec,
         workers: int | None = None,
         cache_dir: str | os.PathLike | None = None,
         use_cache: bool = True,
@@ -87,11 +145,32 @@ class ExperimentRunner:
             self.cache: ArtifactCache | None = ArtifactCache(cache_dir or default_cache_dir())
         else:
             self.cache = None
+        self.policy = DispatchPolicy()
+        #: (plan, shard sizes, pinned backend, noise) -> (evolve-once engine,
+        #: widest gate).  Every input is structural, so points sharing a plan
+        #: share the decision; keying on the plan object itself holds the
+        #: reference, so an evicted plan's id is never reused.
+        self._dispatch_memo: dict[tuple, tuple[str | None, int]] = {}
+        #: Plans already dataflow-verified: structurally identical points
+        #: share a plan, so a sweep or fleet verifies once per structure.
+        self._verified_plans: set[LoweringPlan] = set()
 
     # ------------------------------------------------------------------ #
     # Planning: compile + lower once per point, through the cache.
     # ------------------------------------------------------------------ #
-    def _compile_point(self, point: SweepPoint) -> PlannedPoint:
+    def _evolve_once(
+        self, plan: LoweringPlan, circuit: Circuit, sizes: tuple, backend: str | None, noise: str
+    ) -> tuple[str | None, int]:
+        """The point's evolve-once engine (or ``None``) and its widest gate."""
+        key = (plan, sizes, backend, noise)
+        decision = self._dispatch_memo.get(key)
+        if decision is None:
+            profile = profile_plan(plan, circuit, noise=noise)
+            engine = self.policy.evolve_once_engine(profile, sizes, backend)
+            decision = self._dispatch_memo[key] = (engine, profile.max_gate_qubits)
+        return decision
+
+    def _compile_point(self, point: SweepPoint, stack: bool) -> PlannedPoint:
         spec = point.spec
         start = time.perf_counter()
         circuit = spec.circuit.build()
@@ -102,74 +181,96 @@ class ExperimentRunner:
                 f"platform {platform.name!r} has {platform.num_qubits}"
             )
         cached = False
+        cqasm = ""
         if spec.compiler.enabled:
-            source_cqasm = circuit_to_cqasm(circuit)
             key = ArtifactCache.key_for(
                 "compile",
-                source=source_cqasm,
+                source=circuit_to_cqasm(circuit),
                 platform=platform.describe(),
                 compiler=vars(spec.compiler),
             )
             compiled_cqasm = self.cache.get(key) if self.cache is not None else None
-            if not isinstance(compiled_cqasm, str):
+            cached = isinstance(compiled_cqasm, str)
+            if not cached:
                 compiled = spec.compiler.build().compile_circuit(circuit, platform)
                 compiled_cqasm = circuit_to_cqasm(compiled)
                 if self.cache is not None:
                     self.cache.put(key, compiled_cqasm)
-            else:
-                cached = True
             cqasm = compiled_cqasm
-        else:
-            cqasm = circuit_to_cqasm(circuit)
+            # Lower exactly the circuit every worker will parse.
+            circuit = cqasm_to_circuit(cqasm)
+        # Without compilation the built circuit is lowered as is: the cQASM
+        # round trip is value-preserving, so the write + parse is skipped
+        # and the text is rendered only for points that get tasks.
 
-        # Canonicalise through the parser so the parent lowers exactly the
-        # circuit every worker will reconstruct, then pre-warm the program
-        # cache with it.
-        canonical = cqasm_to_circuit(cqasm)
-        # Plan-time dataflow check: a malformed circuit (out-of-range bits,
-        # use-before-write conditionals) should surface once in the parent,
-        # not as N confusing worker results.
-        report(canonical, where=f"point {point.params!r}", strict=self.strict_verify)
         qubit_model = platform.qubit_model
         fuse = qubit_model.is_perfect
-        if self.cache is not None:
-            # Workers load the program themselves; planning only probes.
-            program_key = program_cache_key(cqasm, fuse)
-            if not self.cache.contains(program_key):
-                self.cache.put(program_key, lower(canonical, fuse=fuse))
-        compile_time = time.perf_counter() - start
-
-        simulation = spec.simulation
         noise = noise_kind(error_model_for(qubit_model))
-        policy = DispatchPolicy()
-        if simulation.backend is not None:
+        backend = spec.simulation.backend
+        before = plan_cache_stats()
+        plan = plan_for(circuit, fuse=fuse)
+        after = plan_cache_stats()
+        metrics = {
+            "plan_cache_hits": after["hits"] - before["hits"],
+            "plan_cache_misses": after["misses"] - before["misses"],
+        }
+        if plan not in self._verified_plans:
+            # Plan-time dataflow check: a malformed circuit (out-of-range
+            # bits, use-before-write conditionals) should surface once in
+            # the parent, not as N confusing worker results.
+            report(circuit, where=f"point {point.params!r}", strict=self.strict_verify)
+            self._verified_plans.add(plan)
+        if backend is not None:
             # Fail fast in the parent: an explicitly pinned engine that
             # cannot run this point's circuit should surface as one clear
             # UnsupportedBackendError, not as N worker crashes.
-            policy.validate(
-                simulation.backend,
-                profile_circuit(canonical, shots=spec.shots, noise=noise),
-            )
-        sizes = shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards)
+            self.policy.validate(backend, profile_circuit(circuit, shots=spec.shots, noise=noise))
+        sizes = tuple(shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards))
+        engine, widest_gate = self._evolve_once(plan, circuit, sizes, backend, noise)
+        planned = PlannedPoint(
+            point=point,
+            cqasm=cqasm,
+            num_qubits=circuit.num_qubits,
+            gate_count=circuit.gate_count(),
+            compile_cached=cached,
+            compile_time_s=0.0,
+            shard_shots=sizes,
+            metrics=metrics,
+        )
+        if stack and engine == "statevector" and widest_gate <= 2 and plan.num_measurements:
+            # A stack row: the batch evolves it with its plan-mates in one
+            # ndarray pass (the batched kernels stop at 4x4), so it needs no
+            # text, no tasks and no program-cache entry.
+            planned.plan, planned.circuit = plan, circuit
+            planned.compile_time_s = time.perf_counter() - start
+            return planned
+
+        if not cqasm:
+            cqasm = planned.cqasm = circuit_to_cqasm(circuit)
+        if self.cache is not None:
+            # Pre-warm the program cache; workers load the program themselves.
+            program_key = program_cache_key(cqasm, fuse)
+            if not self.cache.contains(program_key):
+                self.cache.put(program_key, lower(circuit, fuse=fuse))
         # A deterministic point is one unit that evolves once and samples
         # every shard's stream; any other point is one unit per shard.
-        profile = profile_plan(plan_for(canonical, fuse=fuse), canonical, noise=noise)
-        if len(sizes) > 1 and policy.evolve_once_engine(profile, sizes, simulation.backend):
-            units = [(0, tuple(sizes))]
+        if len(sizes) > 1 and engine is not None:
+            units = [(0, sizes)]
         else:
             units = [(shard_index, (size,)) for shard_index, size in enumerate(sizes)]
+        simulation = spec.simulation
         cache_dir = str(self.cache.directory) if self.cache is not None else None
-        tasks = [
+        planned.tasks = [
             ShardTask(
                 cqasm=cqasm,
-                num_qubits=canonical.num_qubits,
+                num_qubits=circuit.num_qubits,
                 shots=sum(unit_shots),
                 root_seed=spec.seed,
                 point_index=point.index,
                 shard_index=shard_index,
                 qubit_model=None if qubit_model.is_perfect else qubit_model,
                 cache_dir=cache_dir,
-                backend=simulation.backend,
+                backend=backend,
                 max_bond=simulation.max_bond,
                 truncation_threshold=simulation.truncation_threshold,
                 channel_fusion=simulation.channel_fusion,
@@ -177,15 +278,8 @@ class ExperimentRunner:
             )
             for shard_index, unit_shots in units
         ]
-        return PlannedPoint(
-            point=point,
-            cqasm=cqasm,
-            num_qubits=canonical.num_qubits,
-            gate_count=canonical.gate_count(),
-            compile_cached=cached,
-            compile_time_s=compile_time,
-            tasks=tasks,
-        )
+        planned.compile_time_s = time.perf_counter() - start
+        return planned
 
     def _plan_qec_point(self, point: SweepPoint) -> PlannedPoint:
         """Shard one surface-code memory-experiment point.
@@ -266,19 +360,20 @@ class ExperimentRunner:
             tasks=[task],
         )
 
-    def plan_point(self, point: SweepPoint) -> PlannedPoint:
+    def plan_point(self, point: SweepPoint, stack: bool = False) -> PlannedPoint:
         """Plan one (possibly externally fabricated) sweep point.
 
         Dispatches on the *point's* kind, not the runner's spec, so callers
         such as the experiment service can plan heterogeneous point lists —
-        e.g. batch circuits rewritten as single-circuit points — through
-        one runner sharing one cache.
+        e.g. batch circuits as single-circuit points — through one runner
+        sharing one cache.  ``stack=True`` (the batch driver's) plans a
+        circuit point the stacked pass can take as a stack row.
         """
         if point.spec.kind == "qec":
             return self._plan_qec_point(point)
         if point.spec.kind == "compile":
             return self._plan_compile_point(point)
-        return self._compile_point(point)
+        return self._compile_point(point, stack)
 
     def plan(self) -> list[PlannedPoint]:
         return [self.plan_point(point) for point in self.spec.points()]
@@ -286,44 +381,23 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Execution.
     # ------------------------------------------------------------------ #
+    def _execute(self, fn, items: list) -> list:
+        """``fn`` over ``items``: inline for one worker or item, else in a pool."""
+        if self.workers == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
+            return list(pool.map(fn, items))
+
     def run(self) -> ExperimentResult:
         start = time.perf_counter()
         planned = self.plan()
         tasks = [task for planned_point in planned for task in planned_point.tasks]
-        exec_start = time.perf_counter()
-
-        if self.workers == 1 or len(tasks) <= 1:
-            shard_results = [run_shard(task) for task in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(tasks))) as pool:
-                shard_results = list(pool.map(run_shard, tasks))
-
-        end = time.perf_counter()
+        units = self._execute(run_shard, tasks)
         result = ExperimentResult(
             name=self.spec.name,
             workers=self.workers,
+            points=merge_points(planned, units),
             cache_stats=self.cache.stats() if self.cache is not None else {},
         )
-        for planned_point in planned:
-            index = planned_point.point.index
-            shards = [shard for shard in shard_results if shard.point_index == index]
-            metrics = merge_metrics(shard.metrics for shard in shards)
-            result.points.append(
-                PointResult(
-                    index=index,
-                    params=planned_point.point.params,
-                    shots=sum(shard.shots for shard in shards),
-                    num_qubits=planned_point.num_qubits,
-                    counts=merge_counts(shard.counts for shard in shards),
-                    errors_injected=sum(shard.errors_injected for shard in shards),
-                    metrics=metrics,
-                    gate_count=planned_point.gate_count,
-                    compile_cached=planned_point.compile_cached,
-                    compile_time_s=planned_point.compile_time_s,
-                    # Shards share one pool, so per-point wall time is the
-                    # execution wall of the whole batch.
-                    wall_time_s=end - exec_start,
-                )
-            )
-        result.total_time_s = end - start
+        result.total_time_s = time.perf_counter() - start
         return result

@@ -11,6 +11,7 @@ per distinct circuit regardless of how many shards it executes.
 
 from __future__ import annotations
 
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -79,6 +80,8 @@ class ShardResult:
     errors_injected: int = 0
     #: Mapping metrics of a compile shard (empty for circuit/qec shards).
     metrics: dict = field(default_factory=dict)
+    #: Time spent executing the unit, in seconds.
+    wall_time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -355,12 +358,22 @@ def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
 
     A circuit unit covering several shards samples each from its own
     ``(root seed, point, shard)`` stream and returns their merged counts,
-    reported under the unit's first shard index.
+    reported under the unit's first shard index.  The result carries the
+    unit's own execution time.
     """
+    start = time.perf_counter()
     if isinstance(task, QecShardTask):
-        return _run_qec_shard(task)
-    if isinstance(task, CompileShardTask):
-        return _run_compile_shard(task)
+        result = _run_qec_shard(task)
+    elif isinstance(task, CompileShardTask):
+        result = _run_compile_shard(task)
+    else:
+        result = _run_circuit_unit(task)
+    result.wall_time_s = time.perf_counter() - start
+    return result
+
+
+def _run_circuit_unit(task: ShardTask) -> ShardResult:
+    """Run a circuit unit's shards: one evolution when the engine allows it."""
     simulator = QXSimulator(
         num_qubits=task.num_qubits,
         qubit_model=None if _noise_free(task.qubit_model) else task.qubit_model,

@@ -25,7 +25,7 @@ semantics, and ``scripts/serve.py`` / ``scripts/submit.py`` for the CLI.
 from repro.service.client import ServiceClient
 from repro.service.daemon import serve
 from repro.service.engine import JobService
-from repro.service.jobs import Job, job_points, point_key
+from repro.service.jobs import Job, point_key
 from repro.service.journal import JobJournal
 from repro.service.scheduler import FairScheduler
 
@@ -35,7 +35,6 @@ __all__ = [
     "JobJournal",
     "JobService",
     "ServiceClient",
-    "job_points",
     "point_key",
     "serve",
 ]

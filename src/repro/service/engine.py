@@ -19,9 +19,9 @@ sweep points are classified exactly once:
 A pump coroutine moves units from the scheduler into a process pool as
 slots free up; every blocking runtime entry point — planning, unit
 execution, cache and journal I/O — runs in an executor, never on the event
-loop (contract rule REPRO008).  Unit merging reuses the runtime's
-:func:`~repro.runtime.aggregate.merge_counts` /
-:func:`~repro.runtime.aggregate.merge_metrics` over the deterministic
+loop (contract rule REPRO008).  Points are planned by the runtime's
+:meth:`~repro.runtime.runner.ExperimentRunner.plan_point` and merged by
+:meth:`~repro.runtime.runner.PlannedPoint.merge` over the deterministic
 shard list, so a job's histograms are bit-identical to a serial
 :class:`~repro.runtime.runner.ExperimentRunner` run of the same spec.
 
@@ -39,15 +39,15 @@ import asyncio
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.runtime.aggregate import merge_counts, merge_metrics
+from repro.runtime.aggregate import PointResult
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import PlannedPoint, available_workers
+from repro.runtime.runner import ExperimentRunner, PlannedPoint, available_workers
 from repro.runtime.spec import SweepPoint
 from repro.runtime.worker import run_shard
-from repro.service.jobs import Job, job_planner, job_points, parse_job_spec, point_key
+from repro.service.jobs import Job, parse_job_spec, point_key
 from repro.service.journal import JobJournal
 from repro.service.scheduler import FairScheduler
 
@@ -69,7 +69,6 @@ class _PointExecution:
     #: ``(job, point)`` pairs to deliver to; the first entry claimed the
     #: execution, later ones joined via in-flight dedup.
     subscribers: list[tuple[Job, SweepPoint]] = field(default_factory=list)
-    started_s: float = field(default_factory=time.monotonic)
 
 
 class JobService:
@@ -248,11 +247,17 @@ class JobService:
         """Classify a job's points into cached / in-flight / fresh work."""
         try:
             spec = parse_job_spec(job.payload, job.kind)
-            points = job_points(spec)
+            points = spec.points()
             job.name = job.name or spec.name
             job.points_total = len(points)
             job.state = "running"
-            planner = None
+            # Points are planned one by one, so cached and joined points
+            # skip compilation; the daemon's own cache instance is shared so
+            # artifacts and their counters are common to every tenant.
+            planner = ExperimentRunner(
+                spec, workers=1, use_cache=False, strict_verify=self.strict_verify
+            )
+            planner.cache = self.cache
             from_cache = joined = fresh = 0
             for point in points:
                 key = point_key(point)
@@ -268,7 +273,7 @@ class JobService:
                 execution = _PointExecution(key=key, subscribers=[(job, point)])
                 self._inflight[key] = execution
                 cached = await self._run_io(self.cache.get, key)
-                if isinstance(cached, dict):
+                if isinstance(cached, PointResult):
                     self._inflight.pop(key, None)
                     self.counters["points_from_cache"] += 1
                     from_cache += 1
@@ -276,10 +281,6 @@ class JobService:
                         await self._deliver_point(sub_job, sub_point, cached, source="cache")
                     continue
                 try:
-                    if planner is None:
-                        planner = await self._run_io(
-                            job_planner, spec, self.cache, self.strict_verify
-                        )
                     planned = await self._run_io(planner.plan_point, point)
                 except Exception:
                     self._inflight.pop(key, None)
@@ -353,19 +354,9 @@ class JobService:
     async def _complete_execution(self, execution: _PointExecution) -> None:
         """Merge shards, commit the point, and fan out to subscribers."""
         self._inflight.pop(execution.key, None)
-        shards = [execution.results[index] for index in sorted(execution.results)]
-        planned = execution.planned
-        merged = {
-            "shots": sum(shard.shots for shard in shards),
-            "num_qubits": planned.num_qubits,
-            "gate_count": planned.gate_count,
-            "counts": merge_counts(shard.counts for shard in shards),
-            "errors_injected": sum(shard.errors_injected for shard in shards),
-            "compile_cached": planned.compile_cached,
-            "compile_time_s": planned.compile_time_s,
-            "wall_time_s": time.monotonic() - execution.started_s,
-            "metrics": merge_metrics(shard.metrics for shard in shards),
-        }
+        merged = execution.planned.merge(
+            execution.results[index] for index in sorted(execution.results)
+        )
         await self._run_io(self.cache.put, execution.key, merged)
         await self._run_io(self.journal.append, {"type": "point", "key": execution.key})
         if self.max_cache_bytes is not None:
@@ -375,12 +366,16 @@ class JobService:
             await self._deliver_point(job, point, merged, source=source)
 
     async def _deliver_point(
-        self, job: Job, point: SweepPoint, merged: dict, source: str
+        self, job: Job, point: SweepPoint, merged: PointResult, source: str
     ) -> None:
-        """Emit one point result into a job's stream and check completion."""
+        """Emit one point result into a job's stream and check completion.
+
+        ``merged`` may come from another tenant's identical point or from
+        the cache, so the subscriber's own index and params are bound here.
+        """
         if job.finished:
             return
-        metrics = dict(merged.get("metrics", {}))
+        metrics = dict(merged.metrics)
         cache_stats = self.cache.stats()
         metrics["artifact_cache_hits"] = cache_stats["hits"]
         metrics["artifact_cache_misses"] = cache_stats["misses"]
@@ -388,19 +383,9 @@ class JobService:
         metrics["artifact_cache_evictions"] = cache_stats["evictions"]
         metrics["artifact_cache_size_bytes"] = await self._run_io(self.cache.size_bytes)
         metrics["point_source"] = source
-        result = {
-            "index": point.index,
-            "params": dict(point.params),
-            "shots": merged["shots"],
-            "num_qubits": merged["num_qubits"],
-            "counts": dict(merged["counts"]),
-            "errors_injected": merged["errors_injected"],
-            "gate_count": merged["gate_count"],
-            "compile_cached": merged.get("compile_cached", False),
-            "compile_time_s": merged.get("compile_time_s", 0.0),
-            "wall_time_s": merged.get("wall_time_s", 0.0),
-            "metrics": metrics,
-        }
+        result = replace(
+            merged, index=point.index, params=dict(point.params), metrics=metrics
+        ).to_dict()
         job.point_results.append(result)
         job.points_done += 1
         job.deliver(

@@ -8,12 +8,13 @@ the service's unit of dedup and streaming — and points into *work units*
 (one per deterministic point, one per shard otherwise), the unit of fair
 scheduling and pool dispatch.
 
-Batch specs are rewritten into one single-circuit point per fleet entry
-with ``point_index = circuit index`` and ``root seed = resolved per-circuit
-seed``, which is exactly the ``SeedSequence(entropy=seed_i, spawn_key=(i,
-shard))`` stream contract of :class:`~repro.runtime.batch.BatchRunner` —
-so service results for batch jobs are bit-identical to both the batch
-runner and the equivalent serial sweep.
+Both spec types expand through their own ``points()``: a batch spec yields
+one single-circuit point per fleet entry with ``point_index = circuit
+index`` and ``root seed = resolved per-circuit seed``, which is exactly
+the ``SeedSequence(entropy=seed_i, spawn_key=(i, shard))`` stream contract
+of :class:`~repro.runtime.batch.BatchRunner` — so service results for
+batch jobs are bit-identical to both the batch runner and the equivalent
+serial sweep.
 
 The **point key** is the service's content-addressed dedup identity: a
 :meth:`~repro.runtime.cache.ArtifactCache.key_for` hash over the bound
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 
 from repro.runtime.batch import BatchSpec
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.runner import ExperimentRunner
 from repro.runtime.spec import ExperimentSpec, SweepPoint
 
 #: Job lifecycle states, in order.
@@ -60,58 +60,6 @@ def parse_job_spec(payload: dict, kind: str) -> ExperimentSpec | BatchSpec:
     if kind == "batch":
         return BatchSpec.from_dict(payload)
     raise ValueError(f"unknown job kind {kind!r}: expected 'experiment' or 'batch'")
-
-
-def job_points(spec: ExperimentSpec | BatchSpec) -> list[SweepPoint]:
-    """Decompose a job spec into schedulable sweep points.
-
-    Experiment specs expand their sweep; batch specs yield one
-    single-circuit point per fleet entry under the batch seeding contract
-    (see module docstring).
-    """
-    if isinstance(spec, ExperimentSpec):
-        return spec.points()
-    points = []
-    for index, batch_circuit in enumerate(spec.circuits):
-        shots, seed, simulation, label = spec.resolved_circuit(index)
-        bound = ExperimentSpec(
-            name=spec.name,
-            circuit=batch_circuit.circuit,
-            platform=spec.platform,
-            compiler=spec.compiler,
-            simulation=simulation,
-            shots=shots,
-            seed=seed,
-            max_shard_shots=spec.max_shard_shots,
-            min_shards=spec.min_shards,
-        )
-        points.append(SweepPoint(index=index, params={"label": label}, spec=bound))
-    return points
-
-
-def job_planner(
-    spec: ExperimentSpec | BatchSpec,
-    cache: ArtifactCache,
-    strict_verify: bool = False,
-) -> ExperimentRunner:
-    """Build the runner the service uses to plan this job's points.
-
-    The service plans point-by-point (``runner.plan_point`` in its planning
-    executor, never on the event loop) so points served from cache or
-    joined in flight skip compilation entirely.  The daemon's own
-    :class:`~repro.runtime.cache.ArtifactCache` instance is injected so
-    compile/program artifacts and their hit/miss counters are shared
-    across all tenants.
-    """
-    anchor = job_points(spec)[0].spec
-    runner = ExperimentRunner(
-        anchor,
-        workers=1,
-        cache_dir=cache.directory,
-        strict_verify=strict_verify,
-    )
-    runner.cache = cache  # one shared store + one set of counters
-    return runner
 
 
 @dataclass

@@ -353,3 +353,14 @@ class TestWiring:
         # Structurally identical rotations circuits share one plan, so the
         # batch verified one structure, not three circuits.
         assert len(runner._verified_plans) == 1
+
+    def test_same_structure_runner_sweep_verifies_once(self, tmp_path):
+        spec = ExperimentSpec(
+            name="ok_sweep",
+            circuit=CircuitSpec(builder="rotations", kwargs={"num_qubits": 4}),
+            sweep={"circuit.seed": [0, 1, 2, 3]},
+            shots=8,
+        )
+        runner = ExperimentRunner(spec, workers=1, cache_dir=tmp_path)
+        assert len(runner.plan()) == 4
+        assert len(runner._verified_plans) == 1

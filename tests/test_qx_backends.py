@@ -292,14 +292,8 @@ class TestExplicitBackends:
 
 class TestSharedKeyingConvention:
     """Satellite audit: every engine's histogram path is pinned to the
-    shared helpers of repro.qx.keying — by object identity where a module
-    re-exports them, and behaviourally on a cross-mapped circuit."""
-
-    def test_simulator_aliases_are_the_shared_helpers(self):
-        from repro.qx import simulator
-
-        assert simulator._bits_histogram is keying.bits_histogram
-        assert simulator._counts_to_bits is keying.counts_to_bits
+    shared helpers of repro.qx.keying, checked behaviourally on a
+    cross-mapped circuit."""
 
     def test_statevector_sampling_delegates_to_shared_helper(self, monkeypatch):
         from repro.qx.statevector import StateVector

@@ -249,7 +249,7 @@ def test_trajectory_classical_bits_are_python_ints():
 
 
 def test_counts_to_bits_matches_reference_expansion():
-    from repro.qx.simulator import _counts_to_bits
+    from repro.qx.keying import counts_to_bits
 
     def reference(counts, qubits, shots):
         # sample_counts() writes character j of the key for reversed(qubits)[j]
@@ -274,7 +274,7 @@ def test_counts_to_bits_matches_reference_expansion():
         ({"01": 3, "10": 2}, (0, 1), 4),
     ]
     for counts, qubits, shots in cases:
-        assert _counts_to_bits(counts, qubits, shots) == reference(counts, qubits, shots)
+        assert counts_to_bits(counts, qubits, shots) == reference(counts, qubits, shots)
 
 
 def test_out_of_order_measurements_agree_across_paths():

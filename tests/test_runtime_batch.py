@@ -125,6 +125,43 @@ def test_mixed_backend_batch_matches_serial():
         assert set(circuit.counts) <= {"00000", "11111"}
 
 
+#: Deterministic circuits the stacked pass cannot take: a 3-qubit gate, and
+#: a pinned engine other than the dense statevector.
+UNSTACKABLE = [
+    BatchCircuit(
+        circuit=CircuitSpec(cqasm="version 1.0\nqubits 3\nh q[0]\nh q[1]\ntoffoli q[0], q[1], q[2]\n"),
+        shots=1024,
+    ),
+    BatchCircuit(circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}), shots=1024, backend="mps"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_mixed_engine_batch_with_unstackable_circuits_matches_serial(workers):
+    """Rows that cannot stack get the serial planner's units: one
+    evolve-once unit for a deterministic point, one per shard otherwise."""
+    ghz = CircuitSpec(builder="ghz", kwargs={"num_qubits": 5})
+    spec = BatchSpec(
+        name="mixed",
+        circuits=[
+            BatchCircuit(circuit=ghz, backend=backend)
+            for backend in ("statevector", "stabilizer", "mps")
+        ]
+        + UNSTACKABLE,
+        shots=64,
+        compiler=CompilerSpec(enabled=False),
+    )
+    planned = BatchRunner(spec, workers=1, use_cache=False).plan()
+    serial_plan = ExperimentRunner(spec, workers=1, use_cache=False).plan()
+    assert [len(point.tasks) for point in planned] == [0, 8, 1, 1, 1]
+    assert [len(point.tasks) for point in serial_plan[1:]] == [8, 1, 1, 1]
+    serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
+    batch = run_batch(spec, workers=workers, use_cache=False)
+    _assert_counts_match(serial.points, batch.circuits)
+    assert batch.plan["stacked_circuits"] == 1
+    assert [circuit.shots for circuit in batch.circuits] == [64, 64, 64, 1024, 1024]
+
+
 # ---------------------------------------------------------------------- #
 # Cross-mapped measurement bits
 # ---------------------------------------------------------------------- #
@@ -219,6 +256,19 @@ def test_plan_cache_counters_reach_point_metrics():
     assert all("plan_cache_hits" in m and "plan_cache_misses" in m for m in metrics)
     # One structural miss for the group, hits for every subsequent circuit.
     assert sum(m["plan_cache_hits"] for m in metrics) >= 3
+
+
+def test_point_wall_time_is_its_own_execution_time():
+    """Stack rows and work units time themselves, so a point reports its
+    own execution time, not the wall of the whole run."""
+    spec = _batch_product(range(3), compile_enabled=False)
+    spec.circuits += UNSTACKABLE
+    batch = run_batch(spec, workers=1, use_cache=False)
+    serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
+    assert batch.plan["stacked_circuits"] == 3
+    for points, total in ((batch.circuits, batch.total_time_s), (serial.points, serial.total_time_s)):
+        assert all(point.wall_time_s > 0 for point in points)
+        assert sum(point.wall_time_s for point in points) <= total
 
 
 # ---------------------------------------------------------------------- #

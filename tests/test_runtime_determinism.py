@@ -303,6 +303,32 @@ def test_shard_task_executes_standalone(tmp_path):
     assert first.shots == task.shots
 
 
+def test_compiler_off_sweep_plans_without_parsing(monkeypatch):
+    """Without compilation the planner lowers the built circuit: no cQASM
+    parse, and text is rendered only for the tasks."""
+    import repro.cqasm.parser
+    import repro.runtime.runner
+
+    parses = []
+
+    def counting_parse(text):
+        parses.append(text)
+        return cqasm_to_circuit(text)
+
+    monkeypatch.setattr(repro.cqasm.parser, "cqasm_to_circuit", counting_parse)
+    monkeypatch.setattr(repro.runtime.runner, "cqasm_to_circuit", counting_parse)
+    spec = ExperimentSpec(
+        name="no-compile",
+        circuit=CircuitSpec(builder="rotations", kwargs={"num_qubits": 4}),
+        compiler=CompilerSpec(enabled=False),
+        sweep={"circuit.seed": [0, 1, 2]},
+        shots=64,
+    )
+    planned = ExperimentRunner(spec, workers=1, use_cache=False).plan()
+    assert parses == []
+    assert all(point.tasks and point.cqasm for point in planned)
+
+
 def test_host_cpu_delegates_to_runner(tmp_path):
     spec = _noisy_spec()
     direct = ExperimentRunner(spec, workers=1, cache_dir=tmp_path / "cache").run()

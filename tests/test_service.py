@@ -38,7 +38,6 @@ from repro.runtime import (
     run_batch,
 )
 from repro.service import FairScheduler, JobJournal, JobService, ServiceClient, point_key
-from repro.service.jobs import job_points
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -192,19 +191,19 @@ class TestJobJournal:
 # ---------------------------------------------------------------------- #
 class TestPointKey:
     def test_name_does_not_affect_identity(self):
-        left = job_points(_ghz_spec(name="alice-run"))
-        right = job_points(_ghz_spec(name="bob-run"))
+        left = _ghz_spec(name="alice-run").points()
+        right = _ghz_spec(name="bob-run").points()
         assert [point_key(p) for p in left] == [point_key(p) for p in right]
 
     def test_seed_and_shard_layout_affect_identity(self):
-        base = job_points(_ghz_spec())[0]
-        reseeded = job_points(_ghz_spec(seed=10))[0]
-        resharded = job_points(_ghz_spec(min_shards=4))[0]
+        base = _ghz_spec().points()[0]
+        reseeded = _ghz_spec(seed=10).points()[0]
+        resharded = _ghz_spec(min_shards=4).points()[0]
         assert point_key(base) != point_key(reseeded)
         assert point_key(base) != point_key(resharded)
 
     def test_points_of_one_sweep_are_distinct(self):
-        keys = [point_key(point) for point in job_points(_ghz_spec())]
+        keys = [point_key(point) for point in _ghz_spec().points()]
         assert len(set(keys)) == len(keys)
 
     def test_batch_points_follow_batch_seeding_contract(self):
@@ -219,7 +218,7 @@ class TestPointKey:
                 ],
             }
         )
-        points = job_points(spec)
+        points = spec.points()
         assert [point.index for point in points] == [0, 1]
         assert points[0].spec.seed == 5
         assert points[1].spec.seed == 11
@@ -269,6 +268,7 @@ class TestJobServiceEngine:
             assert key in metrics
 
     def test_batch_job_matches_batch_runner(self, tmp_path):
+        toffoli = "version 1.0\nqubits 3\nh q[0]\nh q[1]\ntoffoli q[0], q[1], q[2]\n"
         spec = BatchSpec.from_dict(
             {
                 "name": "fleet",
@@ -277,24 +277,36 @@ class TestJobServiceEngine:
                 "circuits": [
                     {"circuit": {"builder": "ghz", "kwargs": {"num_qubits": 2}}},
                     {"circuit": {"builder": "ghz", "kwargs": {"num_qubits": 3}}, "shots": 96},
+                    # Deterministic, but the stacked pass cannot take them.
+                    {"circuit": {"cqasm": toffoli}, "shots": 1024},
+                    {
+                        "circuit": {"builder": "ghz", "kwargs": {"num_qubits": 4}},
+                        "shots": 1024,
+                        "backend": "mps",
+                    },
                 ],
             }
         )
         reference = run_batch(spec, workers=1, use_cache=False)
+        planned = ExperimentRunner(spec, workers=1, use_cache=False).plan()
+        assert [len(point.tasks) for point in planned[2:]] == [1, 1]
 
-        async def scenario():
-            service = _service(tmp_path)
+        async def scenario(workers):
+            service = _service(tmp_path / f"workers-{workers}", workers=workers)
             await service.start()
             try:
                 return await _run_job(service, spec, kind="batch")
             finally:
                 await service.close()
 
-        _, events = asyncio.run(scenario())
-        done = _terminal(events)
-        assert done["event"] == "done"
-        for reference_point, svc_point in zip(reference.circuits, done["result"]["points"]):
-            assert svc_point["counts"] == reference_point.counts
+        for workers in (1, 3):
+            _, events = asyncio.run(scenario(workers))
+            done = _terminal(events)
+            assert done["event"] == "done"
+            svc_points = done["result"]["points"]
+            assert len(svc_points) == len(reference.circuits)
+            for reference_point, svc_point in zip(reference.circuits, svc_points):
+                assert svc_point["counts"] == reference_point.counts
 
     def test_identical_submissions_execute_once_with_two_subscribers(self, tmp_path):
         spec = _ghz_spec(sweep={}, shots=20_000, max_shard_shots=4096, min_shards=8)
