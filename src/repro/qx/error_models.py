@@ -10,11 +10,17 @@ to the elapsed time and classical measurement read-out errors.
 Every model has *one* definition of its physics and two execution views of
 it:
 
-* the **trajectory view** (:meth:`ErrorModel.apply_after_gate` /
-  :meth:`ErrorModel.flip_measurement`) stochastically injects Pauli
-  operations into a :class:`~repro.qx.statevector.StateVector`, one
-  physical shot per run, drawing exactly once per error location from the
-  seeded stream (the bit-identity contract the regression tests pin);
+* the **trajectory view** is a declared draw schedule:
+  :meth:`ErrorModel.trajectory_slots` lists the error locations a gate
+  opens (each a :class:`TrajectorySlot` with a fixed number of uniform
+  draws) and :meth:`ErrorModel.measurement_flips` the read-out flip
+  probabilities.  The schedule never depends on the quantum state, which
+  is what lets :mod:`repro.qx.trajectories` pre-draw a whole block of
+  shots and evolve them as one stacked array.  The base-class
+  :meth:`ErrorModel.apply_after_gate` / :meth:`ErrorModel.flip_measurement`
+  interpret the same schedule for one state, drawing from the seeded
+  stream in slot order (the bit-identity contract the regression tests
+  pin);
 * the **channel view** (:meth:`ErrorModel.noise_channels` /
   :meth:`ErrorModel.confusion`) returns the exact
   :class:`~repro.qx.channels.Channel` the trajectory process averages to,
@@ -28,6 +34,7 @@ Both views read the same model parameters through the same helper methods
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +45,82 @@ from repro.qx.statevector import StateVector
 #: The channel view's return type: ``(qubits, channel)`` placements.
 ChannelPlacements = "list[tuple[tuple[int, ...], Channel]]"
 
+#: Trajectory slot kinds.  ``DEPOLARIZE``: one draw; under ``thresholds[0]``
+#: a second call, ``rng.integers(3)``, picks X, Y or Z.  ``DECAY``: two
+#: draws — the decay draw against ``thresholds[0]``, then either the
+#: collapse measurement's draw (decayed: reset to ``|0>``) or the dephasing
+#: draw against ``thresholds[1]`` (Z).  ``PAULI``: one draw against the
+#: cumulative X, X+Y, X+Y+Z thresholds.
+DEPOLARIZE = "depolarize"
+DECAY = "decay"
+PAULI = "pauli"
+
+
+class TrajectorySlot(NamedTuple):
+    """One error location of a gate's draw schedule."""
+
+    kind: str
+    qubit: int
+    thresholds: tuple[float, ...]
+
+    def inject(self, state, rng: np.random.Generator) -> int:
+        """Draw this slot for one state; returns the number of errors injected.
+
+        ``state`` is any engine state exposing ``apply_pauli`` and
+        ``measure`` (the decay collapse draws through ``state.measure``).
+        """
+        qubit = self.qubit
+        if self.kind == DEPOLARIZE:
+            if rng.random() < self.thresholds[0]:
+                state.apply_pauli(("x", "y", "z")[int(rng.integers(3))], qubit)
+                return 1
+            return 0
+        if self.kind == DECAY:
+            p_decay, p_dephase = self.thresholds
+            if rng.random() < p_decay:
+                # Trajectory approximation of amplitude damping: collapse to
+                # the measured value and reset to |0> if it was |1>.
+                if state.measure(qubit) == 1:
+                    state.apply_pauli("x", qubit)
+                return 1
+            if rng.random() < p_dephase:
+                state.apply_pauli("z", qubit)
+                return 1
+            return 0
+        draw = rng.random()
+        for pauli, threshold in zip("xyz", self.thresholds, strict=True):
+            if draw < threshold:
+                state.apply_pauli(pauli, qubit)
+                return 1
+        return 0
+
 
 class ErrorModel:
-    """Interface for stochastic error injection and its exact channel."""
+    """Interface for stochastic error injection and its exact channel.
+
+    A model's trajectory view is its declared draw schedule
+    (:meth:`trajectory_slots`, :meth:`measurement_flips`); the injection
+    hooks below interpret it and are not meant to be overridden.
+    """
 
     #: True when the model is exactly representable as quantum channels
     #: (PTMs) plus a classical read-out confusion matrix — the condition
     #: for running on the density engine instead of trajectories.
     channel_exact: bool = False
+
+    def trajectory_slots(
+        self, qubits: tuple[int, ...], duration_ns: float, num_qubits: int
+    ) -> tuple[TrajectorySlot, ...]:
+        """The error locations a gate on ``qubits`` opens, in draw order.
+
+        ``num_qubits`` is the register size (locations outside it are not
+        drawn).  The schedule depends only on the gate, never on the state.
+        """
+        return ()
+
+    def measurement_flips(self) -> tuple[float, ...]:
+        """Read-out flip probabilities, one draw each, applied in order."""
+        return ()
 
     def apply_after_gate(
         self,
@@ -55,10 +130,14 @@ class ErrorModel:
         rng: np.random.Generator,
     ) -> int:
         """Inject errors after a gate; returns the number of errors injected."""
-        return 0
+        slots = self.trajectory_slots(qubits, duration_ns, state.num_qubits)
+        return sum(slot.inject(state, rng) for slot in slots)
 
     def flip_measurement(self, outcome: int, rng: np.random.Generator) -> int:
         """Possibly flip a classical measurement outcome."""
+        for probability in self.measurement_flips():
+            if rng.random() < probability:
+                outcome = 1 - outcome
         return outcome
 
     def noise_channels(
@@ -120,15 +199,9 @@ class DepolarizingError(ErrorModel):
             return self.two_qubit_error_rate
         return self.error_rate
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        rate = self.rate_for(qubits)
-        injected = 0
-        for qubit in qubits:
-            if rng.random() < rate:
-                pauli = ("x", "y", "z")[int(rng.integers(3))]
-                state.apply_pauli(pauli, qubit)
-                injected += 1
-        return injected
+    def trajectory_slots(self, qubits, duration_ns, num_qubits):
+        thresholds = (self.rate_for(qubits),)
+        return tuple(TrajectorySlot(DEPOLARIZE, qubit, thresholds) for qubit in qubits)
 
     def noise_channels(self, qubits, duration_ns):
         channel = Channel.depolarizing(self.rate_for(qubits))
@@ -167,22 +240,9 @@ class DecoherenceError(ErrorModel):
         p_dephase = 1.0 - np.exp(-duration_ns * inv_tphi) if inv_tphi > 0 else 0.0
         return float(p_decay), float(p_dephase)
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        injected = 0
-        for qubit in qubits:
-            p_decay, p_dephase = self.decay_probabilities(duration_ns)
-            if rng.random() < p_decay:
-                # Trajectory approximation of amplitude damping: collapse to
-                # the measured value and reset to |0> if it was |1>.
-                outcome = state.measure(qubit)
-                if outcome == 1:
-                    state.apply_pauli("x", qubit)
-                injected += 1
-                continue
-            if rng.random() < p_dephase:
-                state.apply_pauli("z", qubit)
-                injected += 1
-        return injected
+    def trajectory_slots(self, qubits, duration_ns, num_qubits):
+        thresholds = self.decay_probabilities(duration_ns)
+        return tuple(TrajectorySlot(DECAY, qubit, thresholds) for qubit in qubits)
 
     def noise_channels(self, qubits, duration_ns):
         p_decay, p_dephase = self.decay_probabilities(duration_ns)
@@ -205,10 +265,8 @@ class MeasurementError(ErrorModel):
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability outside [0, 1]")
 
-    def flip_measurement(self, outcome: int, rng) -> int:
-        if rng.random() < self.flip_probability:
-            return 1 - outcome
-        return outcome
+    def measurement_flips(self):
+        return (self.flip_probability,)
 
     def noise_channels(self, qubits, duration_ns):
         return []
@@ -248,21 +306,10 @@ class AsymmetricPauliError(ErrorModel):
         """``(p_x, p_y, p_z)`` — shared by the draws and the channel."""
         return self.p_x, self.p_y, self.p_z
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
+    def trajectory_slots(self, qubits, duration_ns, num_qubits):
         p_x, p_y, p_z = self.pauli_probabilities()
-        injected = 0
-        for qubit in qubits:
-            draw = rng.random()
-            if draw < p_x:
-                state.apply_pauli("x", qubit)
-                injected += 1
-            elif draw < p_x + p_y:
-                state.apply_pauli("y", qubit)
-                injected += 1
-            elif draw < p_x + p_y + p_z:
-                state.apply_pauli("z", qubit)
-                injected += 1
-        return injected
+        thresholds = (p_x, p_x + p_y, p_x + p_y + p_z)
+        return tuple(TrajectorySlot(PAULI, qubit, thresholds) for qubit in qubits)
 
     def noise_channels(self, qubits, duration_ns):
         channel = Channel.pauli(*self.pauli_probabilities())
@@ -327,13 +374,14 @@ class CrosstalkError(ErrorModel):
         spectators -= set(qubits)
         return spectators
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        injected = 0
-        for spectator in self.spectators_for(qubits):
-            if spectator < state.num_qubits and rng.random() < self.spectator_error_rate:
-                state.apply_pauli("z", spectator)
-                injected += 1
-        return injected
+    def trajectory_slots(self, qubits, duration_ns, num_qubits):
+        # A Z-only Pauli slot: the X and Y thresholds are 0, never hit.
+        thresholds = (0.0, 0.0, self.spectator_error_rate)
+        return tuple(
+            TrajectorySlot(PAULI, spectator, thresholds)
+            for spectator in self.spectators_for(qubits)
+            if spectator < num_qubits
+        )
 
     def noise_channels(self, qubits, duration_ns):
         spectators = self.spectators_for(qubits)
@@ -356,13 +404,15 @@ class CompositeError(ErrorModel):
     def channel_exact(self) -> bool:  # type: ignore[override]
         return all(model.channel_exact for model in self.models)
 
-    def apply_after_gate(self, state, qubits, duration_ns, rng) -> int:
-        return sum(m.apply_after_gate(state, qubits, duration_ns, rng) for m in self.models)
+    def trajectory_slots(self, qubits, duration_ns, num_qubits):
+        return tuple(
+            slot
+            for model in self.models
+            for slot in model.trajectory_slots(qubits, duration_ns, num_qubits)
+        )
 
-    def flip_measurement(self, outcome, rng) -> int:
-        for model in self.models:
-            outcome = model.flip_measurement(outcome, rng)
-        return outcome
+    def measurement_flips(self):
+        return tuple(p for model in self.models for p in model.measurement_flips())
 
     def noise_channels(self, qubits, duration_ns):
         """One compiled channel per qubit position, not sequential application.

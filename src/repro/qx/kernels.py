@@ -18,6 +18,8 @@ invariant :class:`~repro.qx.statevector.StateVector` maintains.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _ATOL = 1e-12
@@ -56,6 +58,23 @@ def pair_parity_expectation(amplitudes: np.ndarray, qubit_a: int, qubit_b: int) 
             weight = float(np.vdot(block, block).real)
             total += weight if bit_high == bit_low else -weight
     return total
+
+
+def probability_of_one(amplitudes: np.ndarray, qubit: int) -> float:
+    """Weight of the ``|1>`` half-space of ``qubit``."""
+    ones = qubit_view(amplitudes, qubit)[:, 1, :]
+    return float(np.vdot(ones, ones).real)
+
+
+def collapse(amplitudes: np.ndarray, qubit: int, outcome: int) -> None:
+    """Project ``qubit`` onto ``|outcome>`` and renormalise, in place."""
+    view = qubit_view(amplitudes, qubit)
+    kept = view[:, outcome, :]
+    norm = math.sqrt(float(np.vdot(kept, kept).real))
+    if norm < 1e-12:
+        raise ValueError(f"cannot collapse qubit {qubit} to {outcome}: zero probability")
+    view[:, 1 - outcome, :] = 0.0
+    amplitudes /= norm
 
 
 # ---------------------------------------------------------------------- #

@@ -17,9 +17,9 @@ only ever changes the cost, never the result format.
 
 Circuits are lowered once through :mod:`repro.qx.compiled` before dense or
 MPS execution: the deterministic path runs a single evolution and samples
-the final distribution; the trajectory path re-executes the precompiled
-(unfused, so every gate keeps its error-injection point) program per shot
-without re-dispatching circuit objects.
+the final distribution; the dense trajectory path evolves blocks of shots
+as stacked rows through the precompiled (unfused, so every gate keeps its
+error-injection point) program (:mod:`repro.qx.trajectories`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.operations import Measurement
 from repro.core.qubits import PERFECT, QubitModel
-from repro.qx import kernels
 from repro.qx.backends import (
     DispatchPolicy,
     UnsupportedBackendError,
@@ -57,6 +56,7 @@ from repro.qx.keying import (
 from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
+from repro.qx.trajectories import TrajectorySchedule
 
 @dataclass
 class SimulationResult:
@@ -399,41 +399,22 @@ class QXSimulator:
         return result
 
     def _run_trajectories(self, program, num_qubits, shots, keep_final_state, initial_state):
+        """Per-shot trajectories, evolved as stacked row blocks.
+
+        :mod:`repro.qx.trajectories` draws exactly the stream a
+        one-state-per-shot loop would, so results are bit-identical to it.
+        """
         result = SimulationResult(num_qubits=num_qubits, shots=shots)
-        num_bits = max(program.num_bits, num_qubits)
-        measured_any = program.num_measurements > 0
-        all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-        error_model = self.error_model
-        rng = self.rng
-        errors = 0
-        for shot in range(shots):
-            state = StateVector(num_qubits, rng=rng)
-            if initial_state is not None:
-                state.set_state(initial_state)
-            bits = all_bits[shot]
-            for op in program.ops:
-                kind = op.kind
-                if kind == GATE:
-                    state.amplitudes = kernels.apply_gate_inplace(
-                        state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                    )
-                    errors += error_model.apply_after_gate(state, op.qubits, op.duration, rng)
-                elif kind == MEASURE:
-                    outcome = state.measure(op.qubits[0])
-                    outcome = error_model.flip_measurement(outcome, rng)
-                    bits[op.bit] = outcome
-                elif kind == COND_GATE:
-                    if bits[op.condition_bit]:
-                        state.amplitudes = kernels.apply_gate_inplace(
-                            state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                        )
-                        errors += error_model.apply_after_gate(
-                            state, op.qubits, op.duration, rng
-                        )
-            if keep_final_state and shot == shots - 1:
-                result.final_state = state.amplitudes.copy()
-        result.errors_injected = errors
-        if measured_any:
+        schedule = TrajectorySchedule(program, self.error_model, num_qubits)
+        blocks = schedule.blocks(shots, self.rng, initial_state)
+        bit_blocks = []
+        for stack, bits, errors in blocks:
+            bit_blocks.append(bits)
+            result.errors_injected += errors
+        if keep_final_state:
+            result.final_state = stack[-1].copy()
+        if program.num_measurements:
+            all_bits = np.concatenate(bit_blocks)
             result.counts = bits_histogram(all_bits, program.measured_bits)
             result.classical_bits = all_bits.tolist()
         return result
@@ -595,16 +576,9 @@ class QXSimulator:
         stripped = _strip_measurements(circuit)
         ideal = QXSimulator(seed=0).statevector(stripped)
         program = program_for(stripped, fuse=False)
-        total = 0.0
-        for _ in range(shots):
-            state = StateVector(stripped.num_qubits, rng=self.rng)
-            for op in program.ops:
-                if op.kind == GATE:
-                    state.amplitudes = kernels.apply_gate_inplace(
-                        state.amplitudes, op.matrix, op.qubits, structure=op.structure
-                    )
-                    self.error_model.apply_after_gate(state, op.qubits, op.duration, self.rng)
-            total += float(abs(np.vdot(ideal, state.amplitudes)) ** 2)
+        schedule = TrajectorySchedule(program, self.error_model, stripped.num_qubits)
+        blocks = schedule.blocks(shots, self.rng)
+        total = sum(float(np.sum(np.abs(stack @ ideal.conj()) ** 2)) for stack, _, _ in blocks)
         return total / shots
 
 

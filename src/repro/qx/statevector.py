@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.qx import kernels
 
-_PAULI_MATRICES = {
+PAULI_MATRICES = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -130,10 +130,10 @@ class StateVector:
 
     def apply_pauli(self, pauli: str, qubit: int) -> None:
         """Apply a single Pauli error/gate by name ('i', 'x', 'y' or 'z')."""
-        if pauli not in _PAULI_MATRICES:
+        if pauli not in PAULI_MATRICES:
             raise ValueError(f"unknown Pauli {pauli!r}")
         if pauli != "i":
-            self.apply_gate(_PAULI_MATRICES[pauli], (qubit,))
+            self.apply_gate(PAULI_MATRICES[pauli], (qubit,))
 
     # ------------------------------------------------------------------ #
     # Measurement
@@ -152,22 +152,13 @@ class StateVector:
     def probability_of_one(self, qubit: int) -> float:
         if not 0 <= qubit < self.num_qubits:
             raise IndexError(f"qubit {qubit} out of range")
-        ones = kernels.qubit_view(self.amplitudes, qubit)[:, 1, :]
-        return float(np.vdot(ones, ones).real)
+        return kernels.probability_of_one(self.amplitudes, qubit)
 
     def collapse(self, qubit: int, outcome: int) -> None:
         """Project onto ``|outcome>`` of ``qubit`` and renormalise (in place)."""
         if outcome not in (0, 1):
             raise ValueError(f"measurement outcome must be 0 or 1, got {outcome}")
-        view = kernels.qubit_view(self.amplitudes, qubit)
-        kept = view[:, outcome, :]
-        norm = math.sqrt(float(np.vdot(kept, kept).real))
-        if norm < 1e-12:
-            raise ValueError(
-                f"cannot collapse qubit {qubit} to {outcome}: zero probability"
-            )
-        view[:, 1 - outcome, :] = 0.0
-        self.amplitudes /= norm
+        kernels.collapse(self.amplitudes, qubit, outcome)
 
     def measure_all(self) -> list[int]:
         """Measure every qubit; returns a list of bits indexed by qubit.
