@@ -74,6 +74,14 @@ class ArtifactCache:
     does not touch files, so mtime is publication time) are evicted until
     the directory fits ``max_bytes``.  Eviction is safe against concurrent
     readers: a pruned entry simply becomes a miss and is recomputed.
+
+    The first :meth:`size_bytes` call seeds a running byte total with one
+    directory scan; from then on every change this instance makes (``put``,
+    the corrupt-entry purge in ``get``, ``prune``, ``clear``) adjusts it, so
+    later calls are O(1).  Bytes written by *other* processes are counted at
+    the next ``prune`` or ``clear``, which reset the total from their own
+    scans.  An unseeded instance (every runner and worker cache) pays no
+    extra ``stat`` per ``put``.
     """
 
     def __init__(self, directory: str | Path):
@@ -83,6 +91,8 @@ class ArtifactCache:
         self.misses = 0
         self.writes = 0
         self.evictions = 0
+        #: Running on-disk total; ``None`` until :meth:`size_bytes` seeds it.
+        self._size: int | None = None
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -125,10 +135,14 @@ class ArtifactCache:
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
             self.misses += 1
+            purged = self._entry_size(path) if self._size is not None else 0
             try:
                 path.unlink()
             except OSError:
                 pass
+            else:
+                if self._size is not None:
+                    self._size -= purged
             return None
         self.hits += 1
         return value
@@ -141,6 +155,8 @@ class ArtifactCache:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                written = handle.tell()
+            replaced = self._entry_size(path) if self._size is not None else 0
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -149,15 +165,20 @@ class ArtifactCache:
                 pass
             raise
         self.writes += 1
+        if self._size is not None:
+            self._size += written - replaced
 
     # ------------------------------------------------------------------ #
-    def _entries(self) -> list[tuple[float, int, str]]:
-        """``(mtime, size, path)`` per entry, unordered; vanished files are skipped.
+    @staticmethod
+    def _entry_size(path: Path) -> int:
+        """Size of the entry at ``path``, 0 if there is none."""
+        try:
+            return path.stat().st_size
+        except OSError:
+            return 0
 
-        ``os.scandir`` rather than ``Path.glob`` + ``Path.stat``: the
-        service scans the store once per delivered point, so the walk's
-        per-entry overhead is on its I/O thread's hot path.
-        """
+    def _entries(self) -> list[tuple[float, int, str]]:
+        """``(mtime, size, path)`` per entry, unordered; vanished files are skipped."""
         entries: list[tuple[float, int, str]] = []
         with os.scandir(self.directory) as buckets:
             for bucket in buckets:
@@ -175,8 +196,14 @@ class ArtifactCache:
         return entries
 
     def size_bytes(self) -> int:
-        """Total on-disk size of all cached entries (scans the directory)."""
-        return sum(size for _, size, _ in self._entries())
+        """Total on-disk size of all cached entries.
+
+        The first call scans the directory and seeds the running total;
+        later calls return that total without touching the disk.
+        """
+        if self._size is None:
+            self._size = sum(size for _, size, _ in self._entries())
+        return self._size
 
     def prune(self, max_bytes: int) -> dict:
         """Evict least-recently-written entries until the store fits ``max_bytes``.
@@ -201,17 +228,20 @@ class ArtifactCache:
             total -= size
             evicted += 1
         self.evictions += evicted
+        self._size = total
         return {"evicted": evicted, "size_bytes": total}
 
     def clear(self) -> int:
         """Delete every cached entry; returns the number removed."""
         removed = 0
-        for path in self.directory.glob("*/*.pkl"):
+        remaining = 0
+        for _, size, path in self._entries():
             try:
-                path.unlink()
+                os.unlink(path)
                 removed += 1
             except OSError:
-                pass
+                remaining += size
+        self._size = remaining
         return removed
 
     def stats(self) -> dict:

@@ -132,6 +132,9 @@ class JobService:
         self._io = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svc-io")
         self._slots = self.workers
         self._wake = asyncio.Condition()
+        # Seed the cache's running byte total with one directory scan, so
+        # every delivery reads the cache size in O(1).
+        await self._run_io(self.cache.size_bytes)
         self._pump_task = asyncio.create_task(self._pump())
         self._started = True
         if self.resume:
@@ -284,9 +287,9 @@ class JobService:
                     planned = await self._run_io(planner.plan_point, point)
                 except Exception:
                     self._inflight.pop(key, None)
-                    for sub_job, _ in execution.subscribers:
-                        if sub_job is not job:
-                            await self._fail_job(sub_job, f"planning failed for point {key}")
+                    await self._fail_subscribers(
+                        execution, f"planning failed for point {key}", skip=job
+                    )
                     raise
                 execution.planned = planned
                 execution.pending = {task.shard_index for task in planned.tasks}
@@ -337,15 +340,22 @@ class JobService:
         except Exception as exc:  # noqa: BLE001 - worker crashes fail the point
             execution = self._inflight.pop(key, None)
             if execution is not None:
-                for job, _ in execution.subscribers:
-                    await self._fail_job(job, f"shard failed: {type(exc).__name__}: {exc}")
+                await self._fail_subscribers(
+                    execution, f"shard failed: {type(exc).__name__}: {exc}"
+                )
         else:
             execution = self._inflight.get(key)
             if execution is not None and result.shard_index in execution.pending:
                 execution.results[result.shard_index] = result
                 execution.pending.discard(result.shard_index)
                 if not execution.pending:
-                    await self._complete_execution(execution)
+                    try:
+                        await self._complete_execution(execution)
+                    except Exception as exc:  # noqa: BLE001 - e.g. ENOSPC on commit
+                        await self._fail_subscribers(
+                            execution,
+                            f"commit failed for point {key}: {type(exc).__name__}: {exc}",
+                        )
         finally:
             async with self._wake:
                 self._slots += 1
@@ -381,7 +391,9 @@ class JobService:
         metrics["artifact_cache_misses"] = cache_stats["misses"]
         metrics["artifact_cache_writes"] = cache_stats["writes"]
         metrics["artifact_cache_evictions"] = cache_stats["evictions"]
-        metrics["artifact_cache_size_bytes"] = await self._run_io(self.cache.size_bytes)
+        # O(1): the running total seeded in start(), not a directory scan.
+        # Only the I/O thread changes the total; the loop just reads it.
+        metrics["artifact_cache_size_bytes"] = self.cache.size_bytes()
         metrics["point_source"] = source
         result = replace(
             merged, index=point.index, params=dict(point.params), metrics=metrics
@@ -421,9 +433,22 @@ class JobService:
     async def _fail_job(self, job: Job, message: str) -> None:
         if job.finished:
             return
-        await self._run_io(self.journal.append, {"type": "job_failed", "job_id": job.job_id})
+        try:
+            await self._run_io(self.journal.append, {"type": "job_failed", "job_id": job.job_id})
+        except OSError:
+            # The stream still ends; the job stays non-terminal in the
+            # journal, so a restart resumes it.
+            pass
         self.counters["jobs_failed"] += 1
         job.fail(message)
+
+    async def _fail_subscribers(
+        self, execution: _PointExecution, message: str, skip: Job | None = None
+    ) -> None:
+        """Fail every job subscribed to ``execution`` (except ``skip``)."""
+        for job, _ in execution.subscribers:
+            if job is not skip:
+                await self._fail_job(job, message)
 
     # ------------------------------------------------------------------ #
     # Introspection and streaming.
@@ -456,7 +481,7 @@ class JobService:
     def stats(self) -> dict:
         return {
             "counters": dict(self.counters),
-            "cache": self.cache.stats(),
+            "cache": {**self.cache.stats(), "size_bytes": self.cache.size_bytes()},
             "backlog": self._scheduler.backlog(),
             "inflight_points": len(self._inflight),
             "jobs": len(self.jobs),

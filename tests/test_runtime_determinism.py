@@ -386,6 +386,46 @@ def test_cache_prune_evicts_oldest_entries_first(tmp_path):
     assert "evictions" in cache.stats()
 
 
+def test_cache_running_size_total_stays_exact(tmp_path):
+    """After every store change this instance makes — a new put, an
+    overwriting put, a corrupt entry purged by get, prune, clear — the O(1)
+    running total equals a fresh directory scan."""
+    import random
+
+    cache = ArtifactCache(tmp_path / "cache")
+    keys = [cache.key_for("blob", index=index) for index in range(8)]
+    cache.put(keys[0], "seeded later")
+    assert cache.size_bytes() == sum(size for _, size, _ in cache._entries())
+    rng = random.Random(15)
+    operations = ("put", "overwrite", "purge", "prune", "clear")
+    seen = set()
+    for _ in range(300):
+        operation = rng.choices(operations, weights=(4, 4, 2, 1, 0.2))[0]
+        present = [key for key in keys if cache.path_for(key).exists()]
+        absent = [key for key in keys if key not in present]
+        value = "x" * rng.randrange(1, 4096)
+        if operation == "put" and absent:
+            cache.put(rng.choice(absent), value)
+        elif operation == "overwrite" and present:
+            cache.put(rng.choice(present), value)
+        elif operation == "purge" and present:
+            # Same-length garbage: the corruption itself does not move the
+            # on-disk total; the purge in get() must.
+            path = cache.path_for(rng.choice(present))
+            path.write_bytes(b"\0" * path.stat().st_size)
+            assert cache.get(path.stem) is None
+            assert not path.exists()
+        elif operation == "prune":
+            cache.prune(max_bytes=rng.randrange(0, cache.size_bytes() + 1))
+        elif operation == "clear":
+            cache.clear()
+        else:
+            continue
+        seen.add(operation)
+        assert cache.size_bytes() == sum(size for _, size, _ in cache._entries()), operation
+    assert seen == set(operations)
+
+
 def test_cache_prune_rejects_negative_budget(tmp_path):
     cache = ArtifactCache(tmp_path / "cache")
     with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import (
+    ArtifactCache,
     BatchSpec,
     CircuitSpec,
     ExperimentRunner,
@@ -73,6 +74,24 @@ async def _run_job(service: JobService, spec, kind="experiment", client="alice",
     async for event in service.stream(accepted["job_id"]):
         events.append(event)
     return accepted, events
+
+
+def _fleet_spec(circuits: int = 32) -> BatchSpec:
+    """A batch of distinct small GHZ circuits, one sweep point each."""
+    return BatchSpec.from_dict(
+        {
+            "name": "fleet",
+            "shots": 32,
+            "seed": 5,
+            "circuits": [
+                {
+                    "circuit": {"builder": "ghz", "kwargs": {"num_qubits": 2 + index % 4}},
+                    "shots": 32 + index,
+                }
+                for index in range(circuits)
+            ],
+        }
+    )
 
 
 def _terminal(events):
@@ -420,6 +439,104 @@ class TestJobServiceEngine:
         live, events = asyncio.run(scenario())
         assert live == [True, True]
         assert _terminal(events)["event"] == "done"
+
+    def test_cache_directory_is_scanned_at_most_once(self, tmp_path, monkeypatch):
+        """Delivery reads the cache's running byte total: a 32-point batch
+        job scans the store once, when start() seeds the total."""
+        scans = []
+        original = ArtifactCache._entries
+
+        def counting(cache):
+            scans.append(1)
+            return original(cache)
+
+        monkeypatch.setattr(ArtifactCache, "_entries", counting)
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                _, events = await _run_job(service, _fleet_spec(), kind="batch")
+                return events, service.stats()
+            finally:
+                await service.close()
+
+        events, stats = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        assert len(_point_events(events)) == 32
+        assert len(scans) <= 1
+        assert stats["cache"]["size_bytes"] == ArtifactCache(tmp_path / "cache").size_bytes()
+
+    def test_bounded_cache_reports_exact_size(self, tmp_path):
+        """With --max-cache-mb the per-commit prune rescans the store, so
+        the delivered size equals a fresh scan taken after the job."""
+
+        async def scenario():
+            service = _service(tmp_path, max_cache_bytes=16 * 1024)
+            await service.start()
+            try:
+                _, events = await _run_job(service, _fleet_spec(), kind="batch")
+                return events, service.stats()
+            finally:
+                await service.close()
+
+        events, stats = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        delivered = _point_events(events)[-1]["result"]["metrics"]["artifact_cache_size_bytes"]
+        fresh = ArtifactCache(tmp_path / "cache").size_bytes()
+        assert delivered == fresh == stats["cache"]["size_bytes"]
+        assert fresh <= 16 * 1024
+
+    @pytest.mark.parametrize("failing", ["cache", "journal"])
+    def test_failed_point_commit_fails_its_jobs(self, tmp_path, monkeypatch, failing):
+        """A commit that raises ENOSPC — on the point's cache write, or on
+        every journal append after admission — ends every subscriber's
+        stream with an error naming the point, instead of leaving the jobs
+        running forever."""
+        from repro.runtime.aggregate import PointResult
+
+        original_put = ArtifactCache.put
+        original_append = JobJournal.append
+
+        def failing_put(cache, key, value):
+            if isinstance(value, PointResult):
+                raise OSError(28, "No space left on device")
+            return original_put(cache, key, value)
+
+        def failing_append(journal, record):
+            if record["type"] != "job":
+                raise OSError(28, "No space left on device")
+            return original_append(journal, record)
+
+        if failing == "cache":
+            monkeypatch.setattr(ArtifactCache, "put", failing_put)
+        else:
+            monkeypatch.setattr(JobJournal, "append", failing_append)
+        spec = _ghz_spec(sweep={})
+
+        async def scenario():
+            service = _service(tmp_path, workers=1)
+            await service.start()
+            try:
+                first, second = await asyncio.wait_for(
+                    asyncio.gather(
+                        _run_job(service, spec, client="alice"),
+                        _run_job(service, spec, client="bob"),
+                    ),
+                    timeout=30,
+                )
+                return first, second, service.stats()
+            finally:
+                await service.close()
+
+        (_, alice), (_, bob), stats = asyncio.run(scenario())
+        (point,) = spec.points()
+        for events in (alice, bob):
+            terminal = _terminal(events)
+            assert terminal["event"] == "error"
+            assert point_key(point) in terminal["message"]
+            assert "No space left on device" in terminal["message"]
+        assert stats["counters"]["jobs_failed"] == 2
 
     def test_invalid_spec_fails_with_error_event(self, tmp_path):
         async def scenario():
