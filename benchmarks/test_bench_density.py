@@ -31,15 +31,12 @@ import numpy as np
 import pytest
 
 from bench_utils import print_table, run_once
+from oracles.density_reference import ContractionDensityMatrix
 from repro.core.circuit import Circuit
 from repro.qec.decoder import decoder_for
 from repro.qec.surface_code import PlanarSurfaceCode
 from repro.qx.channels import Channel, compile_circuit
-from repro.qx.density import (
-    DENSITY_MAX_QUBITS,
-    ContractionDensityMatrix,
-    DensityMatrixSimulator,
-)
+from repro.qx.density import DENSITY_MAX_QUBITS, DensityMatrixSimulator
 from repro.qx.error_models import DepolarizingError, ErrorModel
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

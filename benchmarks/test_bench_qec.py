@@ -15,6 +15,7 @@ import time
 import pytest
 
 from bench_utils import print_table, run_once
+from oracles.surface_code_reference import run_memory_experiment_reference
 from repro.qec.codes import RepetitionCode, SteaneCode
 from repro.qec.surface_code import PlanarSurfaceCode
 
@@ -122,7 +123,7 @@ def test_surface_code_d9_vectorized_speedup(benchmark):
         fast = code.run_memory_experiment(0.001, rounds=10, trials=500, seed=1)
         fast_s = time.perf_counter() - start
         start = time.perf_counter()
-        slow = code.run_memory_experiment_reference(0.001, rounds=10, trials=500, seed=1)
+        slow = run_memory_experiment_reference(code, 0.001, rounds=10, trials=500, seed=1)
         slow_s = time.perf_counter() - start
         return fast, slow, fast_s, slow_s
 

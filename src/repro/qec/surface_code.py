@@ -151,14 +151,6 @@ class PlanarSurfaceCode:
         errors = np.asarray(errors, dtype=np.int8)
         return (errors @ self.incidence.T) & 1
 
-    def syndrome_reference(self, errors: np.ndarray) -> np.ndarray:
-        """Per-plaquette loop implementation, kept as the ground truth the
-        vectorized :meth:`syndrome` is tested and benchmarked against."""
-        result = np.zeros(self.num_ancilla, dtype=np.int8)
-        for index, plaquette in enumerate(self.plaquettes):
-            result[index] = int(np.sum(errors[list(plaquette)]) % 2)
-        return result
-
     def error_crossing_parity(self, errors: np.ndarray) -> int:
         """Parity of X errors on the reference row (logical observable)."""
         d = self.distance
@@ -298,7 +290,8 @@ class PlanarSurfaceCode:
 
         Every trial's rounds are processed as one batch: a single uniform
         block per trial (consumed in the same order as the per-round loops of
-        :meth:`run_memory_experiment_reference`, so outcomes are
+        the reference implementation in
+        ``tests/oracles/surface_code_reference.py``, so outcomes are
         bit-identical for equal seeds), a cumulative-XOR error history, and a
         single incidence-matrix product for all syndromes.
         """
@@ -336,63 +329,6 @@ class PlanarSurfaceCode:
 
             correction_parity = decode(defects)
             if correction_parity != self.error_crossing_parity(final_errors):
-                failures += 1
-        return SurfaceCodeResult(
-            distance=self.distance,
-            rounds=rounds,
-            trials=trials,
-            physical_error_rate=physical_error_rate,
-            measurement_error_rate=measurement_error_rate,
-            logical_failures=failures,
-            total_defects=total_defects,
-            decoder=decoder,
-        )
-
-    def run_memory_experiment_reference(
-        self,
-        physical_error_rate: float,
-        rounds: int | None = None,
-        trials: int = 500,
-        measurement_error_rate: float | None = None,
-        seed: int | np.random.SeedSequence | None = None,
-        decoder: str = "matching",
-    ) -> SurfaceCodeResult:
-        """Per-round, per-plaquette loop implementation of the memory
-        experiment — the pre-vectorization ground truth.
-
-        Kept (like ``kernels.apply_gate_generic`` on the state-vector side)
-        so equivalence tests can assert that :meth:`run_memory_experiment`
-        produces bit-identical failure counts and defect totals for equal
-        seeds, and so benchmarks can measure the speedup against it.
-        """
-        rng = np.random.default_rng(seed)
-        rounds = rounds if rounds is not None else self.distance
-        measurement_error_rate = (
-            measurement_error_rate if measurement_error_rate is not None else physical_error_rate
-        )
-        decode = decoder_for(self, decoder).decode
-        failures = 0
-        total_defects = 0
-        for _ in range(trials):
-            errors = np.zeros(self.num_data, dtype=np.int8)
-            previous = np.zeros(self.num_ancilla, dtype=np.int8)
-            defects: list[tuple[int, int]] = []
-            for round_index in range(rounds):
-                new_errors = (rng.random(self.num_data) < physical_error_rate).astype(np.int8)
-                errors ^= new_errors
-                observed = self.syndrome_reference(errors)
-                flips = (rng.random(self.num_ancilla) < measurement_error_rate).astype(np.int8)
-                observed = observed ^ flips
-                changed = observed ^ previous
-                defects.extend((round_index, int(a)) for a in np.nonzero(changed)[0])
-                previous = observed
-            observed = self.syndrome_reference(errors)
-            changed = observed ^ previous
-            defects.extend((rounds, int(a)) for a in np.nonzero(changed)[0])
-            total_defects += len(defects)
-
-            correction_parity = decode(defects)
-            if correction_parity != self.error_crossing_parity(errors):
                 failures += 1
         return SurfaceCodeResult(
             distance=self.distance,

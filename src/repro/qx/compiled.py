@@ -477,7 +477,7 @@ _cache: "weakref.WeakKeyDictionary[Circuit, dict]" = weakref.WeakKeyDictionary()
 #: distinct objects (RB/QAOA generators rebuild every sequence) share one
 #: lowered program.  LRU-capped so long-lived processes stay bounded.
 _CONTENT_CACHE_CAP = 1024
-_content_cache: "OrderedDict[str, KernelProgram]" = OrderedDict()
+_content_cache: "OrderedDict[tuple[str, bool], KernelProgram]" = OrderedDict()
 _content_stats = {"hits": 0, "misses": 0}
 
 
@@ -489,22 +489,31 @@ def _fingerprint(circuit: Circuit) -> tuple:
     return tuple(map(id, circuit.operations))
 
 
-def circuit_content_key(circuit: Circuit, fuse: bool) -> str:
-    """Content hash of everything lowering reads: structure *and* values."""
+def circuit_content_key(circuit: Circuit) -> str:
+    """Content hash of a circuit: every operation's name, parameters, operands,
+    classical bits, duration and matrix, classical operations included.
+
+    The one circuit digest of the stack: it keys the content-addressed
+    program cache here and the runtime's compile cache, worker program memo
+    and mapping artifacts.  Callers that key a lowering add ``fuse``.
+    """
     hasher = hashlib.sha256()
-    hasher.update(f"{circuit.num_qubits}|{circuit.num_bits}|{int(fuse)}".encode())
+    hasher.update(f"{circuit.num_qubits}|{circuit.num_bits}".encode())
     for op in circuit.operations:
         if isinstance(op, GateOperation):
-            hasher.update(f"g{op.qubits}{op.duration}".encode())
+            hasher.update(f"g{op.name}{op.params}{op.qubits}{op.duration}".encode())
             hasher.update(np.ascontiguousarray(op.gate.matrix, dtype=complex).tobytes())
         elif isinstance(op, Measurement):
-            hasher.update(f"m{op.qubits}{op.bit}{op.duration}".encode())
+            hasher.update(f"m{op.qubits}{op.bit}{op.basis}{op.duration}".encode())
         elif isinstance(op, ConditionalGate):
-            hasher.update(f"c{op.qubits}{op.condition_bit}{op.duration}".encode())
+            hasher.update(
+                f"c{op.name}{op.params}{op.qubits}{op.condition_bit}{op.duration}".encode()
+            )
             hasher.update(np.ascontiguousarray(op.gate.matrix, dtype=complex).tobytes())
         elif isinstance(op, Barrier):
             hasher.update(f"b{op.qubits}".encode())
-        # ClassicalOperation carries no lowering semantics.
+        elif isinstance(op, ClassicalOperation):
+            hasher.update(f"o{op.opcode}{op.operands}{op.qubits}".encode())
     return hasher.hexdigest()
 
 
@@ -514,7 +523,7 @@ def content_cache_stats() -> dict[str, int]:
 
 
 def _content_lookup(circuit: Circuit, fuse: bool) -> KernelProgram:
-    key = circuit_content_key(circuit, fuse)
+    key = (circuit_content_key(circuit), fuse)
     program = _content_cache.get(key)
     if program is not None:
         _content_stats["hits"] += 1

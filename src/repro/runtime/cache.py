@@ -1,13 +1,16 @@
 """On-disk cache for compiled full-stack artifacts.
 
-Two artifact kinds are cached between runs (and shared between the parent
-process and pool workers):
+Three artifact kinds are cached between runs:
 
-* ``"compile"`` — the cQASM text produced by the OpenQL-style pass
-  pipeline, keyed by the *source* circuit's cQASM, the platform
-  description and the compiler configuration;
-* ``"program"`` — a lowered :class:`~repro.qx.compiled.KernelProgram`,
-  keyed by the compiled cQASM text and the fusion flag.
+* ``"compile"`` — the compiled :class:`~repro.core.circuit.Circuit` the
+  OpenQL-style pass pipeline produces, keyed by the *source* circuit's
+  :func:`~repro.qx.compiled.circuit_content_key`, the platform description
+  and the compiler configuration;
+* ``"mapping"`` — a compile-and-map artifact of a ``kind="compile"``
+  point, keyed by the source circuit's content key and the pipeline
+  configuration (published by the pool worker that computes it);
+* ``"point"`` — a merged point result of the experiment service, keyed by
+  the point's spec.
 
 Keys are SHA-256 hashes of a canonical JSON encoding of the key parts, and
 every key embeds :data:`CACHE_SCHEMA_VERSION`; bumping that constant when
@@ -27,9 +30,10 @@ import pickle
 import tempfile
 from pathlib import Path
 
-#: Bump to invalidate every cached artifact (e.g. when KernelProgram or the
-#: pass pipeline changes in a way that alters lowered semantics).
-CACHE_SCHEMA_VERSION = 1
+#: Bump to invalidate every cached artifact (e.g. when a cached value's type
+#: or the pass pipeline changes in a way that alters results).  Version 2:
+#: compile entries hold circuits, and point results keep compiled durations.
+CACHE_SCHEMA_VERSION = 2
 
 
 def default_cache_dir() -> Path:

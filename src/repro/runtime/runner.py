@@ -5,9 +5,10 @@ into executed results in three stages:
 
 1. **plan** — expand the sweep into points; for each point build the source
    circuit, build the platform, run the OpenQL-style pass pipeline (through
-   the compile cache) and lower the circuit to a
-   :class:`~repro.qx.compiled.KernelProgram` (through the program cache, so
-   pool workers get disk hits instead of re-lowering);
+   the compile cache, which stores the compiled
+   :class:`~repro.core.circuit.Circuit`) and plan its lowering; work units
+   carry the compiled circuit, pickled once per point, under its content
+   key — cQASM text is never part of the hand-off;
 2. **shard** — split each point's shot budget into a worker-independent
    list of shards, each carrying its ``(root seed, point, shard)`` seed
    coordinates (:mod:`repro.runtime.seeding`), and group them into work
@@ -29,6 +30,7 @@ build their results through :meth:`PlannedPoint.merge` as well.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,10 +38,8 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
-from repro.cqasm.parser import cqasm_to_circuit
-from repro.cqasm.writer import circuit_to_cqasm
 from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
-from repro.qx.compiled import LoweringPlan, lower, plan_cache_stats, plan_for
+from repro.qx.compiled import LoweringPlan, circuit_content_key, plan_cache_stats, plan_for
 from repro.qx.error_models import error_model_for, noise_kind
 from repro.runtime.aggregate import ExperimentResult, PointResult, merge_counts, merge_metrics
 from repro.runtime.cache import ArtifactCache, default_cache_dir
@@ -51,7 +51,6 @@ from repro.runtime.worker import (
     ShardResult,
     ShardTask,
     mapping_cache_key,
-    program_cache_key,
     run_shard,
 )
 
@@ -72,12 +71,11 @@ class PlannedPoint:
     """A sweep point compiled down to executable work units.
 
     A *stack row* (planned with ``stack=True``) carries its lowering
-    ``plan`` and executable ``circuit`` instead of ``tasks`` and cQASM:
-    the batch driver evolves it inside a stacked chunk.
+    ``plan`` and executable ``circuit`` instead of ``tasks``: the batch
+    runner evolves it inside a stacked chunk.
     """
 
     point: SweepPoint
-    cqasm: str
     num_qubits: int
     gate_count: int
     compile_cached: bool
@@ -181,34 +179,27 @@ class ExperimentRunner:
                 f"platform {platform.name!r} has {platform.num_qubits}"
             )
         cached = False
-        cqasm = ""
         if spec.compiler.enabled:
             key = ArtifactCache.key_for(
                 "compile",
-                source=circuit_to_cqasm(circuit),
+                source=circuit_content_key(circuit),
                 platform=platform.describe(),
                 compiler=vars(spec.compiler),
             )
-            compiled_cqasm = self.cache.get(key) if self.cache is not None else None
-            cached = isinstance(compiled_cqasm, str)
+            compiled = self.cache.get(key) if self.cache is not None else None
+            cached = isinstance(compiled, Circuit)
             if not cached:
                 compiled = spec.compiler.build().compile_circuit(circuit, platform)
-                compiled_cqasm = circuit_to_cqasm(compiled)
                 if self.cache is not None:
-                    self.cache.put(key, compiled_cqasm)
-            cqasm = compiled_cqasm
-            # Lower exactly the circuit every worker will parse.
-            circuit = cqasm_to_circuit(cqasm)
-        # Without compilation the built circuit is lowered as is: the cQASM
-        # round trip is value-preserving, so the write + parse is skipped
-        # and the text is rendered only for points that get tasks.
+                    self.cache.put(key, compiled)
+            # The compiled circuit, platform durations included, is what runs.
+            circuit = compiled
 
         qubit_model = platform.qubit_model
-        fuse = qubit_model.is_perfect
         noise = noise_kind(error_model_for(qubit_model))
         backend = spec.simulation.backend
         before = plan_cache_stats()
-        plan = plan_for(circuit, fuse=fuse)
+        plan = plan_for(circuit, fuse=qubit_model.is_perfect)
         after = plan_cache_stats()
         metrics = {
             "plan_cache_hits": after["hits"] - before["hits"],
@@ -229,7 +220,6 @@ class ExperimentRunner:
         engine, widest_gate = self._evolve_once(plan, circuit, sizes, backend, noise)
         planned = PlannedPoint(
             point=point,
-            cqasm=cqasm,
             num_qubits=circuit.num_qubits,
             gate_count=circuit.gate_count(),
             compile_cached=cached,
@@ -240,18 +230,15 @@ class ExperimentRunner:
         if stack and engine == "statevector" and widest_gate <= 2 and plan.num_measurements:
             # A stack row: the batch evolves it with its plan-mates in one
             # ndarray pass (the batched kernels stop at 4x4), so it needs no
-            # text, no tasks and no program-cache entry.
+            # tasks and no pickled circuit.
             planned.plan, planned.circuit = plan, circuit
             planned.compile_time_s = time.perf_counter() - start
             return planned
 
-        if not cqasm:
-            cqasm = planned.cqasm = circuit_to_cqasm(circuit)
-        if self.cache is not None:
-            # Pre-warm the program cache; workers load the program themselves.
-            program_key = program_cache_key(cqasm, fuse)
-            if not self.cache.contains(program_key):
-                self.cache.put(program_key, lower(circuit, fuse=fuse))
+        # Pickled once and shared by every unit of the point: each worker
+        # lowers it at most once, memoised under its content key.
+        program_key = circuit_content_key(circuit)
+        payload = pickle.dumps(circuit, protocol=pickle.HIGHEST_PROTOCOL)
         # A deterministic point is one unit that evolves once and samples
         # every shard's stream; any other point is one unit per shard.
         if len(sizes) > 1 and engine is not None:
@@ -259,17 +246,16 @@ class ExperimentRunner:
         else:
             units = [(shard_index, (size,)) for shard_index, size in enumerate(sizes)]
         simulation = spec.simulation
-        cache_dir = str(self.cache.directory) if self.cache is not None else None
         planned.tasks = [
             ShardTask(
-                cqasm=cqasm,
+                program_key=program_key,
+                circuit=payload,
                 num_qubits=circuit.num_qubits,
                 shots=sum(unit_shots),
                 root_seed=spec.seed,
                 point_index=point.index,
                 shard_index=shard_index,
                 qubit_model=None if qubit_model.is_perfect else qubit_model,
-                cache_dir=cache_dir,
                 backend=backend,
                 max_bond=simulation.max_bond,
                 truncation_threshold=simulation.truncation_threshold,
@@ -314,7 +300,6 @@ class ExperimentRunner:
         ]
         return PlannedPoint(
             point=point,
-            cqasm="",
             num_qubits=code.num_physical_qubits,
             gate_count=0,
             compile_cached=False,
@@ -333,10 +318,9 @@ class ExperimentRunner:
         spec = point.spec
         start = time.perf_counter()
         circuit = spec.circuit.build()
-        source_cqasm = circuit_to_cqasm(circuit)
         config = spec.compile
         task = CompileShardTask(
-            cqasm=source_cqasm,
+            circuit=circuit,
             placement=config.placement,
             router=config.router,
             topology=config.topology,
@@ -352,7 +336,6 @@ class ExperimentRunner:
         cached = self.cache is not None and self.cache.contains(mapping_cache_key(task))
         return PlannedPoint(
             point=point,
-            cqasm=source_cqasm,
             num_qubits=circuit.num_qubits,
             gate_count=circuit.gate_count(),
             compile_cached=cached,

@@ -1,24 +1,26 @@
 """Shard execution — the function that runs inside pool workers.
 
-A :class:`ShardTask` is a small picklable record: the compiled cQASM text,
-the qubit model, the shot count and the ``(root seed, point, shard)``
-coordinates that determine the shard's random stream.  Workers rebuild the
-executable :class:`~repro.qx.compiled.KernelProgram` from the on-disk
-artifact cache (falling back to parse + lower, then publishing the result)
-and memoise it per process, so a worker pays the lowering cost at most once
-per distinct circuit regardless of how many shards it executes.
+A :class:`ShardTask` is a small picklable record: the compiled circuit
+(pickled once per point by the planner), its content key, the qubit model,
+the shot count and the ``(root seed, point, shard)`` coordinates that
+determine the shard's random stream.  Workers memoise the lowered
+:class:`~repro.qx.compiled.KernelProgram` per process under the content
+key, so a worker unpickles and lowers a circuit at most once regardless of
+how many shards of it it executes.
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.circuit import Circuit
 from repro.core.qubits import QubitModel
-from repro.qx.compiled import KernelProgram, lower
+from repro.qx.compiled import KernelProgram, circuit_content_key, lower
 from repro.qx.simulator import QXSimulator
 from repro.runtime.aggregate import merge_counts
 from repro.runtime.cache import ArtifactCache
@@ -42,16 +44,20 @@ class ShardTask:
     spec's :class:`~repro.runtime.spec.SimulationSpec` (possibly swept), so
     every shard of a point runs on the same engine configuration and the
     merged histogram stays bit-identical for any worker count.
+
+    ``circuit`` is ``pickle.dumps`` of the compiled circuit, made once by
+    the planner and shared by every unit of the point; ``program_key`` is
+    that circuit's :func:`~repro.qx.compiled.circuit_content_key`.
     """
 
-    cqasm: str
+    program_key: str
+    circuit: bytes
     num_qubits: int
     shots: int
     root_seed: int
     point_index: int
     shard_index: int
     qubit_model: QubitModel | None = None
-    cache_dir: str | None = None
     backend: str | None = None
     max_bond: int | None = None
     truncation_threshold: float | None = None
@@ -116,13 +122,13 @@ class CompileShardTask:
     """One compile-and-map pipeline run of one sweep point.
 
     The ``kind="compile"`` analogue of :class:`ShardTask`: the payload is
-    the *source* circuit's cQASM plus the resolved
+    the *source* circuit plus the resolved
     :class:`~repro.runtime.spec.CompileSpec` fields.  Compilation is
     deterministic, so a point is a single shard and merged results are
     bit-identical for any worker count by construction.
     """
 
-    cqasm: str
+    circuit: Circuit
     placement: str
     router: str
     topology: str
@@ -139,16 +145,11 @@ class CompileShardTask:
     cost = 1
 
 
-def program_cache_key(cqasm: str, fuse: bool) -> str:
-    """Cache key of a lowered program: compiled text + fusion flag."""
-    return ArtifactCache.key_for("program", cqasm=cqasm, fuse=fuse)
-
-
 def mapping_cache_key(task: CompileShardTask) -> str:
-    """Cache key of a compile-and-map artifact: source text + pipeline config."""
+    """Cache key of a compile-and-map artifact: source circuit + pipeline config."""
     return ArtifactCache.key_for(
         "mapping",
-        cqasm=task.cqasm,
+        source=circuit_content_key(task.circuit),
         placement=task.placement,
         router=task.router,
         topology=task.topology,
@@ -164,13 +165,13 @@ def _noise_free(qubit_model: QubitModel | None) -> bool:
     return qubit_model is None or qubit_model.is_perfect
 
 
-#: Per-process memo of lowered programs, keyed by cache key.  LRU with a
-#: hard size cap: long-lived batch workers stream thousands of distinct
-#: circuits through one process, so an unbounded memo would grow without
-#: limit.  Hit/miss counters are surfaced per shard (and summed per point
-#: by the runner) for cache observability.
+#: Per-process memo of lowered programs, keyed by ``(program key, fuse)``.
+#: LRU with a hard size cap: long-lived batch workers stream thousands of
+#: distinct circuits through one process, so an unbounded memo would grow
+#: without limit.  Hit/miss counters are surfaced per shard (and summed per
+#: point by the runner) for cache observability.
 PROGRAM_MEMO_CAP = 128
-_PROGRAMS: OrderedDict[str, KernelProgram] = OrderedDict()
+_PROGRAMS: OrderedDict[tuple[str, bool], KernelProgram] = OrderedDict()
 _program_memo_stats = {"hits": 0, "misses": 0}
 
 
@@ -180,7 +181,7 @@ def program_memo_stats() -> dict[str, int]:
 
 
 def load_program(task: ShardTask) -> KernelProgram:  # contract: ignore[REPRO006]
-    """Lowered program for a task: process memo -> disk cache -> lower().
+    """Lowered program for a task: process memo, else unpickle + lower().
 
     The REPRO006 ignore is deliberate: the program memo is a *per-process*
     LRU keyed by content hash, so its state never changes a result — only
@@ -188,22 +189,14 @@ def load_program(task: ShardTask) -> KernelProgram:  # contract: ignore[REPRO006
     surfaced per shard precisely so that divergence would be visible.
     """
     fuse = _noise_free(task.qubit_model)
-    key = program_cache_key(task.cqasm, fuse)
+    key = (task.program_key, fuse)
     program = _PROGRAMS.get(key)
     if program is not None:
         _program_memo_stats["hits"] += 1
         _PROGRAMS.move_to_end(key)
         return program
     _program_memo_stats["misses"] += 1
-    cache = ArtifactCache(task.cache_dir) if task.cache_dir else None
-    program = cache.get(key) if cache is not None else None
-    if not isinstance(program, KernelProgram):
-        from repro.cqasm.parser import cqasm_to_circuit
-
-        program = lower(cqasm_to_circuit(task.cqasm), fuse=fuse)
-        if cache is not None:
-            cache.put(key, program)
-    _PROGRAMS[key] = program
+    program = _PROGRAMS[key] = lower(pickle.loads(task.circuit), fuse=fuse)
     while len(_PROGRAMS) > PROGRAM_MEMO_CAP:
         _PROGRAMS.popitem(last=False)
     return program
@@ -261,7 +254,6 @@ def compile_and_map(task: CompileShardTask):
     pipeline, not just the metric extraction.
     """
     from repro.core.qubits import REALISTIC
-    from repro.cqasm.parser import cqasm_to_circuit
     from repro.mapping.traffic import TrafficAnalyzer
     from repro.openql.compiler import Compiler
     from repro.openql.kernel import Kernel
@@ -273,7 +265,7 @@ def compile_and_map(task: CompileShardTask):
     from repro.openql.program import Program
     from repro.runtime.spec import CompileSpec
 
-    circuit = cqasm_to_circuit(task.cqasm)
+    circuit = task.circuit
     topology = CompileSpec(
         placement=task.placement,
         router=task.router,
@@ -386,11 +378,8 @@ def _run_circuit_unit(task: ShardTask) -> ShardResult:
     metrics: dict = {}
     if task.backend == "stabilizer":
         # The tableau engine executes named gates, not lowered matrices, so
-        # a stabilizer-pinned shard re-parses the compiled cQASM instead of
-        # loading the cached KernelProgram.
-        from repro.cqasm.parser import cqasm_to_circuit
-
-        results = [simulator.run(cqasm_to_circuit(task.cqasm), shots=task.shots)]
+        # a stabilizer-pinned unit runs the compiled circuit itself.
+        results = [simulator.run(pickle.loads(task.circuit), shots=task.shots)]
     else:
         before = dict(_program_memo_stats)
         program = load_program(task)

@@ -82,3 +82,13 @@ def flipped_bit_circuit(num_qubits: int = 2):
     for qubit in range(num_qubits):
         circuit.measure(qubit, num_qubits - 1 - qubit)
     return circuit
+
+
+def toffoli_circuit():
+    """Hadamards on two controls feeding a toffoli: a 3-qubit gate the
+    stacked batch pass cannot take."""
+    from repro.core.circuit import Circuit
+
+    circuit = Circuit(3, "toffoli")
+    circuit.h(0).h(1).toffoli(0, 1, 2)
+    return circuit

@@ -144,3 +144,69 @@ class TestRoundTrip:
         circuit.x(2).measure(2)
         recovered = cqasm_to_circuit(circuit_to_cqasm(circuit))
         assert recovered.measurements()[0].qubit == 2
+
+
+# ---------------------------------------------------------------------- #
+# Export contract: cQASM is an export of the compiled circuit
+# ---------------------------------------------------------------------- #
+#: Builder kwargs small enough for every registered platform (the 2x2
+#: spin-qubit array is the narrowest at 4 qubits).
+EXPORT_BUILDER_KWARGS = {
+    "bell": {},
+    "ghz": {"num_qubits": 3},
+    "qft": {"num_qubits": 3},
+    "random": {"num_qubits": 4, "depth": 6, "seed": 1},
+    "rotations": {"num_qubits": 4, "depth": 2, "seed": 3},
+}
+EXPORT_PLATFORMS = ["perfect", "realistic", "superconducting", "surface17", "spin_qubit"]
+
+
+def test_export_cases_cover_every_registered_builder():
+    from repro.runtime.spec import BUILDERS, PLATFORMS
+
+    assert set(EXPORT_BUILDER_KWARGS) == set(BUILDERS)
+    assert set(EXPORT_PLATFORMS) == set(PLATFORMS)
+
+
+@pytest.mark.parametrize("fuse", [False, True])
+@pytest.mark.parametrize("compiled", [False, True], ids=["source", "compiled"])
+@pytest.mark.parametrize("platform", EXPORT_PLATFORMS)
+@pytest.mark.parametrize("builder", sorted(EXPORT_BUILDER_KWARGS))
+def test_cqasm_export_lowers_like_the_circuit(builder, platform, compiled, fuse):
+    """``lower(cqasm_to_circuit(circuit_to_cqasm(c)))`` equals ``lower(c)``
+    op for op: kind, qubits, bits, condition bit and matrix bytes.
+
+    Durations match for source circuits only.  The export does not carry
+    gate durations: a compiled circuit's platform durations (100/200 ns
+    gates on ``spin_qubit``) come back as the 20/40 ns defaults, which is
+    why the runtime ships compiled circuits, not their text.
+    """
+    from repro.qx.compiled import lower
+    from repro.runtime.spec import CircuitSpec, CompilerSpec, PlatformSpec
+
+    circuit = CircuitSpec(builder=builder, kwargs=EXPORT_BUILDER_KWARGS[builder]).build()
+    if compiled:
+        target = PlatformSpec(factory=platform).build(default_num_qubits=circuit.num_qubits)
+        circuit = CompilerSpec().build().compile_circuit(circuit, target)
+    expected = lower(circuit, fuse=fuse)
+    exported = lower(cqasm_to_circuit(circuit_to_cqasm(circuit)), fuse=fuse)
+    for program in (expected, exported):
+        assert program.ops, "an empty program would pass vacuously"
+    assert (exported.num_qubits, exported.num_bits, exported.measured_bits) == (
+        expected.num_qubits,
+        expected.num_bits,
+        expected.measured_bits,
+    )
+    assert len(exported.ops) == len(expected.ops)
+    for got, want in zip(exported.ops, expected.ops, strict=True):
+        assert (got.kind, got.qubits, got.bit, got.condition_bit) == (
+            want.kind,
+            want.qubits,
+            want.bit,
+            want.condition_bit,
+        )
+        assert (got.matrix is None) == (want.matrix is None)
+        if want.matrix is not None:
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        if not compiled:
+            assert got.duration == want.duration

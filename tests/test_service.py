@@ -167,11 +167,12 @@ class TestFairScheduler:
         assert as_unit._clients["a"].vtime == as_shards._clients["a"].vtime == 64 / 2
 
     def test_every_task_type_declares_its_cost(self):
+        from repro.core.circuit import Circuit
         from repro.runtime.worker import CompileShardTask, QecShardTask
 
         qec = QecShardTask(distance=3, trials=40, root_seed=0, point_index=0, shard_index=0)
         compile_task = CompileShardTask(
-            cqasm="", placement="trivial", router="basic", topology="line", rows=None,
+            circuit=Circuit(1), placement="trivial", router="basic", topology="line", rows=None,
             cols=None, schedule_policy="asap", lookahead_window=1, decay=0.0, point_index=0,
         )  # fmt: skip
         assert qec.cost == 40
