@@ -14,15 +14,149 @@ in place with at most half-size temporaries, and structured matrices
 All kernels mutate ``amplitudes`` in place and assume (without checking)
 that the array is C-contiguous, one-dimensional, of length ``2**n`` — the
 invariant :class:`~repro.qx.statevector.StateVector` maintains.
+
+A large 1- or 2-qubit kernel call is cut into pieces along a non-gate axis
+of its block views and the pieces run on helper threads (NumPy releases
+the GIL in these elementwise loops), up to the thread budget that
+:func:`thread_budget` sets for the calling context.  The budget defaults
+to one thread; the runner raises it only around units it runs inline.
+Every amplitude still gets the same arithmetic, so a split call is
+bit-identical to a serial one.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from itertools import pairwise
 
 import numpy as np
 
 _ATOL = 1e-12
+
+
+# ---------------------------------------------------------------------- #
+# Thread budget
+# ---------------------------------------------------------------------- #
+#: Fewest amplitudes a kernel call must touch before it is split across
+#: threads: a full 1q/dense call counts the whole state, a controlled or
+#: swap call half, one diagonal 2q block a quarter.  Measured on GHZ-20 and
+#: QFT-18 (docs/performance.md): on an idle host every threshold from 2**15
+#: to 2**18 gains alike, and on a host that steals CPU time from the VM the
+#: many small splits below 2**18 made QFT-18 up to 3.7x slower than serial.
+#: A 2**18 state also fills one core's L2, so smaller states stay serial.
+SPLIT_MIN_AMPLITUDES = 1 << 18
+
+_threads: contextvars.ContextVar[int] = contextvars.ContextVar("kernel_threads", default=1)
+#: This process's helper threads, started by the first split call.
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    # A forked child inherits the executor object but none of its threads:
+    # work submitted to it would wait forever.  The child starts its own.
+    global _helpers, _helpers_lock
+    _helpers = None
+    _helpers_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helpers)
+
+
+@contextmanager
+def thread_budget(threads: int):
+    """Let kernel calls made in this context use up to ``threads`` threads."""
+    token = _threads.set(max(1, threads))
+    try:
+        yield
+    finally:
+        _threads.reset(token)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(
+                max_workers=max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="qx-kernel"
+            )
+        return _helpers
+
+
+def _run(body, blocks: tuple[np.ndarray, ...], *args) -> None:
+    """``body(*blocks, *args)``, cut across the context's thread budget.
+
+    ``blocks`` are same-shape views of disjoint amplitudes and ``body`` is
+    elementwise over them, so the blocks are cut at the same indices along
+    one axis — the first long enough to give every thread a piece — and
+    piece 0 runs on the calling thread while helpers take the rest.
+    """
+    threads = _threads.get()
+    if threads == 1 or len(blocks) * blocks[0].size < SPLIT_MIN_AMPLITUDES:
+        body(*blocks, *args)
+        return
+    shape = blocks[0].shape
+    axis = next(
+        (axis for axis, length in enumerate(shape) if length >= threads),
+        int(np.argmax(shape)),
+    )
+    pieces = min(threads, shape[axis])
+    bounds = [shape[axis] * piece // pieces for piece in range(pieces + 1)]
+    cuts = [(slice(None),) * axis + (slice(start, stop),) for start, stop in pairwise(bounds)]
+    helpers = _executor()
+    futures = [helpers.submit(body, *(block[cut] for block in blocks), *args) for cut in cuts[1:]]
+    try:
+        body(*(block[cuts[0]] for block in blocks), *args)
+    finally:
+        # The helpers write into the caller's array: never return before
+        # they are done, even when piece 0 raised.
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _scale(block: np.ndarray, entry) -> None:
+    block *= entry
+
+
+def _exchange(b0: np.ndarray, b1: np.ndarray) -> None:
+    swap = b0.copy()
+    b0[...] = b1
+    b1[...] = swap
+
+
+def _exchange_scaled(b0: np.ndarray, b1: np.ndarray, m01, m10) -> None:
+    swap = b0.copy()
+    np.multiply(b1, m01, out=b0)
+    np.multiply(swap, m10, out=b1)
+
+
+def _two_level(b0: np.ndarray, b1: np.ndarray, m00, m01, m10, m11) -> None:
+    # Dense 2x2: one half-size temporary.
+    new0 = m00 * b0 + m01 * b1
+    b1 *= m11
+    b1 += m10 * b0
+    b0[...] = new0
+
+
+def _dense_4(b00: np.ndarray, b01: np.ndarray, b10: np.ndarray, b11: np.ndarray, matrix) -> None:
+    # Dense 4x4: recombine the four blocks with quarter-size temporaries.
+    blocks = (b00, b01, b10, b11)
+    new_blocks = []
+    for row in range(4):
+        accumulator = matrix[row, 0] * blocks[0]
+        for column in range(1, 4):
+            entry = matrix[row, column]
+            if abs(entry) > _ATOL:
+                accumulator += entry * blocks[column]
+        new_blocks.append(accumulator)
+    for old, new in zip(blocks, new_blocks, strict=True):
+        old[...] = new
 
 
 # ---------------------------------------------------------------------- #
@@ -90,21 +224,15 @@ def apply_1q(amplitudes: np.ndarray, matrix: np.ndarray, qubit: int) -> None:
     if abs(m01) < _ATOL and abs(m10) < _ATOL:
         # Diagonal (z, s, t, rz, phase): two scalings, no temporaries.
         if abs(m00 - 1.0) > _ATOL:
-            a0 *= m00
+            _run(_scale, (a0,), m00)
         if abs(m11 - 1.0) > _ATOL:
-            a1 *= m11
+            _run(_scale, (a1,), m11)
         return
     if abs(m00) < _ATOL and abs(m11) < _ATOL:
         # Anti-diagonal (x, y): swap the half-spaces, scaling if needed.
-        swap = a0.copy()
-        np.multiply(a1, m01, out=a0)
-        np.multiply(swap, m10, out=a1)
+        _run(_exchange_scaled, (a0, a1), m01, m10)
         return
-    # Dense 2x2: one half-size temporary.
-    new0 = m00 * a0 + m01 * a1
-    a1 *= m11
-    a1 += m10 * a0
-    a0[...] = new0
+    _run(_two_level, (a0, a1), m00, m01, m10, m11)
 
 
 # ---------------------------------------------------------------------- #
@@ -189,7 +317,7 @@ def apply_2q(
         for index in range(4):
             entry = matrix[index, index]
             if abs(entry - 1.0) > _ATOL:
-                block(index >> 1, index & 1)[...] *= entry
+                _run(_scale, (block(index >> 1, index & 1),), entry)
         return
     if structure == CONTROLLED_2Q:
         # Controlled gate (cnot, controlled-U): the control = operand 0
@@ -200,43 +328,23 @@ def apply_2q(
         s10, s11 = sub[1, 0], sub[1, 1]
         if abs(s01) < _ATOL and abs(s10) < _ATOL:
             if abs(s00 - 1.0) > _ATOL:
-                b10 *= s00
+                _run(_scale, (b10,), s00)
             if abs(s11 - 1.0) > _ATOL:
-                b11 *= s11
+                _run(_scale, (b11,), s11)
             return
         if abs(s00) < _ATOL and abs(s11) < _ATOL:
-            swap = b10.copy()
             if s01 == 1.0 and s10 == 1.0:
                 # cnot: straight block swap, no multiply passes.
-                b10[...] = b11
-                b11[...] = swap
+                _run(_exchange, (b10, b11))
                 return
-            np.multiply(b11, s01, out=b10)
-            np.multiply(swap, s10, out=b11)
+            _run(_exchange_scaled, (b10, b11), s01, s10)
             return
-        new0 = s00 * b10 + s01 * b11
-        b11 *= s11
-        b11 += s10 * b10
-        b10[...] = new0
+        _run(_two_level, (b10, b11), s00, s01, s10, s11)
         return
     if structure == SWAP_2Q:
-        b01, b10 = block(0, 1), block(1, 0)
-        swap = b01.copy()
-        b01[...] = b10
-        b10[...] = swap
+        _run(_exchange, (block(0, 1), block(1, 0)))
         return
-    # Dense 4x4: gather the four blocks, recombine with quarter-size temps.
-    blocks = [block(0, 0), block(0, 1), block(1, 0), block(1, 1)]
-    new_blocks = []
-    for row in range(4):
-        accumulator = matrix[row, 0] * blocks[0]
-        for column in range(1, 4):
-            entry = matrix[row, column]
-            if abs(entry) > _ATOL:
-                accumulator += entry * blocks[column]
-        new_blocks.append(accumulator)
-    for old, new in zip(blocks, new_blocks, strict=True):
-        old[...] = new
+    _run(_dense_4, (block(0, 0), block(0, 1), block(1, 0), block(1, 1)), matrix)
 
 
 def _is_swap(matrix: np.ndarray) -> bool:

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
+from repro.qx import kernels
 from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
 from repro.qx.compiled import LoweringPlan, circuit_content_key, plan_cache_stats, plan_for
 from repro.qx.error_models import error_model_for, noise_kind
@@ -365,9 +366,15 @@ class ExperimentRunner:
     # Execution.
     # ------------------------------------------------------------------ #
     def _execute(self, fn, items: list) -> list:
-        """``fn`` over ``items``: inline for one worker or item, else in a pool."""
+        """``fn`` over ``items``: inline for one worker or item, else in a pool.
+
+        Inline units may split large gate kernels across up to
+        ``min(workers, available_workers())`` threads; pool workers keep the
+        default budget of one thread each.
+        """
         if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
+            with kernels.thread_budget(min(self.workers, available_workers())):
+                return [fn(item) for item in items]
         with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
             return list(pool.map(fn, items))
 

@@ -84,6 +84,25 @@ def flipped_bit_circuit(num_qubits: int = 2):
     return circuit
 
 
+def ghz_toffoli_circuit(num_qubits: int = 5):
+    """GHZ whose last entangler is a toffoli, then an ``ry`` layer.
+
+    Qubits 0 and 1 agree in both GHZ branches, so the toffoli acts as the
+    cnot it replaces; the 3-qubit gate keeps the stacked batch pass from
+    taking the circuit, and the rotations spread its histogram.
+    """
+    from repro.core.circuit import Circuit
+
+    circuit = Circuit(num_qubits, "ghz_toffoli")
+    circuit.h(0)
+    for qubit in range(1, num_qubits - 1):
+        circuit.cnot(0, qubit)
+    circuit.toffoli(0, 1, num_qubits - 1)
+    for qubit in range(num_qubits):
+        circuit.ry(qubit, 0.2 + 0.1 * qubit)
+    return circuit
+
+
 def toffoli_circuit():
     """Hadamards on two controls feeding a toffoli: a 3-qubit gate the
     stacked batch pass cannot take."""

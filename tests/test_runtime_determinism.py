@@ -16,6 +16,7 @@ import pytest
 from repro.accelerator.host import HostCPU
 from repro.core.circuit import Circuit
 from repro.cqasm.writer import circuit_to_cqasm
+from repro.qx import kernels
 from repro.qx.compiled import lower
 from repro.qx.simulator import QXSimulator
 from repro.runtime import (
@@ -214,6 +215,29 @@ def test_one_unit_point_matches_per_shard_runs(tmp_path, kind):
         assert warm.cache_stats["writes"] == 0
         assert _histograms(cold) == _histograms(warm) == reference
         assert [point.shots for point in cold.points] == [200, 120]
+
+
+def test_point_above_kernel_split_threshold_identical_across_drivers():
+    """An 18-qubit noise-free point, whose full-state gate kernels split
+    across threads when a unit runs inline with ``workers=2``, matches the
+    serial runner, a batch whose one fallback chunk runs inline, and the
+    per-shard oracle."""
+    from repro.runtime import BatchCircuit, BatchSpec, run_batch
+
+    circuit = CircuitSpec(builder="helpers:ghz_toffoli_circuit", kwargs={"num_qubits": 18})
+    assert 1 << 18 >= kernels.SPLIT_MIN_AMPLITUDES
+    spec = ExperimentSpec(name="split-threshold", circuit=circuit, shots=2000, seed=23)
+    reference = _per_shard_reference(spec)
+    serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
+    threaded = ExperimentRunner(spec, workers=2, use_cache=False).run()
+    fleet = BatchSpec(
+        name="split-threshold", circuits=[BatchCircuit(circuit=circuit)], shots=2000, seed=23
+    )
+    batch = run_batch(fleet, workers=2, use_cache=False)
+    assert (batch.plan["fallback_circuits"], batch.plan["chunks"]) == (1, 1)
+    assert len(reference[0]) > 100
+    assert _histograms(serial) == _histograms(threaded) == reference
+    assert [row.counts for row in batch.circuits] == reference
 
 
 def test_perfect_point_plans_one_unit_over_every_shard(tmp_path):
