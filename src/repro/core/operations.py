@@ -77,17 +77,13 @@ class Measurement(Operation):
     """Computational-basis measurement of one qubit into a classical bit."""
 
     bit: int = -1
-    basis: str = "z"
 
     #: Default read-out duration in nanoseconds; platforms override it.
     DEFAULT_DURATION_NS = 300
 
-    def __init__(
-        self, qubit: int, bit: int | None = None, basis: str = "z", duration: int | None = None
-    ):
+    def __init__(self, qubit: int, bit: int | None = None, duration: int | None = None):
         super().__init__((int(qubit),))
         self.bit = int(qubit) if bit is None else int(bit)
-        self.basis = basis
         self._duration = int(duration) if duration is not None else self.DEFAULT_DURATION_NS
 
     @property
@@ -103,9 +99,7 @@ class Measurement(Operation):
         return self._duration
 
     def remap(self, mapping: dict[int, int]) -> "Measurement":
-        return Measurement(
-            mapping[self.qubit], bit=self.bit, basis=self.basis, duration=self._duration
-        )
+        return Measurement(mapping[self.qubit], bit=self.bit, duration=self._duration)
 
 
 @dataclass

@@ -64,6 +64,6 @@ def _apply_platform_durations(circuit: Circuit, platform: Platform) -> Circuit:
         elif isinstance(op, Measurement):
             duration = platform.duration_of("measure")
             if duration != op.duration:
-                op = Measurement(op.qubit, bit=op.bit, basis=op.basis, duration=duration)
+                op = Measurement(op.qubit, bit=op.bit, duration=duration)
         result.append(op)
     return result

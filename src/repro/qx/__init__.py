@@ -40,7 +40,6 @@ from repro.qx.backends import (
     DispatchPolicy,
     UnsupportedBackendError,
     capability_matrix,
-    profile_circuit,
     profile_program,
     register_backend,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "DispatchPolicy",
     "UnsupportedBackendError",
     "capability_matrix",
-    "profile_circuit",
     "profile_program",
     "register_backend",
 ]

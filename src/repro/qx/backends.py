@@ -11,7 +11,9 @@ lives:
   :func:`capability_matrix`;
 * :class:`CircuitProfile` — the features of one run that feasibility and
   cost depend on (size, shots, Clifford-ness, feedback, noise kind, and a
-  static entanglement estimate for the MPS cost);
+  static entanglement estimate for the MPS cost), read off a lowered
+  program (:func:`profile_program`) or, before materialising it, off its
+  lowering plan (:func:`profile_plan`);
 * :class:`DispatchPolicy` — the cost model that picks an engine per
   circuit.  It replaces the old ad-hoc ``STABILIZER_DISPATCH_*`` constants
   in :mod:`repro.qx.simulator` with one policy object whose thresholds and
@@ -35,9 +37,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.qx.compiled import MEASURE
 from repro.qx.density import DENSITY_MAX_QUBITS, gpu_available
 from repro.qx.mps import DENSE_MATERIALISE_LIMIT
-from repro.qx.stabilizer import StabilizerSimulator
+from repro.qx.stabilizer import CLIFFORD_GATES
 
 
 class UnsupportedBackendError(ValueError):
@@ -64,9 +67,6 @@ class BackendCapabilities:
     initial_state: bool = False
     #: Can return a dense final state (``keep_final_state``).
     final_state: bool = False
-    #: Can execute a lowered :class:`~repro.qx.compiled.KernelProgram`
-    #: (which carries gate matrices, not names).
-    programs: bool = True
     #: Largest gate arity the engine applies natively.
     max_gate_qubits: int | None = None
     #: Exact up to floating point (MPS is exact only with an unbounded bond).
@@ -89,7 +89,6 @@ BACKENDS: dict[str, BackendCapabilities] = {
         name="stabilizer",
         description="Aaronson-Gottesman tableau, Clifford-only, O(n^2) measure",
         clifford_only=True,
-        programs=False,
         max_gate_qubits=2,
     ),
     "density": BackendCapabilities(
@@ -227,62 +226,43 @@ def entanglement_exponent(pairs, num_qubits: int) -> int:
     return int(exponents.max(initial=0))
 
 
-def profile_circuit(
-    circuit,
-    *,
-    shots: int = 1,
-    num_qubits: int | None = None,
-    noise: str = "none",
-    has_initial_state: bool = False,
-    keep_final_state: bool = False,
-    is_clifford: bool | None = None,
-) -> CircuitProfile:
-    """Profile a :class:`~repro.core.circuit.Circuit` for dispatch."""
-    from repro.core.operations import ConditionalGate, GateOperation, Measurement
+def _clifford(names) -> bool:
+    """A gate op the tableau can apply (a hand-built op without names cannot)."""
+    return bool(names) and all(name in CLIFFORD_GATES for name in names)
 
+
+def _profile(gates, is_clifford: bool | None, **features) -> CircuitProfile:
+    """The one profiling body, over ``(names, qubits)`` of every gate op.
+
+    ``gate_count`` counts the gates applied (a fused run counts each gate
+    it folded).  ``is_clifford=None`` derives Clifford-ness from the names.
+    """
     gate_count = 0
     two_qubit = 0
-    measurements = 0
-    conditionals = False
-    mid_circuit = False
-    max_arity = 1
     span = 0
+    max_arity = 1
     pairs: list[tuple[int, int]] = []
-    measured: set[int] = set()
-    for op in circuit.operations:
-        if isinstance(op, Measurement):
-            measurements += 1
-            measured.add(op.qubit)
-            continue
-        if isinstance(op, (GateOperation, ConditionalGate)):
-            if isinstance(op, ConditionalGate):
-                conditionals = True
-            if measured.intersection(op.qubits):
-                mid_circuit = True
-            gate_count += 1
-            arity = len(op.qubits)
-            max_arity = max(max_arity, arity)
-            if arity == 2:
-                two_qubit += 1
-                a, b = op.qubits
-                span += abs(a - b)
-                pairs.append((a, b))
-    if is_clifford is None:
-        is_clifford = StabilizerSimulator.is_clifford_circuit(circuit)
+    clifford = True
+    for names, qubits in gates:
+        gate_count += len(names)
+        if is_clifford is None and clifford:
+            clifford = _clifford(names)
+        arity = len(qubits)
+        if arity > max_arity:
+            max_arity = arity
+        if arity == 2:
+            first, second = qubits
+            two_qubit += 1
+            span += abs(first - second)
+            pairs.append((first, second))
     return CircuitProfile(
-        num_qubits=num_qubits or circuit.num_qubits,
-        shots=shots,
         gate_count=gate_count,
         two_qubit_gate_count=two_qubit,
-        num_measurements=measurements,
-        needs_trajectories=conditionals or mid_circuit,
-        is_clifford=is_clifford,
-        noise=noise,
+        is_clifford=clifford if is_clifford is None else is_clifford,
         max_gate_qubits=max_arity,
-        has_initial_state=has_initial_state,
-        keep_final_state=keep_final_state,
         total_gate_span=span,
         _pairs=pairs,
+        **features,
     )
 
 
@@ -294,89 +274,62 @@ def profile_program(
     noise: str = "none",
     has_initial_state: bool = False,
     keep_final_state: bool = False,
+    is_clifford: bool | None = None,
 ) -> CircuitProfile:
-    """Profile a lowered :class:`~repro.qx.compiled.KernelProgram`.
+    """Profile a lowered :class:`~repro.qx.compiled.KernelProgram` for dispatch.
 
-    Programs carry gate matrices rather than names, so ``is_clifford`` is
-    conservatively ``False`` (the tableau engine cannot run programs
-    anyway).
+    ``is_clifford=None`` scans the ops' gate names; callers that know the
+    answer cannot change a decision pass ``False`` and skip the scan (see
+    :meth:`DispatchPolicy.reads_clifford`).
     """
-    gate_count = 0
-    two_qubit = 0
-    max_arity = 1
-    span = 0
-    pairs: list[tuple[int, int]] = []
-    for op in program.ops:
-        if op.matrix is None:
-            continue
-        gate_count += 1
-        arity = len(op.qubits)
-        max_arity = max(max_arity, arity)
-        if arity == 2:
-            two_qubit += 1
-            a, b = op.qubits
-            span += abs(a - b)
-            pairs.append((a, b))
-    return CircuitProfile(
+    return _profile(
+        ((op.names, op.qubits) for op in program.ops if op.kind != MEASURE),
+        is_clifford,
         num_qubits=num_qubits or program.num_qubits,
         shots=shots,
-        gate_count=gate_count,
-        two_qubit_gate_count=two_qubit,
         num_measurements=program.num_measurements,
         needs_trajectories=program.needs_trajectories,
-        is_clifford=False,
         noise=noise,
-        max_gate_qubits=max_arity,
         has_initial_state=has_initial_state,
         keep_final_state=keep_final_state,
-        total_gate_span=span,
-        _pairs=pairs,
     )
 
 
-def profile_plan(plan, circuit, *, shots: int = 1, noise: str = "none") -> CircuitProfile:
-    """Profile the program a :class:`~repro.qx.compiled.LoweringPlan` lowers to.
-
-    Equivalent to ``profile_program(lower(circuit))`` for every feature the
-    policy reads — gate arities, operand pairs, span, measurement and
-    trajectory flags, ``is_clifford=False`` — without materialising the
-    program.  (Fused runs count one gate each even when a particular
-    circuit's run would elide to the identity; that total only feeds the
-    cost model beyond the dense-engine tier.)
-    """
-    gate_count = 0
-    two_qubit = 0
-    span = 0
-    max_arity = 1
-    pairs: list[tuple[int, int]] = []
+def _plan_gates(plan, circuit):
+    """``(names, qubits)`` of every gate op ``plan`` lowers ``circuit`` to."""
     ops = circuit.operations
     for step in plan.steps:
         kind = step[0]
         if kind == "run":
-            gate_count += 1
+            yield [ops[index].gate.name for index in step[1]], (step[2],)
         elif kind != "measure":  # "gate" or "cond"
-            qubits = ops[step[1]].qubits
-            arity = len(qubits)
-            gate_count += 1
-            if arity > max_arity:
-                max_arity = arity
-            if arity == 2:
-                first, second = qubits
-                two_qubit += 1
-                span += abs(first - second)
-                pairs.append((first, second))
-    return CircuitProfile(
+            op = ops[step[1]]
+            yield (op.gate.name,), op.qubits
+
+
+def plan_is_clifford(plan, circuit) -> bool:
+    """Whether every gate ``plan`` lowers ``circuit`` to is a tableau Clifford."""
+    return all(_clifford(names) for names, _ in _plan_gates(plan, circuit))
+
+
+def profile_plan(
+    plan, circuit, *, shots: int = 1, noise: str = "none", is_clifford: bool | None = None
+) -> CircuitProfile:
+    """Profile the program a :class:`~repro.qx.compiled.LoweringPlan` lowers to.
+
+    The same profile as ``profile_program(lower(circuit))`` without
+    materialising the program, except that a fused run which multiplies
+    out to the identity (and so is dropped from the program) still counts
+    its gates and names here.
+    """
+    return _profile(
+        _plan_gates(plan, circuit),
+        is_clifford,
         num_qubits=circuit.num_qubits,
         shots=shots,
-        gate_count=gate_count,
-        two_qubit_gate_count=two_qubit,
         num_measurements=plan.num_measurements,
         needs_trajectories=plan.needs_trajectories,
-        is_clifford=False,
         noise=noise,
-        max_gate_qubits=max_arity,
-        total_gate_span=span,
-        _pairs=pairs,
     )
 
 
@@ -429,6 +382,18 @@ class DispatchPolicy:
     # ------------------------------------------------------------------ #
     # Feasibility
     # ------------------------------------------------------------------ #
+    def reads_clifford(self, backend: str | None, noise: str, num_qubits: int) -> bool:
+        """Whether a run's Clifford-ness can change its engine decision.
+
+        Only a pinned stabilizer, or noise-free auto-dispatch in tableau
+        territory, reads it; every other caller profiles with
+        ``is_clifford=False`` and skips the gate-name scan.
+        """
+        if backend is not None:
+            return backend == "stabilizer"
+        threshold = min(self.stabilizer_min_qubits, self.statevector_max_qubits + 1)
+        return noise == "none" and num_qubits >= threshold
+
     def unsupported_reason(self, name: str, profile: CircuitProfile) -> str | None:
         """Why ``name`` cannot run the profiled circuit (None = it can)."""
         caps = BACKENDS.get(name)

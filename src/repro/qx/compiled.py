@@ -6,7 +6,10 @@ re-dispatches those objects through ``isinstance`` checks and attribute
 lookups every time.  The precompiler lowers a circuit *once* into a flat
 :class:`KernelProgram` of slotted :class:`KernelOp` records that carry only
 what execution needs — the gate matrix, the operand tuple, the classical
-bit indices — so the simulator's shot loop touches nothing else.
+bit indices and the names of the gates applied — so the simulator's shot
+loop touches nothing else.  Every QX engine executes this one form: the
+dense, density and MPS engines read the matrices, the stabilizer tableau
+reads the names.
 
 With ``fuse=True`` adjacent single-qubit gates on the same qubit are folded
 into one 2x2 matrix (runs of rotations, Euler decompositions, and basis
@@ -45,15 +48,22 @@ _IDENTITY_2 = np.eye(2, dtype=complex)
 class KernelOp:
     """One lowered instruction: a gate application or a measurement."""
 
-    __slots__ = ("kind", "matrix", "qubits", "duration", "bit", "condition_bit", "structure")
+    __slots__ = (
+        "kind", "matrix", "qubits", "duration", "bit", "condition_bit", "names", "structure"
+    )
 
-    def __init__(self, kind, matrix=None, qubits=(), duration=0, bit=-1, condition_bit=-1):
+    def __init__(
+        self, kind, matrix=None, qubits=(), duration=0, bit=-1, condition_bit=-1, names=()
+    ):
         self.kind = kind
         self.matrix = matrix
         self.qubits = qubits
         self.duration = duration
         self.bit = bit
         self.condition_bit = condition_bit
+        #: Names of the gates this op applies, in order: a fused run lists
+        #: every gate it folded (empty for a measurement).
+        self.names = names
         # 2-qubit gate structure, classified once here rather than per shot.
         self.structure = (
             kernels.classify_2q(matrix) if matrix is not None and len(qubits) == 2 else None
@@ -126,112 +136,15 @@ class KernelProgram:
         return amplitudes
 
 
-def lower(circuit: Circuit, fuse: bool = True) -> KernelProgram:
-    """Lower ``circuit`` into a :class:`KernelProgram`.
-
-    Barriers and classical operations carry no simulation semantics and are
-    dropped (barriers conservatively cut fusion runs on their qubits).
-    """
-    ops: list[KernelOp] = []
-    # qubit -> (accumulated 2x2 matrix, accumulated duration)
-    pending: dict[int, tuple[np.ndarray, int]] = {}
-
-    def flush(qubit: int) -> None:
-        entry = pending.pop(qubit, None)
-        if entry is None:
-            return
-        matrix, duration = entry
-        if fuse and np.array_equal(matrix, _IDENTITY_2):
-            return
-        ops.append(KernelOp(GATE, matrix=matrix, qubits=(qubit,), duration=duration))
-
-    def flush_all() -> None:
-        for qubit in list(pending):
-            flush(qubit)
-
-    measured_qubits: list[int] = []
-    measured_bits: set[int] = set()
-    has_conditionals = False
-    mid_circuit = False
-    seen_measured: set[int] = set()
-
-    for op in circuit.operations:
-        if isinstance(op, GateOperation):
-            if seen_measured.intersection(op.qubits):
-                mid_circuit = True
-            if fuse and len(op.qubits) == 1:
-                qubit = op.qubits[0]
-                previous = pending.get(qubit)
-                if previous is None:
-                    pending[qubit] = (np.array(op.gate.matrix, dtype=complex), op.duration)
-                else:
-                    pending[qubit] = (
-                        op.gate.matrix @ previous[0],
-                        previous[1] + op.duration,
-                    )
-                continue
-            for qubit in op.qubits:
-                flush(qubit)
-            ops.append(
-                KernelOp(
-                    GATE,
-                    matrix=np.asarray(op.gate.matrix, dtype=complex),
-                    qubits=op.qubits,
-                    duration=op.duration,
-                )
-            )
-        elif isinstance(op, Measurement):
-            flush(op.qubit)
-            seen_measured.add(op.qubit)
-            measured_qubits.append(op.qubit)
-            measured_bits.add(op.bit)
-            ops.append(KernelOp(MEASURE, qubits=op.qubits, duration=op.duration, bit=op.bit))
-        elif isinstance(op, ConditionalGate):
-            if seen_measured.intersection(op.qubits):
-                mid_circuit = True
-            has_conditionals = True
-            for qubit in op.qubits:
-                flush(qubit)
-            ops.append(
-                KernelOp(
-                    COND_GATE,
-                    matrix=np.asarray(op.gate.matrix, dtype=complex),
-                    qubits=op.qubits,
-                    duration=op.duration,
-                    condition_bit=op.condition_bit,
-                )
-            )
-        elif isinstance(op, Barrier):
-            for qubit in op.qubits:
-                flush(qubit)
-        elif isinstance(op, ClassicalOperation):
-            continue
-    flush_all()
-
-    return KernelProgram(
-        num_qubits=circuit.num_qubits,
-        num_bits=circuit.num_bits,
-        ops=ops,
-        fused=fuse,
-        num_measurements=len(measured_qubits),
-        has_conditionals=has_conditionals,
-        has_mid_circuit_measurement=mid_circuit,
-        measured_qubits=tuple(measured_qubits),
-        measured_bits=tuple(sorted(measured_bits)),
-    )
-
-
 # ---------------------------------------------------------------------- #
 # Structural lowering plans
 # ---------------------------------------------------------------------- #
-# A fleet of structurally identical circuits (RB sequences, QAOA iterates:
-# same gate positions, different rotation angles) repeats the *control flow*
-# of lower() — which gates fuse into which runs, where runs flush, which
-# metadata flags are set — while only the matrix arithmetic differs.  A
-# LoweringPlan captures that control flow once per structure; materialising
-# it against a concrete circuit replays exactly the matrix operations
-# lower() would perform (same construction order, same identity elision),
-# so the resulting program is bit-identical to lower()'s.
+# Lowering is two steps.  A LoweringPlan is the control flow — which gates
+# fuse into which runs, where runs flush, which metadata flags are set — and
+# depends only on gate positions; materialising it against a concrete
+# circuit does the matrix arithmetic.  A fleet of structurally identical
+# circuits (RB sequences, QAOA iterates: same gate positions, different
+# rotation angles) therefore plans once per structure.
 
 
 class LoweringPlan:
@@ -306,7 +219,7 @@ def structure_key(circuit: Circuit, fuse: bool) -> tuple:
 
 
 def _build_plan(circuit: Circuit, fuse: bool) -> LoweringPlan:
-    """Symbolic replay of :func:`lower`: indices instead of matrices."""
+    """The control flow of lowering ``circuit``: operation indices, no matrices."""
     steps: list[tuple] = []
     pending: dict[int, list[int]] = {}
 
@@ -370,9 +283,10 @@ def _build_plan(circuit: Circuit, fuse: bool) -> LoweringPlan:
 def _materialize(circuit: Circuit, plan: LoweringPlan) -> KernelProgram:
     """Instantiate a plan against a concrete circuit's matrices/durations.
 
-    The matrix arithmetic mirrors :func:`lower` operation for operation
-    (initial copy, left-multiplication order, identity elision), so the
-    produced program is bit-identical to ``lower(circuit, fuse)``.
+    A fused run starts from a copy of its first matrix and left-multiplies
+    each later gate; a run that multiplies out to exactly the identity is
+    dropped (the tableau agrees: such a Clifford run is the identity there
+    too).
     """
     source = circuit.operations
     ops: list[KernelOp] = []
@@ -387,31 +301,25 @@ def _materialize(circuit: Circuit, plan: LoweringPlan) -> KernelProgram:
                 op = source[index]
                 matrix = op.gate.matrix @ matrix
                 duration += op.duration
-            if plan.fused and np.array_equal(matrix, _IDENTITY_2):
+            if np.array_equal(matrix, _IDENTITY_2):
                 continue
-            ops.append(KernelOp(GATE, matrix=matrix, qubits=(qubit,), duration=duration))
-        elif kind == "gate":
-            op = source[step[1]]
+            names = tuple(source[index].gate.name for index in indices)
             ops.append(
-                KernelOp(
-                    GATE,
-                    matrix=np.asarray(op.gate.matrix, dtype=complex),
-                    qubits=op.qubits,
-                    duration=op.duration,
-                )
+                KernelOp(GATE, matrix=matrix, qubits=(qubit,), duration=duration, names=names)
             )
-        elif kind == "measure":
-            op = source[step[1]]
+            continue
+        op = source[step[1]]
+        if kind == "measure":
             ops.append(KernelOp(MEASURE, qubits=op.qubits, duration=op.duration, bit=op.bit))
-        else:  # "cond"
-            op = source[step[1]]
+        else:  # "gate" or "cond"
             ops.append(
                 KernelOp(
-                    COND_GATE,
+                    COND_GATE if kind == "cond" else GATE,
                     matrix=np.asarray(op.gate.matrix, dtype=complex),
                     qubits=op.qubits,
                     duration=op.duration,
-                    condition_bit=op.condition_bit,
+                    condition_bit=op.condition_bit if kind == "cond" else -1,
+                    names=(op.gate.name,),
                 )
             )
     return KernelProgram(
@@ -453,14 +361,14 @@ def plan_for(circuit: Circuit, fuse: bool = True) -> LoweringPlan:
     return plan
 
 
-def lower_structural(circuit: Circuit, fuse: bool = True) -> KernelProgram:
-    """:func:`lower` through the structural plan cache.
+def lower(circuit: Circuit, fuse: bool = True) -> KernelProgram:
+    """Lower ``circuit`` into a :class:`KernelProgram`, uncached.
 
-    Bit-identical to ``lower(circuit, fuse)``; structurally identical
-    circuits (same gate positions, any parameter values) pay the fusion
-    control-flow analysis once.
+    Barriers and classical operations carry no simulation semantics and are
+    dropped (barriers conservatively cut fusion runs on their qubits).
+    With ``fuse`` adjacent single-qubit gates fold into one op.
     """
-    return _materialize(circuit, plan_for(circuit, fuse))
+    return _materialize(circuit, _build_plan(circuit, fuse))
 
 
 def plan_cache_stats() -> dict[str, int]:
@@ -504,7 +412,7 @@ def circuit_content_key(circuit: Circuit) -> str:
             hasher.update(f"g{op.name}{op.params}{op.qubits}{op.duration}".encode())
             hasher.update(np.ascontiguousarray(op.gate.matrix, dtype=complex).tobytes())
         elif isinstance(op, Measurement):
-            hasher.update(f"m{op.qubits}{op.bit}{op.basis}{op.duration}".encode())
+            hasher.update(f"m{op.qubits}{op.bit}{op.duration}".encode())
         elif isinstance(op, ConditionalGate):
             hasher.update(
                 f"c{op.name}{op.params}{op.qubits}{op.condition_bit}{op.duration}".encode()
@@ -530,7 +438,7 @@ def _content_lookup(circuit: Circuit, fuse: bool) -> KernelProgram:
         _content_cache.move_to_end(key)
         return program
     _content_stats["misses"] += 1
-    program = lower_structural(circuit, fuse=fuse)
+    program = _materialize(circuit, plan_for(circuit, fuse))
     _content_cache[key] = program
     while len(_content_cache) > _CONTENT_CACHE_CAP:
         _content_cache.popitem(last=False)

@@ -15,11 +15,12 @@ model, overridable per call with ``backend=``; every engine emits
 histograms under the shared :mod:`repro.qx.keying` convention, so routing
 only ever changes the cost, never the result format.
 
-Circuits are lowered once through :mod:`repro.qx.compiled` before dense or
-MPS execution: the deterministic path runs a single evolution and samples
-the final distribution; the dense trajectory path evolves blocks of shots
-as stacked rows through the precompiled (unfused, so every gate keeps its
-error-injection point) program (:mod:`repro.qx.trajectories`).
+Every engine executes one form: the circuit lowered once through
+:mod:`repro.qx.compiled` (fused when noise-free; unfused under noise, so
+every gate keeps its error-injection point).  The deterministic path runs
+a single evolution and samples the final distribution; the dense
+trajectory path evolves blocks of shots as stacked rows
+(:mod:`repro.qx.trajectories`); the tableau applies each op's gate names.
 """
 
 from __future__ import annotations
@@ -31,13 +32,7 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.operations import Measurement
 from repro.core.qubits import PERFECT, QubitModel
-from repro.qx.backends import (
-    DispatchPolicy,
-    UnsupportedBackendError,
-    capability_matrix,
-    profile_circuit,
-    profile_program,
-)
+from repro.qx.backends import DispatchPolicy, profile_program
 from repro.qx.channels import compile_channels
 from repro.qx.compiled import COND_GATE, GATE, MEASURE, program_for
 from repro.qx.density import DensityMatrixSimulator
@@ -168,10 +163,12 @@ class QXSimulator:
     ) -> SimulationResult:
         """Execute ``circuit`` for ``shots`` repetitions.
 
-        When the error model is trivial and the circuit has no mid-circuit
-        measurement feedback, all shots share a single evolution and the
-        measurement histogram is sampled from the final distribution, which
-        is exponentially cheaper than re-running.
+        The circuit is lowered (fused when noise-free) and executed by
+        :meth:`run_program`, like every runtime shard.  When the error
+        model is trivial and the circuit has no mid-circuit measurement
+        feedback, all shots share a single evolution and the measurement
+        histogram is sampled from the final distribution, which is
+        exponentially cheaper than re-running.
 
         The engine is chosen by the dispatch policy's cost model — dense
         state vector while it fits, the stabilizer tableau for QEC-scale
@@ -181,50 +178,13 @@ class QXSimulator:
         .UnsupportedBackendError` with the capability matrix instead of
         falling back silently.
         """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
         num_qubits = self.num_qubits or circuit.num_qubits
         if circuit.num_qubits > num_qubits:
             raise ValueError("circuit does not fit the simulator register")
-
-        # Compile with fusion only when the error model permits it, so noisy
-        # runs never pay for (or cache) a fused program they cannot use.
-        noise_free = isinstance(self.error_model, NoError)
-        program = program_for(circuit, fuse=noise_free)
-        requested = backend if backend is not None else self.backend
-        policy = self._dispatch_policy()
-        # The Clifford scan is only paid when its result can matter: on an
-        # explicit stabilizer request, or when auto-dispatch is in tableau
-        # territory (noise-free at/above the trajectory threshold).
-        clifford_matters = requested == "stabilizer" or (
-            requested is None
-            and noise_free
-            and num_qubits >= policy.stabilizer_min_qubits
-        )
-        profile = profile_circuit(
-            circuit,
-            shots=shots,
-            num_qubits=num_qubits,
-            noise=self._noise_kind(),
-            has_initial_state=initial_state is not None,
-            keep_final_state=keep_final_state,
-            is_clifford=None if clifford_matters else False,
-        )
-        if requested is None:
-            name = policy.choose(profile)
-        else:
-            name = policy.validate(requested, profile)
-        if name == "stabilizer":
-            return self._run_stabilizer(circuit, num_qubits, shots)
-        if name == "mps":
-            return self._run_mps(program, num_qubits, shots, keep_final_state)
-        if name == "density":
-            return self._run_density(program, num_qubits, shots)
-        if noise_free and not program.needs_trajectories:
-            return self._run_sampled(program, num_qubits, shots, keep_final_state, initial_state)
-        if program.fused:
-            program = program_for(circuit, fuse=False)
-        return self._run_trajectories(program, num_qubits, shots, keep_final_state, initial_state)
+        # Fuse only when the error model permits it, so noisy runs never pay
+        # for (or cache) a fused program they cannot use.
+        program = program_for(circuit, fuse=isinstance(self.error_model, NoError))
+        return self.run_program(program, shots, num_qubits, keep_final_state, initial_state, backend)
 
     def run_program(
         self,
@@ -237,21 +197,18 @@ class QXSimulator:
     ) -> SimulationResult:
         """Execute an already-lowered :class:`~repro.qx.compiled.KernelProgram`.
 
-        The entry point used by the parallel experiment runtime
-        (:mod:`repro.runtime`), whose workers cache lowered programs on disk
-        and must not pay circuit re-lowering per shard.  A lowered program
-        carries gate matrices, not names, so the stabilizer tableau cannot
-        execute it (run QEC-scale Clifford workloads through :meth:`run` or
-        the runtime's ``qec`` experiment kind); the dense, density-matrix
-        and MPS engines all can, and auto-dispatch picks between the dense
-        engine (within its 26-qubit wall) and the MPS engine (beyond it).
-        Noisy execution requires an *unfused* program, because gate fusion
-        removes error-injection points.
+        Every engine runs here: :meth:`run` lowers its circuit and calls
+        this, and the parallel experiment runtime (:mod:`repro.runtime`),
+        whose workers memoise lowered programs per process, calls it per
+        shard.  Noisy execution requires an *unfused* program, because gate
+        fusion removes error-injection points.
         """
         register, requested, policy, profile = self._profile_program(
             program, shots, num_qubits, backend, initial_state, keep_final_state
         )
         name = requested if requested is not None else policy.choose(profile)
+        if name == "stabilizer":
+            return self._run_stabilizer(program, register, shots)
         if name == "mps":
             return self._run_mps(program, register, shots, keep_final_state)
         if name == "density":
@@ -321,20 +278,16 @@ class QXSimulator:
         if program.num_qubits > register:
             raise ValueError("program does not fit the simulator register")
         requested = backend if backend is not None else self.backend
-        if requested == "stabilizer":
-            raise UnsupportedBackendError(
-                "the stabilizer engine cannot execute lowered programs (they carry "
-                "gate matrices, not names); run the circuit through "
-                f"QXSimulator.run instead\n\n{capability_matrix()}"
-            )
         policy = self._dispatch_policy()
+        noise = self._noise_kind()
         profile = profile_program(
             program,
             shots=shots,
             num_qubits=register,
-            noise=self._noise_kind(),
+            noise=noise,
             has_initial_state=initial_state is not None,
             keep_final_state=keep_final_state,
+            is_clifford=None if policy.reads_clifford(requested, noise, register) else False,
         )
         if requested is not None:
             policy.validate(requested, profile)
@@ -419,25 +372,19 @@ class QXSimulator:
             result.classical_bits = all_bits.tolist()
         return result
 
-    def _run_stabilizer(self, circuit, num_qubits, shots):
-        """Per-shot tableau execution of a noise-free Clifford circuit.
+    def _run_stabilizer(self, program, num_qubits, shots):
+        """Per-shot tableau execution of a noise-free Clifford program.
 
-        Gate/measurement/feedback semantics are
-        :meth:`~repro.qx.stabilizer.StabilizerSimulator._run_shot` — one
-        source of truth with the standalone engine — and the histogram block
-        is shared with :meth:`_run_trajectories`, so routing a circuit to
-        the tableau engine changes only the cost, never the result format.
+        The loop is :meth:`~repro.qx.stabilizer.StabilizerSimulator
+        .program_bits` — one source of truth with the standalone engine —
+        and the histogram block is shared with :meth:`_run_trajectories`, so
+        routing a program to the tableau changes only the cost, never the
+        result format.
         """
         engine = StabilizerSimulator(rng=self.rng)
-        num_bits = max(circuit.num_bits, num_qubits)
-        all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-        written: set[int] = set()
-        for shot in range(shots):
-            for bit, value in engine._run_shot(circuit).items():
-                all_bits[shot, bit] = value
-                written.add(bit)
+        all_bits = engine.program_bits(program, shots, num_qubits)
         result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="stabilizer")
-        result.counts = bits_histogram(all_bits, tuple(sorted(written)))
+        result.counts = bits_histogram(all_bits, program.measured_bits)
         result.classical_bits = all_bits.tolist()
         return result
 

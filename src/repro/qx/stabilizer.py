@@ -14,10 +14,13 @@ single broadcast operation against the pivot row.
 
 The engine is validated against the state-vector engine on small circuits in
 the test suite and is used by the QEC layer for circuit-level experiments
-that would not fit in a state vector.  Measurement histograms follow the
-same keying convention as :class:`~repro.qx.simulator.QXSimulator`: keys are
-ordered by *classical bit* (``Measurement.bit``), lowest bit rightmost, and
-a repeated measurement into one bit keeps only the last outcome.
+that would not fit in a state vector.  Like every QX engine it executes a
+lowered :class:`~repro.qx.compiled.KernelProgram`, applying each op's gate
+*names* (a fused single-qubit run applies every gate it folded).
+Measurement histograms follow the same keying convention as
+:class:`~repro.qx.simulator.QXSimulator`: keys are ordered by *classical
+bit* (``Measurement.bit``), lowest bit rightmost, and a repeated
+measurement into one bit keeps only the last outcome.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from repro.core.circuit import Circuit
 from repro.core.operations import Barrier, ConditionalGate, GateOperation, Measurement
-from repro.qx.keying import key_for_bit_values
+from repro.qx.compiled import GATE, MEASURE, program_for
+from repro.qx.keying import bits_histogram
 
 #: Gates the stabilizer engine accepts, mapped to their tableau update.
 CLIFFORD_GATES = ("i", "x", "y", "z", "h", "s", "sdag", "cnot", "cz", "swap")
@@ -317,7 +321,7 @@ class ReferenceRun:
     num_qubits: int
     outcomes: list[int] = field(default_factory=list)
     deterministic: list[bool] = field(default_factory=list)
-    #: Final classical-bit values (last write wins), as `_run_shot` reports.
+    #: Final classical-bit values (last write wins).
     bits: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -340,27 +344,29 @@ class StabilizerSimulator:
         measurement writing a bit wins.  Conditional Clifford gates are
         evaluated against the bits measured so far.
         """
-        counts: dict[str, int] = {}
-        for _ in range(shots):
-            bits = self._run_shot(circuit)
-            if bits:
-                key = key_for_bit_values(bits)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        program = program_for(circuit)
+        all_bits = self.program_bits(program, shots)
+        return bits_histogram(all_bits, program.measured_bits) if program.num_measurements else {}
 
-    def _run_shot(self, circuit: Circuit) -> dict[int, int]:
-        """One tableau execution; returns the classical bits it wrote."""
-        state = StabilizerState(circuit.num_qubits, rng=self.rng)
-        bits: dict[int, int] = {}
-        for op in circuit.operations:
-            if isinstance(op, GateOperation):
-                state.apply_gate(op.name, op.qubits)
-            elif isinstance(op, Measurement):
-                bits[op.bit] = state.measure(op.qubit)
-            elif isinstance(op, ConditionalGate):
-                if bits.get(op.condition_bit, 0):
-                    state.apply_gate(op.gate.name, op.qubits)
-        return bits
+    def program_bits(self, program, shots: int, num_bits: int | None = None) -> np.ndarray:
+        """Execute a lowered program shot by shot; the ``(shots, bits)`` outcomes.
+
+        Each shot starts a fresh tableau on this simulator's generator.  A
+        measurement writes its classical bit, a conditional op runs when its
+        condition bit is set, and bits nothing writes stay 0.  Rows are
+        ``max(program.num_bits, num_bits)`` wide.
+        """
+        width = max(program.num_bits, num_bits or 0)
+        all_bits = np.zeros((shots, width), dtype=np.int64)
+        for bits in all_bits:
+            state = StabilizerState(program.num_qubits, rng=self.rng)
+            for op in program.ops:
+                if op.kind == MEASURE:
+                    bits[op.bit] = state.measure(op.qubits[0])
+                elif op.kind == GATE or bits[op.condition_bit]:
+                    for name in op.names:
+                        state.apply_gate(name, op.qubits)
+        return all_bits
 
     def reference_run(self, circuit: Circuit) -> ReferenceRun:
         """Execute a Clifford circuit once with pinned measurement outcomes.

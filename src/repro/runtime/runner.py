@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
 from repro.qx import kernels
-from repro.qx.backends import DispatchPolicy, profile_circuit, profile_plan
+from repro.qx.backends import DispatchPolicy, plan_is_clifford, profile_plan
 from repro.qx.compiled import LoweringPlan, circuit_content_key, plan_cache_stats, plan_for
 from repro.qx.error_models import error_model_for, noise_kind
 from repro.runtime.aggregate import ExperimentResult, PointResult, merge_counts, merge_metrics
@@ -145,9 +145,11 @@ class ExperimentRunner:
         else:
             self.cache = None
         self.policy = DispatchPolicy()
-        #: (plan, shard sizes, pinned backend, noise) -> (evolve-once engine,
-        #: widest gate).  Every input is structural, so points sharing a plan
-        #: share the decision; keying on the plan object itself holds the
+        #: (plan, shard sizes, pinned backend, noise, Clifford) -> (evolve-once
+        #: engine, widest gate).  Gate names are not structural, so the
+        #: Clifford flag is part of the key wherever it can change the
+        #: decision (else it is False); points sharing the rest of the key
+        #: share the decision.  Keying on the plan object itself holds the
         #: reference, so an evicted plan's id is never reused.
         self._dispatch_memo: dict[tuple, tuple[str | None, int]] = {}
         #: Plans already dataflow-verified: structurally identical points
@@ -160,11 +162,23 @@ class ExperimentRunner:
     def _evolve_once(
         self, plan: LoweringPlan, circuit: Circuit, sizes: tuple, backend: str | None, noise: str
     ) -> tuple[str | None, int]:
-        """The point's evolve-once engine (or ``None``) and its widest gate."""
-        key = (plan, sizes, backend, noise)
+        """The point's evolve-once engine (or ``None``) and its widest gate.
+
+        A pinned ``backend`` is validated here, in the parent: an engine
+        that cannot run the point surfaces as one clear
+        :class:`~repro.qx.backends.UnsupportedBackendError`, not as N
+        worker crashes.
+        """
+        clifford = (
+            self.policy.reads_clifford(backend, noise, circuit.num_qubits)
+            and plan_is_clifford(plan, circuit)
+        )
+        key = (plan, sizes, backend, noise, clifford)
         decision = self._dispatch_memo.get(key)
         if decision is None:
-            profile = profile_plan(plan, circuit, noise=noise)
+            profile = profile_plan(plan, circuit, noise=noise, is_clifford=clifford)
+            if backend is not None:
+                self.policy.validate(backend, profile)
             engine = self.policy.evolve_once_engine(profile, sizes, backend)
             decision = self._dispatch_memo[key] = (engine, profile.max_gate_qubits)
         return decision
@@ -212,11 +226,6 @@ class ExperimentRunner:
             # the parent, not as N confusing worker results.
             report(circuit, where=f"point {point.params!r}", strict=self.strict_verify)
             self._verified_plans.add(plan)
-        if backend is not None:
-            # Fail fast in the parent: an explicitly pinned engine that
-            # cannot run this point's circuit should surface as one clear
-            # UnsupportedBackendError, not as N worker crashes.
-            self.policy.validate(backend, profile_circuit(circuit, shots=spec.shots, noise=noise))
         sizes = tuple(shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards))
         engine, widest_gate = self._evolve_once(plan, circuit, sizes, backend, noise)
         planned = PlannedPoint(

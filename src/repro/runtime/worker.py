@@ -375,21 +375,17 @@ def _run_circuit_unit(task: ShardTask) -> ShardResult:
         truncation_threshold=task.truncation_threshold,
         channel_fusion=task.channel_fusion,
     )
-    metrics: dict = {}
-    if task.backend == "stabilizer":
-        # The tableau engine executes named gates, not lowered matrices, so
-        # a stabilizer-pinned unit runs the compiled circuit itself.
-        results = [simulator.run(pickle.loads(task.circuit), shots=task.shots)]
-    else:
-        before = dict(_program_memo_stats)
-        program = load_program(task)
-        metrics["program_cache_hits"] = _program_memo_stats["hits"] - before["hits"]
-        metrics["program_cache_misses"] = _program_memo_stats["misses"] - before["misses"]
-        shards = [
-            (size, np.random.default_rng(shard_seed(task.root_seed, task.point_index, index)))
-            for index, size in task.shards
-        ]
-        results = simulator.run_program_shards(program, shards)
+    before = dict(_program_memo_stats)
+    program = load_program(task)
+    metrics = {
+        "program_cache_hits": _program_memo_stats["hits"] - before["hits"],
+        "program_cache_misses": _program_memo_stats["misses"] - before["misses"],
+    }
+    shards = [
+        (size, np.random.default_rng(shard_seed(task.root_seed, task.point_index, index)))
+        for index, size in task.shards
+    ]
+    results = simulator.run_program_shards(program, shards)
     backend = results[0].backend
     if backend != "statevector":
         metrics["backend"] = backend

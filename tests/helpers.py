@@ -45,6 +45,18 @@ def assert_equivalent_up_to_phase(matrix_a: np.ndarray, matrix_b: np.ndarray, at
     np.testing.assert_allclose(matrix_a, phase * matrix_b, atol=atol)
 
 
+#: Kwargs for every registry builder, small enough for every registry
+#: platform (the 2x2 spin-qubit array is the narrowest at 4 qubits).
+REGISTRY_BUILDER_KWARGS = {
+    "bell": {},
+    "ghz": {"num_qubits": 3},
+    "qft": {"num_qubits": 3},
+    "random": {"num_qubits": 4, "depth": 6, "seed": 1},
+    "rotations": {"num_qubits": 4, "depth": 2, "seed": 3},
+}
+REGISTRY_PLATFORMS = ["perfect", "realistic", "superconducting", "surface17", "spin_qubit"]
+
+
 # ---------------------------------------------------------------------- #
 # Circuit builders referenced by specs as "helpers:<name>"
 # ---------------------------------------------------------------------- #
@@ -110,4 +122,26 @@ def toffoli_circuit():
 
     circuit = Circuit(3, "toffoli")
     circuit.h(0).h(1).toffoli(0, 1, 2)
+    return circuit
+
+
+def clifford_feedback_circuit(num_qubits: int = 21):
+    """A Clifford circuit with mid-circuit measurement and feedback.
+
+    Hadamards and a cnot chain spread the outcomes; qubit 0 is measured
+    first and conditionally flips qubit 1, then every other qubit is
+    measured.  Noise-free at 21+ qubits this is tableau territory.
+    """
+    from repro.core.circuit import Circuit
+
+    circuit = Circuit(num_qubits, "clifford_feedback")
+    for qubit in range(num_qubits):
+        circuit.h(qubit)
+    for qubit in range(num_qubits - 1):
+        circuit.cnot(qubit, qubit + 1)
+    circuit.s(num_qubits - 1).h(num_qubits - 1)
+    circuit.measure(0)
+    circuit.conditional_gate("x", 0, 1)
+    for qubit in range(1, num_qubits):
+        circuit.measure(qubit)
     return circuit

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from helpers import REGISTRY_BUILDER_KWARGS, REGISTRY_PLATFORMS
 from repro.core.circuit import Circuit, qft_circuit, random_circuit
 from repro.cqasm.ast import CqasmInstruction, CqasmProgram
 from repro.cqasm.parser import CqasmSyntaxError, cqasm_to_circuit, parse_cqasm
@@ -149,29 +150,19 @@ class TestRoundTrip:
 # ---------------------------------------------------------------------- #
 # Export contract: cQASM is an export of the compiled circuit
 # ---------------------------------------------------------------------- #
-#: Builder kwargs small enough for every registered platform (the 2x2
-#: spin-qubit array is the narrowest at 4 qubits).
-EXPORT_BUILDER_KWARGS = {
-    "bell": {},
-    "ghz": {"num_qubits": 3},
-    "qft": {"num_qubits": 3},
-    "random": {"num_qubits": 4, "depth": 6, "seed": 1},
-    "rotations": {"num_qubits": 4, "depth": 2, "seed": 3},
-}
-EXPORT_PLATFORMS = ["perfect", "realistic", "superconducting", "surface17", "spin_qubit"]
 
 
 def test_export_cases_cover_every_registered_builder():
     from repro.runtime.spec import BUILDERS, PLATFORMS
 
-    assert set(EXPORT_BUILDER_KWARGS) == set(BUILDERS)
-    assert set(EXPORT_PLATFORMS) == set(PLATFORMS)
+    assert set(REGISTRY_BUILDER_KWARGS) == set(BUILDERS)
+    assert set(REGISTRY_PLATFORMS) == set(PLATFORMS)
 
 
 @pytest.mark.parametrize("fuse", [False, True])
 @pytest.mark.parametrize("compiled", [False, True], ids=["source", "compiled"])
-@pytest.mark.parametrize("platform", EXPORT_PLATFORMS)
-@pytest.mark.parametrize("builder", sorted(EXPORT_BUILDER_KWARGS))
+@pytest.mark.parametrize("platform", REGISTRY_PLATFORMS)
+@pytest.mark.parametrize("builder", sorted(REGISTRY_BUILDER_KWARGS))
 def test_cqasm_export_lowers_like_the_circuit(builder, platform, compiled, fuse):
     """``lower(cqasm_to_circuit(circuit_to_cqasm(c)))`` equals ``lower(c)``
     op for op: kind, qubits, bits, condition bit and matrix bytes.
@@ -184,7 +175,7 @@ def test_cqasm_export_lowers_like_the_circuit(builder, platform, compiled, fuse)
     from repro.qx.compiled import lower
     from repro.runtime.spec import CircuitSpec, CompilerSpec, PlatformSpec
 
-    circuit = CircuitSpec(builder=builder, kwargs=EXPORT_BUILDER_KWARGS[builder]).build()
+    circuit = CircuitSpec(builder=builder, kwargs=REGISTRY_BUILDER_KWARGS[builder]).build()
     if compiled:
         target = PlatformSpec(factory=platform).build(default_num_qubits=circuit.num_qubits)
         circuit = CompilerSpec().build().compile_circuit(circuit, target)

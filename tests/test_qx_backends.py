@@ -12,12 +12,14 @@ from repro.qx.backends import (
     UnsupportedBackendError,
     capability_matrix,
     entanglement_exponent,
-    profile_circuit,
+    profile_plan,
+    profile_program,
     register_backend,
 )
 from repro.qx.error_models import DepolarizingError, DecoherenceError
 from repro.qx.simulator import QXSimulator
-from repro.qx.compiled import program_for
+from repro.qx.compiled import plan_for, program_for
+from helpers import REGISTRY_BUILDER_KWARGS, REGISTRY_PLATFORMS
 
 
 def _clifford_dense(num_qubits, gates, seed):
@@ -72,73 +74,144 @@ class TestEntanglementEstimate:
         assert entanglement_exponent([], 16) == 0
 
 
+def _measured(circuit):
+    circuit.measure_all()
+    return circuit
+
+
+def _feedback_21():
+    circuit = Circuit(21)
+    circuit.h(0)
+    circuit.measure(0)
+    circuit.conditional_gate("x", 0, 20)
+    circuit.measure(20)
+    return circuit
+
+
+def _t_chain_30():
+    circuit = Circuit(30)
+    for qubit in range(30):
+        circuit.t(qubit)
+    for qubit in range(29):
+        circuit.cnot(qubit, qubit + 1)
+    return _measured(circuit)
+
+
+def _toffoli_30():
+    circuit = Circuit(30)
+    circuit.toffoli(0, 1, 2)
+    return _measured(circuit)
+
+
+#: The auto-dispatch cases, shared by :class:`TestAutoDispatch` and the
+#: planner/simulator profile agreement test.
+DISPATCH_CIRCUITS = {
+    "ghz5": lambda: _measured(ghz_circuit(5)),
+    "feedback21": _feedback_21,
+    "ghz21": lambda: _measured(ghz_circuit(21)),
+    "ghz64": lambda: _measured(ghz_circuit(64)),
+    "clifford_dense30": lambda: _measured(_clifford_dense(30, 250, seed=1)),
+    "t_chain30": _t_chain_30,
+    "ghz10": lambda: _measured(ghz_circuit(10)),
+    "ghz24": lambda: _measured(ghz_circuit(24)),
+    "ghz30_unmeasured": lambda: ghz_circuit(30),
+    "toffoli30": _toffoli_30,
+}
+
+
 class TestAutoDispatch:
     """The policy replaces the old STABILIZER_DISPATCH_* constants: same
     behaviour where the old rules applied, MPS beyond the dense wall."""
 
-    def _choice(self, circuit, **kwargs):
-        profile = profile_circuit(circuit, **kwargs)
+    def _choice(self, case, **kwargs):
+        profile = profile_program(program_for(DISPATCH_CIRCUITS[case]()), **kwargs)
         return DispatchPolicy().choose(profile)
 
     def test_small_circuit_stays_dense(self):
-        circuit = ghz_circuit(5)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=100) == "statevector"
+        assert self._choice("ghz5", shots=100) == "statevector"
 
     def test_trajectory_forcing_clifford_goes_tableau(self):
-        circuit = Circuit(21)
-        circuit.h(0)
-        circuit.measure(0)
-        circuit.conditional_gate("x", 0, 20)
-        circuit.measure(20)
-        assert self._choice(circuit, shots=30) == "stabilizer"
+        assert self._choice("feedback21", shots=30) == "stabilizer"
 
     def test_sampled_clifford_below_wall_stays_dense(self):
-        circuit = ghz_circuit(21)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=500) == "statevector"
+        assert self._choice("ghz21", shots=500) == "statevector"
 
     def test_ghz_beyond_wall_goes_mps(self):
         """Low-entanglement Clifford at scale: MPS beats the per-shot tableau."""
-        circuit = ghz_circuit(64)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=1000) == "mps"
+        assert self._choice("ghz64", shots=1000) == "mps"
 
     def test_dense_clifford_beyond_wall_goes_tableau(self):
-        circuit = _clifford_dense(30, 250, seed=1)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=100) == "stabilizer"
+        assert self._choice("clifford_dense30", shots=100) == "stabilizer"
 
     def test_non_clifford_beyond_wall_goes_mps(self):
-        circuit = Circuit(30)
-        for qubit in range(30):
-            circuit.t(qubit)
-        for qubit in range(29):
-            circuit.cnot(qubit, qubit + 1)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=100) == "mps"
+        assert self._choice("t_chain30", shots=100) == "mps"
 
     def test_noisy_circuit_stays_dense_in_range(self):
-        circuit = ghz_circuit(10)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=10, noise="trajectory") == "statevector"
+        assert self._choice("ghz10", shots=10, noise="trajectory") == "statevector"
 
     def test_initial_state_pins_dense(self):
-        circuit = ghz_circuit(24)
-        circuit.measure_all()
-        assert self._choice(circuit, shots=10, has_initial_state=True) == "statevector"
+        assert self._choice("ghz24", shots=10, has_initial_state=True) == "statevector"
 
     def test_measurement_free_beyond_wall_raises(self):
-        profile = profile_circuit(ghz_circuit(30), shots=1)
         with pytest.raises(UnsupportedBackendError):
-            DispatchPolicy().choose(profile)
+            self._choice("ghz30_unmeasured", shots=1)
 
     def test_three_qubit_gates_beyond_wall_raise(self):
-        circuit = Circuit(30)
-        circuit.toffoli(0, 1, 2)
-        circuit.measure_all()
         with pytest.raises(UnsupportedBackendError, match="3-qubit gate"):
-            DispatchPolicy().choose(profile_circuit(circuit, shots=1))
+            self._choice("toffoli30", shots=1)
+
+
+def _registry_circuits():
+    """Every registry builder on every registry platform, source and compiled,
+    with the platform's noise kind and fusion."""
+    from repro.qx.error_models import error_model_for, noise_kind
+    from repro.runtime.spec import CircuitSpec, CompilerSpec, PlatformSpec
+
+    for builder, kwargs in sorted(REGISTRY_BUILDER_KWARGS.items()):
+        for platform in REGISTRY_PLATFORMS:
+            source = CircuitSpec(builder=builder, kwargs=kwargs).build()
+            target = PlatformSpec(factory=platform).build(default_num_qubits=source.num_qubits)
+            compiled = CompilerSpec().build().compile_circuit(source, target)
+            model = target.qubit_model
+            noise = noise_kind(error_model_for(model))
+            for circuit in (source, compiled):
+                yield f"{builder}-{platform}", circuit, noise, model.is_perfect
+
+
+def _agreement_cases():
+    for name, build in DISPATCH_CIRCUITS.items():
+        yield name, build(), "none", True
+    yield from _registry_circuits()
+
+
+def _engines(policy, profile, sizes):
+    """``choose`` and ``evolve_once_engine`` for one profile (or the error)."""
+    try:
+        return policy.choose(profile), policy.evolve_once_engine(profile, sizes)
+    except UnsupportedBackendError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [DispatchPolicy(), DispatchPolicy(stabilizer_min_qubits=2, stabilizer_sampled_min_qubits=2)],
+    ids=["default", "tableau-eager"],
+)
+def test_plan_and_program_profiles_pick_the_same_engine(policy):
+    """The runner dispatches on ``profile_plan`` before lowering; workers and
+    ``QXSimulator`` dispatch on ``profile_program``.  Both must pick the same
+    engine for every registry circuit and every auto-dispatch case."""
+    sizes = (128,) * 8
+    checked = 0
+    for name, circuit, noise, fuse in _agreement_cases():
+        from_plan = profile_plan(plan_for(circuit, fuse), circuit, shots=128, noise=noise)
+        from_program = profile_program(program_for(circuit, fuse), shots=128, noise=noise)
+        assert from_plan.is_clifford == from_program.is_clifford, name
+        assert _engines(policy, from_plan, sizes) == _engines(policy, from_program, sizes), name
+        checked += 1
+    assert checked == len(DISPATCH_CIRCUITS) + 2 * len(REGISTRY_BUILDER_KWARGS) * len(
+        REGISTRY_PLATFORMS
+    )
 
 
 class TestUnsupportedBackendErrors:
@@ -219,13 +292,6 @@ class TestUnsupportedBackendErrors:
         message = str(excinfo.value)
         for name in BACKENDS:
             assert name in message
-
-    def test_run_program_rejects_stabilizer(self):
-        circuit = ghz_circuit(3)
-        circuit.measure_all()
-        program = program_for(circuit)
-        with pytest.raises(UnsupportedBackendError, match="lowered programs"):
-            QXSimulator(seed=0).run_program(program, shots=2, backend="stabilizer")
 
 
 class TestExplicitBackends:

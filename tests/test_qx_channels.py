@@ -403,7 +403,8 @@ class TestDispatchArbitration:
 
     @staticmethod
     def _profile(num_qubits=4, noise="channel"):
-        from repro.qx.backends import profile_circuit
+        from repro.qx.backends import profile_program
+        from repro.qx.compiled import program_for
 
         circuit = Circuit(num_qubits)
         circuit.h(0)
@@ -411,7 +412,7 @@ class TestDispatchArbitration:
             circuit.cnot(qubit, qubit + 1)
         circuit.rx(0, 0.3)  # non-Clifford: keep the stabilizer tier out
         circuit.measure_all()
-        return profile_circuit(circuit, shots=500, noise=noise)
+        return profile_program(program_for(circuit), shots=500, noise=noise)
 
     def test_default_policy_leaves_auto_dispatch_unchanged(self):
         from repro.qx.backends import DispatchPolicy

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import stabilizer_reference as oracle
 from repro.core.circuit import Circuit, bell_pair_circuit, ghz_circuit
+from repro.qx.compiled import lower
 from repro.qx.simulator import QXSimulator
 from repro.qx.stabilizer import StabilizerSimulator, StabilizerState
 
@@ -342,3 +344,71 @@ class TestCrossEngineKeying:
         clifford.measure(0)
         clifford.conditional_gate("x", 0, 1)
         assert StabilizerSimulator.is_clifford_circuit(clifford)
+
+
+def _feedback_clifford_circuit(seed):
+    """Seeded random Clifford circuit exercising every lowering feature the
+    tableau must honour: 1q runs that fuse (and runs that multiply out to
+    the identity and are dropped: ``h h``, ``s s s s``, ``x x``), 2q gates,
+    barriers that cut runs, cross-mapped and repeated measurements, and
+    conditional gates on bits measured earlier."""
+    rng = np.random.default_rng(seed)
+    num_qubits = 4
+    circuit = Circuit(num_qubits, num_bits=6)
+    one_qubit = ["h", "s", "sdag", "x", "y", "z", "i"]
+    identities = [("h", "h"), ("s", "s", "s", "s"), ("x", "x"), ("sdag", "s")]
+    written = []
+    for _ in range(14):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if roll < 0.3:
+            for _ in range(int(rng.integers(1, 4))):
+                circuit.add_gate(one_qubit[int(rng.integers(len(one_qubit)))], qubit)
+        elif roll < 0.4:
+            for name in identities[int(rng.integers(len(identities)))]:
+                circuit.add_gate(name, qubit)
+        elif roll < 0.6:
+            other = (qubit + 1 + int(rng.integers(num_qubits - 1))) % num_qubits
+            circuit.add_gate(("cnot", "cz", "swap")[int(rng.integers(3))], qubit, other)
+        elif roll < 0.7:
+            circuit.barrier(qubit)
+        elif roll < 0.85:
+            bit = int(rng.integers(6))
+            circuit.measure(qubit, bit=bit)
+            written.append(bit)
+        elif written:
+            name = ("x", "z", "h", "s")[int(rng.integers(4))]
+            circuit.conditional_gate(name, written[int(rng.integers(len(written)))], qubit)
+    for qubit in range(num_qubits):
+        circuit.measure(qubit, bit=(qubit + 2) % 6)
+    return circuit
+
+
+class TestTableauOnPrograms:
+    """The tableau runs lowered programs: fused or not, its histograms are
+    the circuit-level loop's (``tests/oracles/stabilizer_reference.py``)."""
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_program_histograms_match_circuit_oracle(self, seed, fuse):
+        circuit = _feedback_clifford_circuit(seed)
+        expected = oracle.run(circuit, 200, np.random.default_rng(seed))
+        program = lower(circuit, fuse=fuse)
+        via_program = QXSimulator(seed=seed, backend="stabilizer").run_program(
+            program, shots=200
+        )
+        assert via_program.backend == "stabilizer"
+        assert via_program.counts == expected
+        assert QXSimulator(seed=seed, backend="stabilizer").run(circuit, 200).counts == expected
+        assert StabilizerSimulator(seed=seed).run(circuit, 200) == expected
+
+    def test_fused_runs_keep_every_gate_name(self):
+        circuit = Circuit(2)
+        circuit.h(0).s(0).h(0).x(1).x(1).cnot(0, 1)
+        circuit.measure_all()
+        names = [op.names for op in lower(circuit, fuse=True).ops]
+        # x x on q1 multiplies out to exactly the identity and is dropped.
+        assert names == [("h", "s", "h"), ("cnot",), (), ()]
+        assert [op.names for op in lower(circuit, fuse=False).ops][:5] == [
+            ("h",), ("s",), ("h",), ("x",), ("x",)
+        ]

@@ -16,11 +16,14 @@ from repro.qx.compiled import KernelProgram, lower
 from repro.qx.simulator import QXSimulator
 from repro.runtime import (
     CircuitSpec,
+    CompilerSpec,
     ExperimentRunner,
     ExperimentSpec,
     PlatformSpec,
     SimulationSpec,
+    merge_counts,
     shard_seed,
+    shard_sizes,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -133,6 +136,29 @@ class TestRunnerBackendAxis:
         )
         with pytest.raises(UnsupportedBackendError, match="error models"):
             ExperimentRunner(spec, workers=1, cache_dir=tmp_path).run()
+
+    def test_noise_free_clifford_feedback_point_runs_on_the_tableau(self):
+        """Runtime auto-dispatch agrees with ``QXSimulator.run``: a 21-qubit
+        noise-free Clifford point with feedback runs on the tableau, and its
+        histogram is the merge of each shard's own seeded ``run``."""
+        from helpers import clifford_feedback_circuit
+
+        spec = ExperimentSpec(
+            name="tableau-feedback",
+            circuit=CircuitSpec(builder="helpers:clifford_feedback_circuit"),
+            compiler=CompilerSpec(enabled=False),
+            shots=64,
+            seed=3,
+        )
+        circuit = clifford_feedback_circuit()
+        expected = merge_counts(
+            QXSimulator(seed=shard_seed(spec.seed, 0, index)).run(circuit, shots=size).counts
+            for index, size in enumerate(shard_sizes(spec.shots))
+        )
+        for workers in (1, 2):
+            (point,) = ExperimentRunner(spec, workers=workers, use_cache=False).run().points
+            assert point.metrics["backend"] == "stabilizer"
+            assert point.counts == expected
 
     def test_host_offload_backend_override(self, tmp_path):
         host = HostCPU(runtime_workers=1)
