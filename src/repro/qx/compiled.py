@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from collections import OrderedDict
+from collections.abc import Callable
 
 import numpy as np
 
@@ -402,8 +403,9 @@ def circuit_content_key(circuit: Circuit) -> str:
     classical bits, duration and matrix, classical operations included.
 
     The one circuit digest of the stack: it keys the content-addressed
-    program cache here and the runtime's compile cache, worker program memo
-    and mapping artifacts.  Callers that key a lowering add ``fuse``.
+    program cache here (which pool workers share through
+    :func:`cached_program`) and the runtime's compile cache and mapping
+    artifacts.  Callers that key a lowering add ``fuse``.
     """
     hasher = hashlib.sha256()
     hasher.update(f"{circuit.num_qubits}|{circuit.num_bits}".encode())
@@ -430,16 +432,24 @@ def content_cache_stats() -> dict[str, int]:
     return dict(_content_stats)
 
 
-def _content_lookup(circuit: Circuit, fuse: bool) -> KernelProgram:
-    key = (circuit_content_key(circuit), fuse)
+def cached_program(
+    content_key: str, fuse: bool, load: Callable[[], KernelProgram]
+) -> KernelProgram:
+    """The content-cached program for ``(content_key, fuse)``.
+
+    ``load()`` builds the program on a miss only, so callers holding the
+    circuit in another form (a pool worker's pickled payload) pay for
+    unpickling and lowering only when the process has not lowered that
+    content before.
+    """
+    key = (content_key, fuse)
     program = _content_cache.get(key)
     if program is not None:
         _content_stats["hits"] += 1
         _content_cache.move_to_end(key)
         return program
     _content_stats["misses"] += 1
-    program = _materialize(circuit, plan_for(circuit, fuse))
-    _content_cache[key] = program
+    program = _content_cache[key] = load()
     while len(_content_cache) > _CONTENT_CACHE_CAP:
         _content_cache.popitem(last=False)
     return program
@@ -465,6 +475,7 @@ def program_for(circuit: Circuit, fuse: bool = True) -> KernelProgram:
         _cache[circuit] = entry
     program = entry.get(fuse)
     if program is None:
-        program = _content_lookup(circuit, fuse)
+        key = circuit_content_key(circuit)
+        program = cached_program(key, fuse, lambda: _materialize(circuit, plan_for(circuit, fuse)))
         entry[fuse] = program
     return program

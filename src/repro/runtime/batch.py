@@ -29,8 +29,9 @@ with stacking on, so circuits the stacked path cannot take (noise,
 feedback, pinned or auto-dispatched non-dense engines, >2-qubit gates) get
 exactly the work units a serial sweep plans — one evolve-once unit for a
 deterministic point — and run through
-:func:`~repro.runtime.worker.run_shard` inside fallback chunks, so their
-results match the serial path by construction.
+:func:`~repro.runtime.worker.run_shard` like every unit, bundled several
+circuits per pool task, so their results match the serial path by
+construction.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.runtime.spec import (
     SimulationSpec,
     SweepPoint,
 )
-from repro.runtime.worker import ShardResult, ShardTask, run_shard
+from repro.runtime.worker import ShardResult, run_shard
 
 
 @dataclass
@@ -250,69 +251,58 @@ class StackChunk:
     sources: tuple[int, ...]
     entries: list[StackEntry]
 
+    def run(self) -> list[ShardResult]:
+        """One stacked statevector pass over every circuit of the chunk.
 
-@dataclass
-class FallbackChunk:
-    """A bundle of per-shard worker tasks (amortises pool dispatch only)."""
-
-    tasks: list[ShardTask]
-
-
-def run_batch_chunk(chunk: StackChunk | FallbackChunk) -> list[ShardResult]:
-    """Execute one chunk; the unit of pool dispatch (top-level: picklable)."""
-    if isinstance(chunk, FallbackChunk):
-        return [run_shard(task) for task in chunk.tasks]
-    return _run_stack_chunk(chunk)
-
-
-def _run_stack_chunk(chunk: StackChunk) -> list[ShardResult]:
-    """One stacked statevector pass over every circuit of the chunk.
-
-    All rows start at |0...0>, every gate position applies the per-row
-    matrices through one batched kernel call, and each row then samples its
-    shards from its final distribution with the shard's own seed stream —
-    the identical draw stream and inverse transform the serial
-    ``_run_sampled`` path consumes, with the cumulative distribution
-    prepared once per row instead of once per shard.  A row is one unit:
-    its result merges its shards, and its time is an even share of the
-    pass plus its own sampling.
-    """
-    start = time.perf_counter()
-    entries = chunk.entries
-    stacked = np.zeros((len(entries), 1 << chunk.num_qubits), dtype=complex)
-    stacked[:, 0] = 1.0
-    # Double buffer: dense 1q gemms write into the spare instead of copying a
-    # temporary back over their input, halving the memory traffic of the
-    # dominant kernel.  apply_gate_batch returns whichever buffer now holds
-    # the amplitudes; values are identical to single-buffer execution.
-    spare = np.empty_like(stacked)
-    for step in chunk.steps:
-        if step[0] == "perm":
-            result = kernels.permute_basis_batch(stacked, step[1], scratch=spare)
-        else:
-            _, qubits, structures, matrices = step
-            result = kernels.apply_gate_batch(stacked, matrices, qubits, structures, scratch=spare)
-        if result is spare:
-            stacked, spare = spare, stacked
-    evolve_share = (time.perf_counter() - start) / len(entries)
-    results: list[ShardResult] = []
-    for row, entry in zip(stacked, entries, strict=True):
-        row_start = time.perf_counter()
-        sampler = PreparedIndexSampler(np.abs(row) ** 2, chunk.sources)
-        counts = merge_counts(
-            sampler.sample(size, np.random.default_rng(shard_seed(entry.seed, entry.index, shard)))
-            for shard, size in enumerate(entry.shard_shots)
-        )
-        results.append(
-            ShardResult(
-                point_index=entry.index,
-                shard_index=0,
-                shots=sum(entry.shard_shots),
-                counts=counts,
-                wall_time_s=evolve_share + time.perf_counter() - row_start,
+        All rows start at |0...0>, every gate position applies the per-row
+        matrices through one batched kernel call, and each row then samples
+        its shards from its final distribution with the shard's own seed
+        stream — the identical draw stream and inverse transform the serial
+        ``_run_sampled`` path consumes, with the cumulative distribution
+        prepared once per row instead of once per shard.  A row is one
+        result: it merges its shards.
+        """
+        entries = self.entries
+        stacked = np.zeros((len(entries), 1 << self.num_qubits), dtype=complex)
+        stacked[:, 0] = 1.0
+        # Double buffer: dense 1q gemms write into the spare instead of copying
+        # a temporary back over their input, halving the memory traffic of the
+        # dominant kernel.  apply_gate_batch returns whichever buffer now holds
+        # the amplitudes; values are identical to single-buffer execution.
+        spare = np.empty_like(stacked)
+        for step in self.steps:
+            if step[0] == "perm":
+                result = kernels.permute_basis_batch(stacked, step[1], scratch=spare)
+            else:
+                _, qubits, structures, matrices = step
+                result = kernels.apply_gate_batch(
+                    stacked, matrices, qubits, structures, scratch=spare
+                )
+            if result is spare:
+                stacked, spare = spare, stacked
+        results = []
+        for row, entry in zip(stacked, entries, strict=True):
+            sampler = PreparedIndexSampler(np.abs(row) ** 2, self.sources)
+            counts = merge_counts(
+                sampler.sample(
+                    size, np.random.default_rng(shard_seed(entry.seed, entry.index, shard))
+                )
+                for shard, size in enumerate(entry.shard_shots)
             )
-        )
-    return results
+            results.append(
+                ShardResult(entry.index, shard_index=0, shots=sum(entry.shard_shots), counts=counts)
+            )
+        return results
+
+
+def run_batch_chunk(units: list) -> list[ShardResult]:
+    """Execute one dispatch bundle of work units; the unit of pool dispatch.
+
+    A bundle is a plain list — one :class:`StackChunk`, or the per-point
+    units of the fleet's unstackable circuits — and each unit runs through
+    :func:`~repro.runtime.worker.run_shard`, the one dispatcher.
+    """
+    return [result for unit in units for result in run_shard(unit)]
 
 
 _IDENTITY_2 = np.eye(2, dtype=complex)
@@ -518,10 +508,12 @@ class BatchRunner(ExperimentRunner):
         return [self.plan_point(point, stack=True) for point in self.spec.points()]
 
     # ------------------------------------------------------------------ #
-    def _chunks(
-        self, planned: list[PlannedPoint]
-    ) -> tuple[list[StackChunk | FallbackChunk], int, int]:
-        """Deterministic chunk layout: pure function of the planned batch."""
+    def _chunks(self, planned: list[PlannedPoint]) -> tuple[list[list], int, int]:
+        """Deterministic dispatch bundles: pure function of the planned batch.
+
+        A stack chunk is a one-unit bundle; the unstackable circuits' units
+        are bundled ``max_chunk_circuits`` circuits at a time.
+        """
         spec = self.spec
         groups: dict[tuple, list[PlannedPoint]] = {}
         fallback: list[PlannedPoint] = []
@@ -536,7 +528,7 @@ class BatchRunner(ExperimentRunner):
             key = (circuit.num_qubits, id(circuit.plan))
             groups.setdefault(key, []).append(circuit)
 
-        chunks: list[StackChunk | FallbackChunk] = []
+        chunks: list[list] = []
         # Insertion order = first-seen circuit order: deterministic layout.
         for key, members in groups.items():
             num_qubits = key[0]
@@ -547,32 +539,26 @@ class BatchRunner(ExperimentRunner):
             for start in range(0, len(members), per_chunk):
                 window = members[start : start + per_chunk]
                 steps = _stack_positions(plan, [member.circuit for member in window])
-                chunks.append(
-                    StackChunk(
-                        num_qubits=num_qubits,
-                        steps=steps,
-                        sources=sources,
-                        entries=[
-                            StackEntry(
-                                index=member.point.index,
-                                seed=member.point.spec.seed,
-                                shard_shots=member.shard_shots,
-                            )
-                            for member in window
-                        ],
+                entries = [
+                    StackEntry(
+                        index=member.point.index,
+                        seed=member.point.spec.seed,
+                        shard_shots=member.shard_shots,
                     )
-                )
+                    for member in window
+                ]
+                chunks.append([StackChunk(num_qubits, steps, sources, entries)])
         stack_chunk_count = len(chunks)
-        pending: list[ShardTask] = []
+        pending: list = []
         pending_circuits = 0
         for circuit in fallback:
             pending.extend(circuit.tasks)
             pending_circuits += 1
             if pending_circuits >= spec.max_chunk_circuits:
-                chunks.append(FallbackChunk(tasks=pending))
+                chunks.append(pending)
                 pending, pending_circuits = [], 0
         if pending:
-            chunks.append(FallbackChunk(tasks=pending))
+            chunks.append(pending)
         return chunks, stack_chunk_count, len(groups)
 
     # ------------------------------------------------------------------ #

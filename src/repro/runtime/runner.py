@@ -255,7 +255,6 @@ class ExperimentRunner:
             units = [(0, sizes)]
         else:
             units = [(shard_index, (size,)) for shard_index, size in enumerate(sizes)]
-        simulation = spec.simulation
         planned.tasks = [
             ShardTask(
                 program_key=program_key,
@@ -266,10 +265,7 @@ class ExperimentRunner:
                 point_index=point.index,
                 shard_index=shard_index,
                 qubit_model=None if qubit_model.is_perfect else qubit_model,
-                backend=backend,
-                max_bond=simulation.max_bond,
-                truncation_threshold=simulation.truncation_threshold,
-                channel_fusion=simulation.channel_fusion,
+                simulation=spec.simulation,
                 shard_shots=unit_shots,
             )
             for shard_index, unit_shots in units
@@ -289,20 +285,14 @@ class ExperimentRunner:
 
         spec = point.spec
         start = time.perf_counter()
-        qec = spec.qec
-        code = PlanarSurfaceCode(qec.distance)  # validates the distance
+        code = PlanarSurfaceCode(spec.qec.distance)  # validates the distance
         tasks = [
             QecShardTask(
-                distance=qec.distance,
+                qec=spec.qec,
                 trials=size,
                 root_seed=spec.seed,
                 point_index=point.index,
                 shard_index=shard_index,
-                rounds=qec.rounds,
-                physical_error_rate=qec.physical_error_rate,
-                measurement_error_rate=qec.measurement_error_rate,
-                noise_model=qec.noise_model,
-                decoder=qec.decoder,
             )
             for shard_index, size in enumerate(
                 shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards)
@@ -328,17 +318,9 @@ class ExperimentRunner:
         spec = point.spec
         start = time.perf_counter()
         circuit = spec.circuit.build()
-        config = spec.compile
         task = CompileShardTask(
             circuit=circuit,
-            placement=config.placement,
-            router=config.router,
-            topology=config.topology,
-            rows=config.rows,
-            cols=config.cols,
-            schedule_policy=config.schedule_policy,
-            lookahead_window=config.lookahead_window,
-            decay=config.decay,
+            config=spec.compile,
             point_index=point.index,
             cache_dir=str(self.cache.directory) if self.cache is not None else None,
         )
@@ -391,7 +373,7 @@ class ExperimentRunner:
         start = time.perf_counter()
         planned = self.plan()
         tasks = [task for planned_point in planned for task in planned_point.tasks]
-        units = self._execute(run_shard, tasks)
+        units = [unit for results in self._execute(run_shard, tasks) for unit in results]
         result = ExperimentResult(
             name=self.spec.name,
             workers=self.workers,

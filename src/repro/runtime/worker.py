@@ -1,30 +1,52 @@
-"""Shard execution — the function that runs inside pool workers.
+"""Work units — the picklable records pool workers execute.
 
-A :class:`ShardTask` is a small picklable record: the compiled circuit
-(pickled once per point by the planner), its content key, the qubit model,
-the shot count and the ``(root seed, point, shard)`` coordinates that
-determine the shard's random stream.  Workers memoise the lowered
-:class:`~repro.qx.compiled.KernelProgram` per process under the content
-key, so a worker unpickles and lowers a circuit at most once regardless of
-how many shards of it it executes.
+Every unit runs itself: its ``run()`` returns its :class:`ShardResult`
+list, so :func:`run_shard` is the one dispatcher for every driver and unit
+kind.  Units carry their spec section (``SimulationSpec``, ``QecSpec`` or
+``CompileSpec``), not copies of its fields.  A circuit unit's lowered
+program comes from the content cache of :mod:`repro.qx.compiled`, so a
+worker lowers each distinct circuit at most once.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.circuit import Circuit
 from repro.core.qubits import QubitModel
-from repro.qx.compiled import KernelProgram, circuit_content_key, lower
+from repro.qx.compiled import (
+    KernelProgram,
+    cached_program,
+    circuit_content_key,
+    content_cache_stats,
+    lower,
+)
 from repro.qx.simulator import QXSimulator
 from repro.runtime.aggregate import merge_counts
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.seeding import shard_seed
+from repro.runtime.spec import CompileSpec, QecSpec, SimulationSpec
+
+
+@dataclass
+class ShardResult:
+    """Histogram and error statistics of one executed shard."""
+
+    point_index: int
+    shard_index: int
+    shots: int
+    counts: dict[str, int] = field(default_factory=dict)
+    errors_injected: int = 0
+    #: Unit metrics: a circuit unit's program-cache counters (plus its
+    #: backend and MPS truncation error off the dense engine), a compile
+    #: unit's mapping metrics; empty for QEC units and stack rows.
+    metrics: dict = field(default_factory=dict)
+    #: Time spent executing the unit, in seconds.
+    wall_time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -37,13 +59,11 @@ class ShardTask:
     all its shards into one unit, which evolves once and samples each shard
     from its own seed stream; any other point plans one unit per shard.
 
-    ``backend`` pins the simulation engine (``None`` = policy
-    auto-dispatch); ``max_bond`` and ``truncation_threshold`` are the MPS
-    accuracy knobs; ``channel_fusion`` is the density engine's
-    superoperator-fusion cost knob.  All of them come verbatim from the
-    spec's :class:`~repro.runtime.spec.SimulationSpec` (possibly swept), so
-    every shard of a point runs on the same engine configuration and the
-    merged histogram stays bit-identical for any worker count.
+    ``simulation`` is the point's (possibly swept)
+    :class:`~repro.runtime.spec.SimulationSpec`: the pinned engine and its
+    accuracy and cost knobs.  Every shard of a point runs on the same engine
+    configuration, so the merged histogram stays bit-identical for any
+    worker count.
 
     ``circuit`` is ``pickle.dumps`` of the compiled circuit, made once by
     the planner and shared by every unit of the point; ``program_key`` is
@@ -58,10 +78,7 @@ class ShardTask:
     point_index: int
     shard_index: int
     qubit_model: QubitModel | None = None
-    backend: str | None = None
-    max_bond: int | None = None
-    truncation_threshold: float | None = None
-    channel_fusion: bool = True
+    simulation: SimulationSpec = field(default_factory=SimulationSpec)
     shard_shots: tuple[int, ...] = ()
 
     @property
@@ -74,20 +91,47 @@ class ShardTask:
         """Scheduler cost: the unit's total shots."""
         return self.shots
 
+    def run(self) -> list[ShardResult]:
+        """Run the unit's shards: one evolution when the engine allows it.
 
-@dataclass
-class ShardResult:
-    """Histogram and error statistics of one executed shard."""
-
-    point_index: int
-    shard_index: int
-    shots: int
-    counts: dict[str, int] = field(default_factory=dict)
-    errors_injected: int = 0
-    #: Mapping metrics of a compile shard (empty for circuit/qec shards).
-    metrics: dict = field(default_factory=dict)
-    #: Time spent executing the unit, in seconds.
-    wall_time_s: float = 0.0
+        A unit covering several shards samples each from its own ``(root
+        seed, point, shard)`` stream and reports their merged counts under
+        its first shard index.
+        """
+        # The SimulationSpec fields are the simulator's engine knobs.
+        simulator = QXSimulator(
+            num_qubits=self.num_qubits,
+            qubit_model=None if _noise_free(self.qubit_model) else self.qubit_model,
+            seed=shard_seed(self.root_seed, self.point_index, self.shard_index),
+            **vars(self.simulation),
+        )
+        before = content_cache_stats()
+        program = load_program(self)
+        after = content_cache_stats()
+        metrics = {
+            "program_cache_hits": after["hits"] - before["hits"],
+            "program_cache_misses": after["misses"] - before["misses"],
+        }
+        shards = [
+            (size, np.random.default_rng(shard_seed(self.root_seed, self.point_index, index)))
+            for index, size in self.shards
+        ]
+        results = simulator.run_program_shards(program, shards)
+        backend = results[0].backend
+        if backend != "statevector":
+            metrics["backend"] = backend
+        if backend == "mps":
+            metrics["truncation_error"] = max(result.truncation_error for result in results)
+        return [
+            ShardResult(
+                point_index=self.point_index,
+                shard_index=self.shard_index,
+                shots=self.shots,
+                counts=merge_counts(result.counts for result in results),
+                errors_injected=sum(result.errors_injected for result in results),
+                metrics=metrics,
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -100,21 +144,50 @@ class QecShardTask:
     error-rate sweeps merge bit-identically for any worker count.
     """
 
-    distance: int
+    qec: QecSpec
     trials: int
     root_seed: int
     point_index: int
     shard_index: int
-    rounds: int | None = None
-    physical_error_rate: float = 1e-3
-    measurement_error_rate: float | None = None
-    noise_model: str = "phenomenological"
-    decoder: str | None = None
 
     @property
     def cost(self) -> int:
         """Scheduler cost: the shard's trials."""
         return self.trials
+
+    def run(self) -> list[ShardResult]:
+        """Run the trials; key ``"1"`` counts logical failures, ``"0"`` successes.
+
+        ``errors_injected`` carries the space-time defect total, so merged
+        points report the decoder load alongside the failure rate.
+        """
+        from repro.qec.surface_code import PlanarSurfaceCode
+
+        qec = self.qec
+        code = PlanarSurfaceCode(qec.distance)
+        if qec.noise_model == "circuit":
+            experiment = code.run_circuit_memory_experiment
+        else:
+            experiment = code.run_memory_experiment
+        result = experiment(
+            qec.physical_error_rate,
+            rounds=qec.rounds,
+            trials=self.trials,
+            measurement_error_rate=qec.measurement_error_rate,
+            seed=shard_seed(self.root_seed, self.point_index, self.shard_index),
+            decoder=qec.effective_decoder,
+        )
+        failures = result.logical_failures
+        counts = {"0": result.trials - failures, "1": failures}
+        return [
+            ShardResult(
+                point_index=self.point_index,
+                shard_index=self.shard_index,
+                shots=self.trials,
+                counts={key: count for key, count in counts.items() if count},
+                errors_injected=result.total_defects,
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -122,42 +195,45 @@ class CompileShardTask:
     """One compile-and-map pipeline run of one sweep point.
 
     The ``kind="compile"`` analogue of :class:`ShardTask`: the payload is
-    the *source* circuit plus the resolved
-    :class:`~repro.runtime.spec.CompileSpec` fields.  Compilation is
+    the *source* circuit plus the point's
+    :class:`~repro.runtime.spec.CompileSpec`.  Compilation is
     deterministic, so a point is a single shard and merged results are
     bit-identical for any worker count by construction.
     """
 
     circuit: Circuit
-    placement: str
-    router: str
-    topology: str
-    rows: int | None
-    cols: int | None
-    schedule_policy: str
-    lookahead_window: int
-    decay: float
+    config: CompileSpec
     point_index: int
-    shard_index: int = 0
     cache_dir: str | None = None
 
+    #: A compile point is one shard.
+    shard_index = 0
     #: Scheduler cost: one compile pipeline run.
     cost = 1
+
+    def run(self) -> list[ShardResult]:
+        """Compile and map the circuit, through the mapping artifact cache."""
+        cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
+        key = mapping_cache_key(self)
+        artifact = cache.get(key) if cache is not None else None
+        if not (isinstance(artifact, dict) and "metrics" in artifact):
+            artifact = compile_and_map(self)
+            if cache is not None:
+                cache.put(key, artifact)
+        return [
+            ShardResult(
+                point_index=self.point_index,
+                shard_index=self.shard_index,
+                shots=1,
+                metrics=dict(artifact["metrics"]),
+            )
+        ]
 
 
 def mapping_cache_key(task: CompileShardTask) -> str:
     """Cache key of a compile-and-map artifact: source circuit + pipeline config."""
     return ArtifactCache.key_for(
-        "mapping",
-        source=circuit_content_key(task.circuit),
-        placement=task.placement,
-        router=task.router,
-        topology=task.topology,
-        rows=task.rows,
-        cols=task.cols,
-        schedule_policy=task.schedule_policy,
-        lookahead_window=task.lookahead_window,
-        decay=task.decay,
+        "mapping", source=circuit_content_key(task.circuit), **vars(task.config)
     )
 
 
@@ -165,84 +241,11 @@ def _noise_free(qubit_model: QubitModel | None) -> bool:
     return qubit_model is None or qubit_model.is_perfect
 
 
-#: Per-process memo of lowered programs, keyed by ``(program key, fuse)``.
-#: LRU with a hard size cap: long-lived batch workers stream thousands of
-#: distinct circuits through one process, so an unbounded memo would grow
-#: without limit.  Hit/miss counters are surfaced per shard (and summed per
-#: point by the runner) for cache observability.
-PROGRAM_MEMO_CAP = 128
-_PROGRAMS: OrderedDict[tuple[str, bool], KernelProgram] = OrderedDict()
-_program_memo_stats = {"hits": 0, "misses": 0}
-
-
-def program_memo_stats() -> dict[str, int]:
-    """Cumulative hit/miss counters of this process's program memo."""
-    return dict(_program_memo_stats)
-
-
-def load_program(task: ShardTask) -> KernelProgram:  # contract: ignore[REPRO006]
-    """Lowered program for a task: process memo, else unpickle + lower().
-
-    The REPRO006 ignore is deliberate: the program memo is a *per-process*
-    LRU keyed by content hash, so its state never changes a result — only
-    whether the lowering work is repeated.  Its hit/miss counters are
-    surfaced per shard precisely so that divergence would be visible.
-    """
+def load_program(task: ShardTask) -> KernelProgram:
+    """Lowered program for a task: the qx content cache's, built on a miss only."""
     fuse = _noise_free(task.qubit_model)
-    key = (task.program_key, fuse)
-    program = _PROGRAMS.get(key)
-    if program is not None:
-        _program_memo_stats["hits"] += 1
-        _PROGRAMS.move_to_end(key)
-        return program
-    _program_memo_stats["misses"] += 1
-    program = _PROGRAMS[key] = lower(pickle.loads(task.circuit), fuse=fuse)
-    while len(_PROGRAMS) > PROGRAM_MEMO_CAP:
-        _PROGRAMS.popitem(last=False)
-    return program
-
-
-def _run_qec_shard(task: QecShardTask) -> ShardResult:
-    """Execute one batch of memory-experiment trials inside a pool worker.
-
-    The histogram uses key ``"1"`` for logical failures and ``"0"`` for
-    successes; ``errors_injected`` carries the space-time defect total, so
-    merged points report the decoder load alongside the failure rate.
-    """
-    from repro.qec.surface_code import PlanarSurfaceCode
-
-    code = PlanarSurfaceCode(task.distance)
-    seed = shard_seed(task.root_seed, task.point_index, task.shard_index)
-    if task.noise_model == "circuit":
-        result = code.run_circuit_memory_experiment(
-            task.physical_error_rate,
-            rounds=task.rounds,
-            trials=task.trials,
-            measurement_error_rate=task.measurement_error_rate,
-            seed=seed,
-            decoder=task.decoder or "union_find",
-        )
-    else:
-        result = code.run_memory_experiment(
-            task.physical_error_rate,
-            rounds=task.rounds,
-            trials=task.trials,
-            measurement_error_rate=task.measurement_error_rate,
-            seed=seed,
-            decoder=task.decoder or "matching",
-        )
-    counts: dict[str, int] = {}
-    successes = result.trials - result.logical_failures
-    if successes:
-        counts["0"] = successes
-    if result.logical_failures:
-        counts["1"] = result.logical_failures
-    return ShardResult(
-        point_index=task.point_index,
-        shard_index=task.shard_index,
-        shots=task.trials,
-        counts=counts,
-        errors_injected=result.total_defects,
+    return cached_program(
+        task.program_key, fuse, lambda: lower(pickle.loads(task.circuit), fuse=fuse)
     )
 
 
@@ -263,19 +266,9 @@ def compile_and_map(task: CompileShardTask):
     from repro.openql.passes.scheduling_pass import SchedulingPass
     from repro.openql.platform import Platform
     from repro.openql.program import Program
-    from repro.runtime.spec import CompileSpec
 
-    circuit = task.circuit
-    topology = CompileSpec(
-        placement=task.placement,
-        router=task.router,
-        topology=task.topology,
-        rows=task.rows,
-        cols=task.cols,
-        schedule_policy=task.schedule_policy,
-        lookahead_window=task.lookahead_window,
-        decay=task.decay,
-    ).build_topology(circuit.num_qubits)
+    circuit, config = task.circuit, task.config
+    topology = config.build_topology(circuit.num_qubits)
     platform = Platform(
         name=f"compile_{topology.name}",
         num_qubits=topology.num_qubits,
@@ -283,17 +276,17 @@ def compile_and_map(task: CompileShardTask):
         topology=topology,
     )
     mapping_pass = MappingPass(
-        strategy=task.placement,
-        mode=task.router,
-        lookahead_window=task.lookahead_window,
-        decay=task.decay,
+        strategy=config.placement,
+        mode=config.router,
+        lookahead_window=config.lookahead_window,
+        decay=config.decay,
     )
     compiler = Compiler(
         passes=[
             DecompositionPass(),
             OptimizationPass(),
             mapping_pass,
-            SchedulingPass(policy=task.schedule_policy),
+            SchedulingPass(policy=config.schedule_policy),
         ]
     )
     program = Program(name="compile", platform=platform)
@@ -327,75 +320,17 @@ def compile_and_map(task: CompileShardTask):
     return {"compilation": result, "metrics": metrics}
 
 
-def _run_compile_shard(task: CompileShardTask) -> ShardResult:
-    """Execute one compile-and-map point inside a pool worker (cache-backed)."""
-    cache = ArtifactCache(task.cache_dir) if task.cache_dir else None
-    key = mapping_cache_key(task)
-    artifact = cache.get(key) if cache is not None else None
-    if not (isinstance(artifact, dict) and "metrics" in artifact):
-        artifact = compile_and_map(task)
-        if cache is not None:
-            cache.put(key, artifact)
-    return ShardResult(
-        point_index=task.point_index,
-        shard_index=task.shard_index,
-        shots=1,
-        counts={},
-        metrics=dict(artifact["metrics"]),
-    )
+def run_shard(unit) -> list[ShardResult]:
+    """Execute one work unit: its ``run()`` results, timed.
 
-
-def run_shard(task: ShardTask | QecShardTask | CompileShardTask) -> ShardResult:
-    """Execute one work unit and return its merged-ready histogram.
-
-    A circuit unit covering several shards samples each from its own
-    ``(root seed, point, shard)`` stream and returns their merged counts,
-    reported under the unit's first shard index.  The result carries the
-    unit's own execution time.
+    The one dispatcher for every unit kind and every driver.  Each result
+    reports an even share of the unit's execution time, so a point's
+    summed ``wall_time_s`` is its own execution time whatever else shared
+    the pool.
     """
     start = time.perf_counter()
-    if isinstance(task, QecShardTask):
-        result = _run_qec_shard(task)
-    elif isinstance(task, CompileShardTask):
-        result = _run_compile_shard(task)
-    else:
-        result = _run_circuit_unit(task)
-    result.wall_time_s = time.perf_counter() - start
-    return result
-
-
-def _run_circuit_unit(task: ShardTask) -> ShardResult:
-    """Run a circuit unit's shards: one evolution when the engine allows it."""
-    simulator = QXSimulator(
-        num_qubits=task.num_qubits,
-        qubit_model=None if _noise_free(task.qubit_model) else task.qubit_model,
-        seed=shard_seed(task.root_seed, task.point_index, task.shard_index),
-        backend=task.backend,
-        max_bond=task.max_bond,
-        truncation_threshold=task.truncation_threshold,
-        channel_fusion=task.channel_fusion,
-    )
-    before = dict(_program_memo_stats)
-    program = load_program(task)
-    metrics = {
-        "program_cache_hits": _program_memo_stats["hits"] - before["hits"],
-        "program_cache_misses": _program_memo_stats["misses"] - before["misses"],
-    }
-    shards = [
-        (size, np.random.default_rng(shard_seed(task.root_seed, task.point_index, index)))
-        for index, size in task.shards
-    ]
-    results = simulator.run_program_shards(program, shards)
-    backend = results[0].backend
-    if backend != "statevector":
-        metrics["backend"] = backend
-    if backend == "mps":
-        metrics["truncation_error"] = max(result.truncation_error for result in results)
-    return ShardResult(
-        point_index=task.point_index,
-        shard_index=task.shard_index,
-        shots=task.shots,
-        counts=merge_counts(result.counts for result in results),
-        errors_injected=sum(result.errors_injected for result in results),
-        metrics=metrics,
-    )
+    results = unit.run()
+    share = (time.perf_counter() - start) / len(results)
+    for result in results:
+        result.wall_time_s = share
+    return results

@@ -333,10 +333,10 @@ class JobService:
             self._spawn(self._run_unit(unit))
 
     async def _run_unit(self, unit) -> None:
-        """Execute one shard in the pool and fold it into its point."""
-        key, shard_task = unit.item
+        """Execute one work unit in the pool and fold its results into its point."""
+        key, task = unit.item
         try:
-            result = await self._loop.run_in_executor(self._pool, run_shard, shard_task)
+            results = await self._loop.run_in_executor(self._pool, run_shard, task)
         except Exception as exc:  # noqa: BLE001 - worker crashes fail the point
             execution = self._inflight.pop(key, None)
             if execution is not None:
@@ -345,10 +345,12 @@ class JobService:
                 )
         else:
             execution = self._inflight.get(key)
-            if execution is not None and result.shard_index in execution.pending:
-                execution.results[result.shard_index] = result
-                execution.pending.discard(result.shard_index)
-                if not execution.pending:
+            if execution is not None:
+                for result in results:
+                    if result.shard_index in execution.pending:
+                        execution.results[result.shard_index] = result
+                        execution.pending.discard(result.shard_index)
+                if execution.results and not execution.pending:
                     try:
                         await self._complete_execution(execution)
                     except Exception as exc:  # noqa: BLE001 - e.g. ENOSPC on commit

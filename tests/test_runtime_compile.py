@@ -185,18 +185,11 @@ def test_compile_shard_keeps_hybrid_operations(tmp_path):
     circuit.measure(2)
     task = CompileShardTask(
         circuit=circuit,
-        placement="trivial",
-        router="sabre",
-        topology="linear",
-        rows=None,
-        cols=None,
-        schedule_policy="asap",
-        lookahead_window=20,
-        decay=0.7,
+        config=CompileSpec(placement="trivial", router="sabre", topology="linear"),
         point_index=0,
         cache_dir=str(tmp_path / "cache"),
     )
-    shard = run_shard(task)
+    [shard] = run_shard(task)
     artifact = ArtifactCache(tmp_path / "cache").get(mapping_cache_key(task))
     routed = artifact["compilation"].kernels[0]
     assert any(op.name == "c-x" for op in routed.operations)
@@ -217,14 +210,7 @@ def test_compile_pipeline_preserves_wide_bit_register():
     circuit.measure(1)
     task = CompileShardTask(
         circuit=circuit,
-        placement="trivial",
-        router="path",
-        topology="linear",
-        rows=None,
-        cols=None,
-        schedule_policy="asap",
-        lookahead_window=20,
-        decay=0.7,
+        config=CompileSpec(placement="trivial", router="path", topology="linear"),
         point_index=0,
     )
     artifact = compile_and_map(task)

@@ -328,8 +328,8 @@ def test_shard_task_executes_standalone(tmp_path):
     assert len(planned) == 1
     task = planned[0].tasks[0]
     assert isinstance(task, ShardTask)
-    first = run_shard(task)
-    second = run_shard(task)
+    [first] = run_shard(task)
+    [second] = run_shard(task)
     assert first.counts == second.counts
     assert first.shots == task.shots
 
@@ -687,8 +687,8 @@ def test_qec_shard_task_executes_standalone():
     assert len(planned) == 1
     assert len(planned[0].tasks) == len(shard_sizes(60))
     task = planned[0].tasks[0]
-    first = run_shard(task)
-    second = run_shard(task)
+    [first] = run_shard(task)
+    [second] = run_shard(task)
     assert first.counts == second.counts
     assert first.errors_injected == second.errors_injected
     assert first.shots == task.trials

@@ -168,13 +168,11 @@ class TestFairScheduler:
 
     def test_every_task_type_declares_its_cost(self):
         from repro.core.circuit import Circuit
+        from repro.runtime import CompileSpec, QecSpec
         from repro.runtime.worker import CompileShardTask, QecShardTask
 
-        qec = QecShardTask(distance=3, trials=40, root_seed=0, point_index=0, shard_index=0)
-        compile_task = CompileShardTask(
-            circuit=Circuit(1), placement="trivial", router="basic", topology="line", rows=None,
-            cols=None, schedule_policy="asap", lookahead_window=1, decay=0.0, point_index=0,
-        )  # fmt: skip
+        qec = QecShardTask(qec=QecSpec(), trials=40, root_seed=0, point_index=0, shard_index=0)
+        compile_task = CompileShardTask(circuit=Circuit(1), config=CompileSpec(), point_index=0)
         assert qec.cost == 40
         assert compile_task.cost == 1
 
