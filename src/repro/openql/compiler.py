@@ -124,8 +124,6 @@ class Compiler:
             circuit.name = entry.kernel.name
             result.kernels.append(circuit)
             result.kernel_iterations.append(entry.iterations)
-        if not result.schedules:
-            result.schedules = []
         result.cqasm = program_to_cqasm(
             result.kernels, num_qubits=program.platform.num_qubits
         )
@@ -133,7 +131,7 @@ class Compiler:
         return result
 
     def compile_circuit(self, circuit: Circuit, platform: Platform) -> Circuit:
-        """Convenience: run the pass pipeline on a bare circuit."""
+        """Run the pass pipeline on a bare circuit; no schedule is built."""
         compiled = circuit
         for compiler_pass in self.passes:
             compiled = compiler_pass.run(compiled, platform)

@@ -1,54 +1,64 @@
-"""Scheduling pass: attach a timed schedule to the compiled circuit.
+"""Scheduling pass: time the compiled circuit with the platform's durations.
 
-The pass does not change the circuit (the operation order already respects
-dependencies); it computes the ASAP or ALAP schedule with the platform's
-gate durations and stores it for the micro-architecture / eQASM backend,
-reporting latency and parallelism statistics.
+``run`` only stamps the platform's gate and measurement durations onto the
+circuit, which is all execution needs; operation order already respects
+dependencies.  The timed ASAP or ALAP :class:`~repro.mapping.scheduling.Schedule`
+the micro-architecture / eQASM backend consumes is built from that circuit
+the first time it is read, through :attr:`SchedulingPass.last_schedule` or
+:meth:`SchedulingPass.statistics`, so a compile that only executes the
+circuit never pays for it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.circuit import Circuit
-from repro.core.operations import GateOperation
+from repro.core.operations import ConditionalGate, GateOperation, Measurement
 from repro.mapping.scheduling import Schedule, Scheduler
 from repro.openql.passes.base import Pass
 from repro.openql.platform import Platform
 
 
 class SchedulingPass(Pass):
-    """Compute the timed schedule of the circuit for the platform."""
+    """Time the circuit for the platform; schedule it when asked."""
 
     name = "scheduling"
 
     def __init__(self, policy: str = "asap", max_parallel_two_qubit: int | None = None):
         self.policy = policy
         self.max_parallel_two_qubit = max_parallel_two_qubit
-        self.last_schedule: Schedule | None = None
+        self._timed: Circuit | None = None
+        self._schedule: Schedule | None = None
 
     def run(self, circuit: Circuit, platform: Platform) -> Circuit:
-        timed = _apply_platform_durations(circuit, platform)
-        scheduler = Scheduler(
-            policy=self.policy, max_parallel_two_qubit=self.max_parallel_two_qubit
-        )
-        self.last_schedule = scheduler.schedule(timed)
-        return timed
+        self._timed = _apply_platform_durations(circuit, platform)
+        self._schedule = None
+        return self._timed
+
+    @property
+    def last_schedule(self) -> Schedule | None:
+        """The schedule of the last ``run``'s circuit, built on first read."""
+        if self._schedule is None and self._timed is not None:
+            scheduler = Scheduler(
+                policy=self.policy, max_parallel_two_qubit=self.max_parallel_two_qubit
+            )
+            self._schedule = scheduler.schedule(self._timed)
+        return self._schedule
 
     def statistics(self) -> dict:
-        if self.last_schedule is None:
+        schedule = self.last_schedule
+        if schedule is None:
             return {}
         return {
-            "makespan_ns": self.last_schedule.makespan,
-            "parallelism": round(self.last_schedule.parallelism(), 3),
+            "makespan_ns": schedule.makespan,
+            "parallelism": round(schedule.parallelism(), 3),
             "policy": self.policy,
         }
 
 
 def _apply_platform_durations(circuit: Circuit, platform: Platform) -> Circuit:
     """Return a copy whose operation durations reflect the platform configuration."""
-    from dataclasses import replace
-
-    from repro.core.operations import ConditionalGate, Measurement
-
     result = Circuit(circuit.num_qubits, circuit.name, num_bits=circuit.num_bits)
     for op in circuit.operations:
         if isinstance(op, ConditionalGate):

@@ -111,6 +111,18 @@ class PreparedIndexSampler:
         outcomes = self._cdf.searchsorted(rng.random(shots), side="right")
         return _histogram_outcomes(outcomes, shots, self._targets)
 
+    def sample_shards(self, shards) -> dict[str, int]:
+        """One histogram over several ``(shots, rng)`` shards, keys sorted.
+
+        Each shard draws exactly what :meth:`sample` would from its own rng;
+        the outcome indices are pooled and histogrammed once, so the result
+        equals merging the per-shard histograms key by key.
+        """
+        draws = [rng.random(shots) for shots, rng in shards]
+        outcomes = self._cdf.searchsorted(np.concatenate(draws), side="right")
+        counts = _histogram_outcomes(outcomes, len(outcomes), self._targets)
+        return {key: counts[key] for key in sorted(counts)}
+
 
 def counts_to_bits(
     counts: dict[str, int], bits: tuple[int, ...], shots: int, size: int | None = None

@@ -50,7 +50,7 @@ from repro.core.circuit import Circuit
 from repro.qx import compiled, kernels
 from repro.qx.compiled import LoweringPlan
 from repro.qx.keying import PreparedIndexSampler
-from repro.runtime.aggregate import PointResult, merge_counts
+from repro.runtime.aggregate import PointResult
 from repro.runtime.runner import ExperimentRunner, PlannedPoint, merge_points
 from repro.runtime.seeding import shard_seed
 from repro.runtime.spec import (
@@ -260,7 +260,7 @@ class StackChunk:
         stream — the identical draw stream and inverse transform the serial
         ``_run_sampled`` path consumes, with the cumulative distribution
         prepared once per row instead of once per shard.  A row is one
-        result: it merges its shards.
+        result: its shards' outcomes are histogrammed together once.
         """
         entries = self.entries
         stacked = np.zeros((len(entries), 1 << self.num_qubits), dtype=complex)
@@ -283,10 +283,8 @@ class StackChunk:
         results = []
         for row, entry in zip(stacked, entries, strict=True):
             sampler = PreparedIndexSampler(np.abs(row) ** 2, self.sources)
-            counts = merge_counts(
-                sampler.sample(
-                    size, np.random.default_rng(shard_seed(entry.seed, entry.index, shard))
-                )
+            counts = sampler.sample_shards(
+                (size, np.random.default_rng(shard_seed(entry.seed, entry.index, shard)))
                 for shard, size in enumerate(entry.shard_shots)
             )
             results.append(

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.qx.keying import PreparedIndexSampler, sample_index_counts
+from repro.runtime.aggregate import merge_counts
 from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
 from repro.runtime.runner import ExperimentRunner
+from repro.runtime.seeding import shard_seed, shard_sizes
 from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, SimulationSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -321,6 +323,49 @@ def test_prepared_sampler_replays_generator_choice_exactly():
         257, np.random.default_rng(1234)
     )
     assert prepared == reference
+
+
+def _cross_mapped_sources():
+    from repro.qx.compiled import lower
+
+    circuit = CircuitSpec(
+        builder="helpers:cross_measured_circuit", kwargs={"num_qubits": 6}, measure="asis"
+    ).build()
+    ordered_bits, sources = lower(circuit).sample_sources()
+    assert sources != ordered_bits, "the cross map must reorder bits against qubits"
+    return sources
+
+
+@pytest.mark.parametrize(
+    "targets,sizes",
+    [
+        # shard_sizes(1000, 96) is ten shards of 91 shots and one of 90.
+        pytest.param((5, 1, 0, 3), tuple(shard_sizes(1000, 96)), id="unequal-shards"),
+        pytest.param((5, 1, 0, 3), (257,), id="single-shard"),
+        pytest.param((4, 1), tuple(shard_sizes(1000, 128)), id="strict-subset"),
+        pytest.param((), (3, 4), id="no-targets"),
+        pytest.param("cross", tuple(shard_sizes(700, 128)), id="cross-mapped"),
+    ],
+)
+def test_sample_shards_equals_merged_per_shard_samples(targets, sizes):
+    if targets == "cross":
+        targets = _cross_mapped_sources()
+    probabilities = np.random.default_rng(7).random(64)
+    sampler = PreparedIndexSampler(probabilities, targets)
+
+    def streams():
+        return (
+            (size, np.random.default_rng(shard_seed(11, 3, shard)))
+            for shard, size in enumerate(sizes)
+        )
+
+    merged = merge_counts(sampler.sample(size, rng) for size, rng in streams())
+    pooled = sampler.sample_shards(streams())
+    assert list(pooled.items()) == list(merged.items())  # key order too
+    assert sum(pooled.values()) == sum(sizes)
+    if targets == (4, 1):
+        # Strict subset: several basis indices collapse onto each key.
+        assert len(pooled) == 4
 
 
 # ---------------------------------------------------------------------- #
