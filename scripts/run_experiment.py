@@ -222,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="MPS relative Schmidt-coefficient cutoff (default: 1e-12)",
     )
-    parser.add_argument(
-        "--no-channel-fusion",
-        action="store_true",
-        help="keep every density-engine channel a separate superoperator "
-        "(cost knob only; default fuses gate + trailing noise per position)",
-    )
     parser.add_argument("--error-rate", type=float, help="error rate for the realistic platform")
     parser.add_argument("--shots", type=int, default=1024)
     parser.add_argument("--seed", type=int, default=0)
@@ -311,7 +305,6 @@ def spec_from_args(args: argparse.Namespace):
                 ("--backend", args.backend),
                 ("--max-bond", args.max_bond),
                 ("--truncation-threshold", args.truncation_threshold),
-                ("--no-channel-fusion", args.no_channel_fusion or None),
             )
             if value is not None
         ]
@@ -399,7 +392,6 @@ def spec_from_args(args: argparse.Namespace):
             backend=args.backend,
             max_bond=args.max_bond,
             truncation_threshold=args.truncation_threshold,
-            channel_fusion=not args.no_channel_fusion,
         ),
         shots=args.shots,
         seed=args.seed,
@@ -439,7 +431,6 @@ def _batch_spec_from_args(args: argparse.Namespace):
             backend=args.backend,
             max_bond=args.max_bond,
             truncation_threshold=args.truncation_threshold,
-            channel_fusion=not args.no_channel_fusion,
         ),
     )
 

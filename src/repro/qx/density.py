@@ -351,7 +351,7 @@ class DensityMatrixSimulator:
         for op in program.ops:
             self.apply_ptm(op.ptm, op.qubits)
 
-    def run(self, circuit: Circuit, channel_fusion: bool = True) -> None:
+    def run(self, circuit: Circuit) -> None:
         """Evolve through a measurement-free circuit via the compiled path."""
         if circuit.num_qubits > self.num_qubits:
             raise ValueError("circuit does not fit")
@@ -363,7 +363,7 @@ class DensityMatrixSimulator:
             if self.depolarizing_rate > 0
             else None
         )
-        program = compile_circuit(circuit, noise, fuse=channel_fusion)
+        program = compile_circuit(circuit, noise)
         self.run_channels(program)
 
     # -- observables ----------------------------------------------------- #

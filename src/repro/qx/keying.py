@@ -52,10 +52,12 @@ def sample_index_counts(
 ) -> dict[str, int]:
     """Sample basis indices from a distribution and histogram ``targets``.
 
-    The shared sampling back-end of the dense and density engines: draws
-    ``shots`` basis indices from ``probabilities``, extracts the listed
-    qubits and keys the histogram with qubit ``targets[-1 - j]`` as
-    character ``j`` (the last listed target is the leftmost character).
+    The back-end of :meth:`~repro.qx.statevector.StateVector.sample_counts`
+    and the reference that :class:`PreparedIndexSampler` replays draw for
+    draw (the QX engines sample through that sampler): draws ``shots``
+    basis indices from ``probabilities``, extracts the listed qubits and
+    keys the histogram with qubit ``targets[-1 - j]`` as character ``j``
+    (the last listed target is the leftmost character).
     Aggregation happens over the *unique* sampled indices, so the cost is
     independent of the shot count beyond the initial draw.
     """

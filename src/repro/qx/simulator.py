@@ -42,12 +42,7 @@ from repro.qx.error_models import (
     error_model_for,
     noise_kind,
 )
-from repro.qx.keying import (
-    PreparedIndexSampler,
-    bits_histogram,
-    counts_to_bits,
-    sample_index_counts,
-)
+from repro.qx.keying import PreparedIndexSampler, bits_histogram, counts_to_bits
 from repro.qx.mps import MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
@@ -96,11 +91,9 @@ class QXSimulator:
     (``"statevector"``, ``"stabilizer"``, ``"density"`` or ``"mps"``);
     ``None`` lets the dispatch ``policy`` choose per circuit.  ``max_bond``
     and ``truncation_threshold`` are the MPS accuracy knobs (``None``
-    inherits the policy defaults: unbounded bond, i.e. exact).
-    ``channel_fusion`` controls whether density-engine runs fuse each gate
-    with its trailing noise channels into one superoperator per position
-    (on by default; off keeps every channel a separate application — the
-    benchmark baseline, never a different answer).
+    inherits the policy defaults: unbounded bond, i.e. exact).  Every
+    evolve-once run (dense or MPS sampled, density) evolves through one
+    preparation step, whether it serves one run or many seeded shards.
     """
 
     def __init__(
@@ -113,7 +106,6 @@ class QXSimulator:
         max_bond: int | None = None,
         truncation_threshold: float | None = None,
         policy: DispatchPolicy | None = None,
-        channel_fusion: bool = True,
     ):
         if error_model is not None and qubit_model is not None:
             raise ValueError("pass either error_model or qubit_model, not both")
@@ -127,7 +119,6 @@ class QXSimulator:
         self.max_bond = max_bond
         self.truncation_threshold = truncation_threshold
         self.policy = policy if policy is not None else DispatchPolicy()
-        self.channel_fusion = channel_fusion
 
     def _dispatch_policy(self) -> DispatchPolicy:
         """The policy with this simulator's MPS knobs folded in.
@@ -147,10 +138,6 @@ class QXSimulator:
         if self.truncation_threshold is not None:
             changes["mps_truncation_threshold"] = self.truncation_threshold
         return replace(self.policy, **changes)
-
-    # ------------------------------------------------------------------ #
-    def _noise_kind(self) -> str:
-        return noise_kind(self.error_model)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -198,23 +185,47 @@ class QXSimulator:
         """Execute an already-lowered :class:`~repro.qx.compiled.KernelProgram`.
 
         Every engine runs here: :meth:`run` lowers its circuit and calls
-        this, and the parallel experiment runtime (:mod:`repro.runtime`),
-        whose workers memoise lowered programs per process, calls it per
-        shard.  Noisy execution requires an *unfused* program, because gate
-        fusion removes error-injection points.
+        this, and so does the parallel experiment runtime
+        (:mod:`repro.runtime`) for every unit that needs per-shot runs.  An
+        evolve-once engine evolves through the same preparation step as
+        :meth:`run_program_shards` and draws once from this simulator's
+        generator.  Noisy execution requires an *unfused* program, because
+        gate fusion removes error-injection points.
         """
         register, requested, policy, profile = self._profile_program(
             program, shots, num_qubits, backend, initial_state, keep_final_state
         )
         name = requested if requested is not None else policy.choose(profile)
+        if policy.evolve_once_engine(profile, (shots,), name) is not None:
+            sample, final_state, truncation_error = self._prepare(
+                name, program, register, initial_state
+            )
+            counts, rows = sample(shots, self.rng)
+            result = SimulationResult(
+                num_qubits=register,
+                shots=shots,
+                counts=counts,
+                backend=name,
+                truncation_error=truncation_error,
+            )
+            if program.num_measurements:
+                result.classical_bits = (
+                    counts_to_bits(
+                        counts,
+                        program.sample_sources()[0],
+                        shots,
+                        size=max(program.num_bits, register),
+                    )
+                    if rows is None
+                    else rows.tolist()
+                )
+            if keep_final_state or not program.num_measurements:
+                result.final_state = final_state()
+            return result
         if name == "stabilizer":
             return self._run_stabilizer(program, register, shots)
         if name == "mps":
             return self._run_mps(program, register, shots, keep_final_state)
-        if name == "density":
-            return self._run_density(program, register, shots)
-        if profile.noise_free and not program.needs_trajectories:
-            return self._run_sampled(program, register, shots, keep_final_state, initial_state)
         return self._run_trajectories(program, register, shots, keep_final_state, initial_state)
 
     def run_program_shards(
@@ -256,12 +267,12 @@ class QXSimulator:
             finally:
                 self.rng = own_rng
             return results
-        sample, truncation_error = self._prepare(name, program, register)
+        sample, _, truncation_error = self._prepare(name, program, register)
         return [
             SimulationResult(
                 num_qubits=register,
                 shots=shots,
-                counts=sample(shots, rng),
+                counts=sample(shots, rng)[0],
                 backend=name,
                 truncation_error=truncation_error,
             )
@@ -279,7 +290,7 @@ class QXSimulator:
             raise ValueError("program does not fit the simulator register")
         requested = backend if backend is not None else self.backend
         policy = self._dispatch_policy()
-        noise = self._noise_kind()
+        noise = noise_kind(self.error_model)
         profile = profile_program(
             program,
             shots=shots,
@@ -297,60 +308,52 @@ class QXSimulator:
             )
         return register, requested, policy, profile
 
-    def _prepare(self, name, program, num_qubits):
+    def _prepare(self, name, program, num_qubits, initial_state=None):
         """Evolve ``program`` once on an evolve-once engine.
 
-        Returns ``(sample, truncation_error)``, where ``sample(shots, rng)``
-        draws one histogram from the final distribution under the shared
-        keying convention, consuming the draws the engine's single-run path
-        takes from its generator.
+        Returns ``(sample, final_state, truncation_error)``.  ``sample(shots,
+        rng)`` draws one histogram from the final distribution under the
+        shared keying convention and returns ``(counts, rows)``: the MPS
+        engine draws per-shot bit rows and returns that ``(shots, bits)``
+        array, the dense and density engines draw basis indices and return
+        ``rows=None``.  ``final_state()`` builds the evolved state vector on
+        demand (``None`` on the density engine).  ``initial_state`` seeds the
+        dense engine only.
         """
         if name == "mps":
-            state = self._evolve_mps(program, num_qubits)
+            state = self._mps_state(num_qubits)
+            for op in program.ops:
+                if op.kind == GATE:
+                    state.apply_gate(op.matrix, op.qubits)
             ordered_bits = tuple(sorted(program.bit_sources))
             num_bits = max(program.num_bits, num_qubits)
 
             def sample(shots, rng):
                 if not program.num_measurements:
-                    return {}
+                    return {}, None
                 state.rng = rng
-                return bits_histogram(_mps_bits(program, state, shots, num_bits), ordered_bits)
+                samples = state.sample_bits(shots)
+                rows = np.zeros((shots, num_bits), dtype=np.int64)
+                for bit, source in program.bit_sources.items():
+                    rows[:, bit] = samples[:, source]
+                return bits_histogram(rows, ordered_bits), rows
 
-            return sample, state.truncation_error
+            return sample, state.to_statevector, state.truncation_error
         if name == "density":
             probabilities = self._density_distribution(program, num_qubits)
+            amplitudes = None
         else:
             state = StateVector(num_qubits, rng=self.rng)
-            state.amplitudes = program.apply_unitaries(state.amplitudes)
-            probabilities = state.probabilities() if program.num_measurements else None
+            if initial_state is not None:
+                state.set_state(initial_state)
+            amplitudes = program.apply_unitaries(state.amplitudes)
+            probabilities = np.abs(amplitudes) ** 2 if program.num_measurements else None
         if probabilities is None:
-            return (lambda shots, rng: {}), 0.0
-        return PreparedIndexSampler(probabilities, program.sample_sources()[1]).sample, 0.0
+            return (lambda shots, rng: ({}, None)), lambda: amplitudes, 0.0
+        sampler = PreparedIndexSampler(probabilities, program.sample_sources()[1])
+        return (lambda shots, rng: (sampler.sample(shots, rng), None)), lambda: amplitudes, 0.0
 
     # ------------------------------------------------------------------ #
-    def _run_sampled(self, program, num_qubits, shots, keep_final_state, initial_state):
-        state = StateVector(num_qubits, rng=self.rng)
-        if initial_state is not None:
-            state.set_state(initial_state)
-        state.amplitudes = program.apply_unitaries(state.amplitudes)
-        result = SimulationResult(num_qubits=num_qubits, shots=shots)
-        if program.num_measurements:
-            # Key the histogram by *classical bit*, exactly as the trajectory
-            # path does: character j of a key is the source qubit's value for
-            # bit sorted(bits)[-1-j] (lowest bit rightmost).  With the default
-            # bit == qubit mapping this is plain ascending qubit order.
-            ordered_bits, sources = program.sample_sources()
-            result.counts = state.sample_counts(shots, qubits=sources)
-            result.classical_bits = counts_to_bits(
-                result.counts,
-                tuple(ordered_bits),
-                shots,
-                size=max(program.num_bits, num_qubits),
-            )
-        if keep_final_state or not program.num_measurements:
-            result.final_state = state.amplitudes.copy()
-        return result
-
     def _run_trajectories(self, program, num_qubits, shots, keep_final_state, initial_state):
         """Per-shot trajectories, evolved as stacked row blocks.
 
@@ -398,38 +401,15 @@ class QXSimulator:
             rng=self.rng,
         )
 
-    def _evolve_mps(self, program, num_qubits) -> MPSState:
-        """One noise-free MPS evolution of every unconditional gate."""
-        state = self._mps_state(num_qubits)
-        for op in program.ops:
-            if op.kind == GATE:
-                state.apply_gate(op.matrix, op.qubits)
-        return state
-
     def _run_mps(self, program, num_qubits, shots, keep_final_state):
-        """Execute a lowered program on the matrix-product-state engine.
+        """Per-shot trajectories on the matrix-product-state engine.
 
-        The sampled path (noise-free, terminal measurements) runs one MPS
-        evolution and draws every shot by right-to-left conditional
-        sampling; feedback or noise falls back to per-shot trajectories with
-        the same error-model hooks as the dense engine (MPS states expose
-        ``apply_pauli`` and ``measure``).
+        Feedback or noise runs each shot with the same error-model hooks as
+        the dense engine (MPS states expose ``apply_pauli`` and
+        ``measure``); the sampled MPS path evolves once in :meth:`_prepare`.
         """
-        noise_free = isinstance(self.error_model, NoError)
         result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="mps")
-        num_bits = max(program.num_bits, num_qubits)
-        if noise_free and not program.needs_trajectories:
-            state = self._evolve_mps(program, num_qubits)
-            if program.num_measurements:
-                all_bits = _mps_bits(program, state, shots, num_bits)
-                result.counts = bits_histogram(all_bits, tuple(sorted(program.bit_sources)))
-                result.classical_bits = all_bits.tolist()
-            result.truncation_error = state.truncation_error
-            if keep_final_state or not program.num_measurements:
-                result.final_state = state.to_statevector()
-            return result
-
-        all_bits = np.zeros((shots, num_bits), dtype=np.int64)
+        all_bits = np.zeros((shots, max(program.num_bits, num_qubits)), dtype=np.int64)
         error_model = self.error_model
         rng = self.rng
         errors = 0
@@ -463,15 +443,18 @@ class QXSimulator:
         return result
 
     def _density_distribution(self, program, num_qubits) -> np.ndarray | None:
-        """Evolve the compiled channel program; the reported outcome distribution.
+        """Exact ensemble evolution on the density-matrix engine.
 
-        Flat over basis indices, with the read-out confusion already
-        applied; ``None`` for a program that never measures.
+        The program compiles into one channel program — each gate's PTM
+        fused with its trailing noise channels — and evolves the Pauli
+        coefficient vector once, flat in shots.  No stochastic injection,
+        so ``errors_injected`` stays 0; read-out error becomes the compiled
+        classical confusion matrix applied to the exact outcome
+        distribution.  Returns that distribution, flat over basis indices;
+        ``None`` for a program that never measures.
         """
         error_model = None if isinstance(self.error_model, NoError) else self.error_model
-        channels = compile_channels(
-            program, error_model, num_qubits=num_qubits, fuse=self.channel_fusion
-        )
+        channels = compile_channels(program, error_model, num_qubits=num_qubits)
         engine = DensityMatrixSimulator(num_qubits)
         engine.run_channels(channels)
         if not program.num_measurements:
@@ -480,30 +463,6 @@ class QXSimulator:
         if channels.confusion is not None:
             probabilities = _confuse(probabilities, channels.confusion, program.sample_sources()[1])
         return probabilities
-
-    def _run_density(self, program, num_qubits, shots):
-        """Exact ensemble execution on the density-matrix engine.
-
-        The program compiles into one channel program — each gate's PTM
-        fused with its trailing noise channels (``channel_fusion=False``
-        keeps every channel a separate op) — and evolves the Pauli
-        coefficient vector once, flat in shots.  No stochastic injection,
-        so ``errors_injected`` stays 0; read-out error becomes the compiled
-        classical confusion matrix applied to the exact outcome
-        distribution before sampling under the shared keying convention.
-        """
-        probabilities = self._density_distribution(program, num_qubits)
-        result = SimulationResult(num_qubits=num_qubits, shots=shots, backend="density")
-        if probabilities is not None:
-            ordered_bits, sources = program.sample_sources()
-            result.counts = sample_index_counts(probabilities, shots, sources, self.rng)
-            result.classical_bits = counts_to_bits(
-                result.counts,
-                tuple(ordered_bits),
-                shots,
-                size=max(program.num_bits, num_qubits),
-            )
-        return result
 
     # ------------------------------------------------------------------ #
     def statevector(self, circuit: Circuit) -> np.ndarray:
@@ -527,15 +486,6 @@ class QXSimulator:
         blocks = schedule.blocks(shots, self.rng)
         total = sum(float(np.sum(np.abs(stack @ ideal.conj()) ** 2)) for stack, _, _ in blocks)
         return total / shots
-
-
-def _mps_bits(program, state: MPSState, shots: int, num_bits: int) -> np.ndarray:
-    """Sample ``shots`` terminal measurements of an evolved MPS into a bit array."""
-    samples = state.sample_bits(shots)
-    all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-    for bit, source in program.bit_sources.items():
-        all_bits[:, bit] = samples[:, source]
-    return all_bits
 
 
 def _confuse(

@@ -78,7 +78,6 @@ class BatchCircuit:
     backend: str | None = None
     max_bond: int | None = None
     truncation_threshold: float | None = None
-    channel_fusion: bool | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
@@ -172,7 +171,7 @@ class BatchSpec:
         points = []
         for index, entry in enumerate(self.circuits):
             simulation = copy.deepcopy(self.simulation)
-            for name in ("backend", "max_bond", "truncation_threshold", "channel_fusion"):
+            for name in ("backend", "max_bond", "truncation_threshold"):
                 value = getattr(entry, name)
                 if value is not None:
                     setattr(simulation, name, value)
@@ -257,10 +256,10 @@ class StackChunk:
         All rows start at |0...0>, every gate position applies the per-row
         matrices through one batched kernel call, and each row then samples
         its shards from its final distribution with the shard's own seed
-        stream — the identical draw stream and inverse transform the serial
-        ``_run_sampled`` path consumes, with the cumulative distribution
-        prepared once per row instead of once per shard.  A row is one
-        result: its shards' outcomes are histogrammed together once.
+        stream — the identical draw stream and inverse transform a dense
+        ``QXSimulator.run_program`` call consumes, with the cumulative
+        distribution prepared once per row instead of once per shard.  A row
+        is one result: its shards' outcomes are histogrammed together once.
         """
         entries = self.entries
         stacked = np.zeros((len(entries), 1 << self.num_qubits), dtype=complex)

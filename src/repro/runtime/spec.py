@@ -142,18 +142,14 @@ class SimulationSpec:
     fails fast (:class:`~repro.qx.backends.UnsupportedBackendError`) when
     the circuit is outside its capability matrix.  ``max_bond`` and
     ``truncation_threshold`` are the MPS Schmidt-truncation knobs (``None``
-    = engine defaults: unbounded bond, i.e. exact).  ``channel_fusion``
-    controls whether density-engine points fuse each gate with its trailing
-    noise channels into one superoperator (a cost knob, never an accuracy
-    knob; on by default).  All fields are sweepable as
-    ``"simulation.<field>"``; the backend axis also has the short form
-    ``"backend"`` (e.g. ``backend=statevector,mps``).
+    = engine defaults: unbounded bond, i.e. exact).  All fields are
+    sweepable as ``"simulation.<field>"``; the backend axis also has the
+    short form ``"backend"`` (e.g. ``backend=statevector,mps``).
     """
 
     backend: str | None = None
     max_bond: int | None = None
     truncation_threshold: float | None = None
-    channel_fusion: bool = True
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -163,14 +159,6 @@ class SimulationSpec:
                 raise ValueError(
                     f"unknown backend {self.backend!r}: expected one of {sorted(BACKENDS)}"
                 )
-        if isinstance(self.channel_fusion, str):
-            # Sweep axes arrive as strings from the CLI.
-            lowered = self.channel_fusion.lower()
-            if lowered not in ("true", "false", "on", "off", "1", "0"):
-                raise ValueError(
-                    f"channel_fusion must be a boolean, got {self.channel_fusion!r}"
-                )
-            self.channel_fusion = lowered in ("true", "on", "1")
         if self.max_bond is not None and self.max_bond < 1:
             raise ValueError("max_bond must be >= 1 (or None for unbounded)")
         if self.truncation_threshold is not None and self.truncation_threshold < 0.0:

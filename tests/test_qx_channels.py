@@ -387,16 +387,6 @@ class TestEngineParity:
         assert dense.vector.dtype == np.float32
         assert dense.probabilities().sum() == pytest.approx(1.0, abs=1e-5)
 
-    def test_channel_fusion_toggle_is_bit_identical(self):
-        circuit = _noisy_circuit()
-        fused = QXSimulator(
-            error_model=MODELS["composite"], seed=21, channel_fusion=True
-        ).run(circuit, shots=300, backend="density")
-        unfused = QXSimulator(
-            error_model=MODELS["composite"], seed=21, channel_fusion=False
-        ).run(circuit, shots=300, backend="density")
-        assert fused.counts == unfused.counts
-
 
 class TestDispatchArbitration:
     """prefer_exact_channels routes compiled-noise circuits to density."""

@@ -312,15 +312,52 @@ def test_batchspec_validation():
 # ---------------------------------------------------------------------- #
 # The amortised sampler
 # ---------------------------------------------------------------------- #
-def test_prepared_sampler_replays_generator_choice_exactly():
-    rng = np.random.default_rng(42)
-    probabilities = rng.random(64)
-    targets = (5, 1, 0, 3)
+def _ghz_distribution():
+    # Exact zeros everywhere but the two GHZ branches.
+    probabilities = np.zeros(64)
+    probabilities[0] = probabilities[-1] = 0.5
+    return probabilities, (5, 1, 0, 3)
+
+
+def _single_entry_distribution():
+    probabilities = np.zeros(64)
+    probabilities[37] = 1.0
+    return probabilities, (5, 1, 0, 3)
+
+
+def _confused_density_distribution():
+    # The distribution a density run_program samples: exact channels, then
+    # the REALISTIC read-out confusion on the measured qubits.
+    from repro.core.circuit import random_circuit
+    from repro.core.qubits import REALISTIC
+    from repro.qx.compiled import lower
+    from repro.qx.simulator import QXSimulator
+
+    circuit = random_circuit(5, 6, seed=2)
+    for qubit in (4, 1, 3):
+        circuit.measure(qubit)
+    program = lower(circuit, fuse=False)
+    probabilities = QXSimulator(qubit_model=REALISTIC)._density_distribution(program, 5)
+    return probabilities, program.sample_sources()[1]
+
+
+@pytest.mark.parametrize("shots", [1, 257, 4096])
+@pytest.mark.parametrize(
+    "distribution",
+    [
+        pytest.param(lambda: (np.random.default_rng(42).random(64), (5, 1, 0, 3)), id="random"),
+        pytest.param(_ghz_distribution, id="ghz-zeros"),
+        pytest.param(_single_entry_distribution, id="single-entry"),
+        pytest.param(_confused_density_distribution, id="density-confused"),
+    ],
+)
+def test_prepared_sampler_replays_generator_choice_exactly(distribution, shots):
+    probabilities, targets = distribution()
     reference = sample_index_counts(
-        probabilities, 257, targets, np.random.default_rng(1234)
+        probabilities, shots, targets, np.random.default_rng(1234)
     )
     prepared = PreparedIndexSampler(probabilities, targets).sample(
-        257, np.random.default_rng(1234)
+        shots, np.random.default_rng(1234)
     )
     assert prepared == reference
 

@@ -557,6 +557,66 @@ class TestJobServiceEngine:
         assert terminal["event"] == "error"
         assert stats["counters"]["jobs_failed"] == 1
 
+    def test_resume_fails_a_stale_spec_and_finishes_the_rest(self, tmp_path):
+        """A journalled job whose spec carries a field the spec no longer has
+        (``simulation.channel_fusion``) fails on resume with one error event;
+        the other journalled job still resumes and finishes, and a second
+        restart resubmits neither."""
+        stale = _ghz_spec().to_dict()
+        stale["simulation"]["channel_fusion"] = False
+        good_spec = _ghz_spec(seed=11)
+        journal = JobJournal(tmp_path / "data" / "journal.ndjson")
+        for job_id, payload in (("job-000000", stale), ("job-000001", good_spec.to_dict())):
+            journal.append(
+                {
+                    "type": "job",
+                    "job_id": job_id,
+                    "client": "alice",
+                    "priority": 1,
+                    "kind": "experiment",
+                    "name": "",
+                    "payload": payload,
+                }
+            )
+        journal.close()
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                streams = {}
+                for job_id in ("job-000000", "job-000001"):
+                    streams[job_id] = [event async for event in service.stream(job_id)]
+                return streams, service.stats()["counters"]
+            finally:
+                await service.close()
+
+        streams, counters = asyncio.run(scenario())
+        assert counters["jobs_resumed"] == 2
+        errors = [event for event in streams["job-000000"] if event["event"] == "error"]
+        assert len(errors) == 1
+        assert _terminal(streams["job-000000"]) == errors[0]
+        assert errors[0]["message"].startswith("TypeError")
+        assert "channel_fusion" in errors[0]["message"]
+        terminal = _terminal(streams["job-000001"])
+        assert terminal["event"] == "done", terminal
+        serial = ExperimentRunner(good_spec, workers=1, use_cache=False).run()
+        assert [point["counts"] for point in terminal["result"]["points"]] == [
+            point.counts for point in serial.points
+        ]
+
+        async def restart():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                return service.stats()["counters"], set(service.jobs)
+            finally:
+                await service.close()
+
+        counters, jobs = asyncio.run(restart())
+        assert counters["jobs_resumed"] == 0
+        assert jobs == set()
+
     def test_unknown_kind_is_rejected(self, tmp_path):
         async def scenario():
             service = _service(tmp_path)
