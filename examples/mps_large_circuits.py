@@ -7,9 +7,13 @@ the accuracy bookkeeping that makes the approximation *controllable*:
 1. a 64-qubit GHZ state — auto-dispatched to MPS by the backend cost
    model, exact (zero truncation error) at a bond dimension of just 2;
 2. a 48-qubit quantum Fourier transform of an entangled (GHZ-8 chain)
-   input — every controlled-phase gate is long-range (deterministic
-   swap-in/swap-out routing), sampled from the final state without ever
-   materialising 2**48 amplitudes.
+   input, pinned to the MPS engine with ``QXSimulator(backend="mps",
+   max_bond=16)`` — every controlled-phase gate is long-range
+   (deterministic swap-in/swap-out routing), sampled from the final state
+   without ever materialising 2**48 amplitudes.
+
+Both runs go through ``QXSimulator``, the one simulator front-end, and read
+the accuracy bookkeeping off ``SimulationResult.truncation_error``.
 
 Run with:  python examples/mps_large_circuits.py
 """
@@ -18,7 +22,7 @@ import sys
 import time
 
 from repro.core.circuit import Circuit, ghz_circuit, qft_circuit
-from repro.qx import MPSSimulator, QXSimulator
+from repro.qx import QXSimulator
 
 
 def run_ghz_64() -> int:
@@ -58,14 +62,14 @@ def run_qft_48() -> int:
     for op in qft_circuit(48).operations:
         circuit.append(op)
     circuit.measure_all()
-    simulator = MPSSimulator(max_bond=16, seed=11)
     start = time.perf_counter()
-    counts = simulator.run(circuit, shots=512)
+    result = QXSimulator(backend="mps", max_bond=16, seed=11).run(circuit, shots=512)
     wall_s = time.perf_counter() - start
+    counts = result.counts
     gate_count = circuit.gate_count()
     print(f"\n=== QFT-48 of a GHZ-8 input on the MPS engine ({gate_count} gates, 512 shots) ===")
-    print(f"  wall: {wall_s:.2f}s  peak bond: {simulator.last_max_bond_reached}")
-    print(f"  truncation error: {simulator.last_truncation_error:.3e} (max_bond=16)")
+    print(f"  wall: {wall_s:.2f}s")
+    print(f"  truncation error: {result.truncation_error:.3e} (max_bond=16)")
     print(f"  distinct outcomes: {len(counts)} / 512 shots")
     if sum(counts.values()) != 512:
         print("FAIL: QFT-48 histogram lost shots", file=sys.stderr)
@@ -78,7 +82,7 @@ def run_qft_48() -> int:
     if len(counts) < 500:
         print("FAIL: QFT-48 samples are implausibly degenerate", file=sys.stderr)
         return 1
-    if simulator.last_truncation_error > 1e-6:
+    if result.truncation_error > 1e-6:
         print("FAIL: QFT-48 truncation error exceeds the 1e-6 budget", file=sys.stderr)
         return 1
     return 0

@@ -428,8 +428,7 @@ class KeyingRule(Rule):
                             context,
                             node,
                             "local ''.join(str(...)) bit-key builder; use repro.qx.keying "
-                            "(bits_histogram / key_for_bit_values) so every engine keys "
-                            "identically",
+                            "(bits_histogram) so every engine keys identically",
                         )
                     )
         return violations

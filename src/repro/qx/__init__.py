@@ -32,7 +32,7 @@ from repro.qx.channels import (
 from repro.qx.simulator import QXSimulator, SimulationResult
 from repro.qx.density import DENSITY_MAX_QUBITS, DensityMatrixSimulator, gpu_available
 from repro.qx.stabilizer import StabilizerSimulator, StabilizerState
-from repro.qx.mps import MPSSimulator, MPSState
+from repro.qx.mps import MPSState
 from repro.qx.backends import (
     BACKENDS,
     BackendCapabilities,
@@ -41,7 +41,6 @@ from repro.qx.backends import (
     UnsupportedBackendError,
     capability_matrix,
     profile_program,
-    register_backend,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "gpu_available",
     "StabilizerSimulator",
     "StabilizerState",
-    "MPSSimulator",
     "MPSState",
     "BACKENDS",
     "BackendCapabilities",
@@ -81,5 +79,4 @@ __all__ = [
     "UnsupportedBackendError",
     "capability_matrix",
     "profile_program",
-    "register_backend",
 ]

@@ -132,11 +132,6 @@ def capability_matrix() -> str:
     return "\n".join(rows)
 
 
-def register_backend(capabilities: BackendCapabilities) -> None:
-    """Register (or replace) a backend's capability record."""
-    BACKENDS[capabilities.name] = capabilities
-
-
 # ---------------------------------------------------------------------- #
 # Circuit profiling
 # ---------------------------------------------------------------------- #

@@ -28,15 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.circuit import Circuit
-from repro.core.operations import Measurement
-from repro.qx.channels import (
-    Channel,
-    ChannelProgram,
-    compile_circuit,
-    density_to_vector,
-    vector_to_density,
-)
+from repro.qx.channels import Channel, ChannelProgram, density_to_vector, vector_to_density
 
 #: Qubit cap of the density engine — the single source of truth shared with
 #: the backend registry's feasibility check (same pattern as the MPS
@@ -256,17 +248,19 @@ def _apply_dense_generic(vector, ptm, qubits, num_qubits, xp):
 class DensityMatrixSimulator:
     """Exact open-system simulation on the compiled-channel representation.
 
-    The state lives as the real Pauli-basis vector ``self.vector``; the
-    dense matrix is available (and assignable) through the ``rho``
-    property for diagnostics and small-register cross-checks.  ``xp``
-    overrides the array module directly (any numpy-like namespace);
-    ``device`` selects it by name.
+    The engine executes channel programs (:meth:`run_channels`); noise
+    enters only through the :class:`~repro.qx.error_models.ErrorModel`
+    compiled into them, e.g. ``run_channels(compile_circuit(circuit,
+    DepolarizingError(p)))``.  The state lives as the real Pauli-basis
+    vector ``self.vector``; the dense matrix is available (and assignable)
+    through the ``rho`` property for diagnostics and small-register
+    cross-checks.  ``xp`` overrides the array module directly (any
+    numpy-like namespace); ``device`` selects it by name.
     """
 
     def __init__(
         self,
         num_qubits: int,
-        depolarizing_rate: float = 0.0,
         device: str = "cpu",
         xp=None,
         dtype=np.float64,
@@ -275,10 +269,7 @@ class DensityMatrixSimulator:
             raise ValueError(
                 f"density-matrix engine limited to {DENSITY_MAX_QUBITS} qubits"
             )
-        if not 0.0 <= depolarizing_rate <= 1.0:
-            raise ValueError("depolarizing_rate outside [0, 1]")
         self.num_qubits = num_qubits
-        self.depolarizing_rate = depolarizing_rate
         self._xp = xp if xp is not None else array_module(device)
         self.dtype = dtype
         self.vector = self._xp.asarray(_ground_state_vector(num_qubits, dtype))
@@ -351,21 +342,6 @@ class DensityMatrixSimulator:
         for op in program.ops:
             self.apply_ptm(op.ptm, op.qubits)
 
-    def run(self, circuit: Circuit) -> None:
-        """Evolve through a measurement-free circuit via the compiled path."""
-        if circuit.num_qubits > self.num_qubits:
-            raise ValueError("circuit does not fit")
-        for op in circuit.operations:
-            if isinstance(op, Measurement):
-                raise ValueError("density-matrix run() does not support measurements")
-        noise = (
-            _UniformDepolarizing(self.depolarizing_rate)
-            if self.depolarizing_rate > 0
-            else None
-        )
-        program = compile_circuit(circuit, noise)
-        self.run_channels(program)
-
     # -- observables ----------------------------------------------------- #
     def probabilities(self) -> np.ndarray:
         """Diagonal of rho in the computational basis (host numpy array).
@@ -420,27 +396,3 @@ def _ground_state_vector(num_qubits: int, dtype) -> np.ndarray:
         indices += ((patterns >> qubit) & 1) * 3 * 4**qubit
     vector[indices] = weight
     return vector
-
-
-class _UniformDepolarizing:
-    """Minimal channel provider for ``run(circuit)``'s uniform gate noise.
-
-    Mirrors the legacy engine semantics (the same per-qubit rate after
-    every gate) without importing :mod:`repro.qx.error_models`, which
-    sits above this module in the layering.
-    """
-
-    channel_exact = True
-
-    def __init__(self, rate: float):
-        self.rate = rate
-        self._channel = Channel.depolarizing(rate)
-
-    def noise_channels(self, qubits, duration_ns):
-        return [((qubit,), self._channel) for qubit in qubits]
-
-    def confusion(self):
-        return None
-
-    def describe(self) -> str:
-        return f"depolarizing(p={self.rate:g})"

@@ -775,6 +775,9 @@ def apply_gate_generic(
     """
     k = len(qubits)
     n = amplitudes.size.bit_length() - 1
+    # Qubit q lives on axis n-1-q of the (2,)*n tensor view; the target axes
+    # move to the front (operand 0 first: the most significant bit of the
+    # gate-matrix index), are contracted with the gate matrix, and move back.
     tensor = amplitudes.reshape([2] * n)
     axes = [n - 1 - q for q in qubits]
     tensor = np.moveaxis(tensor, axes, range(k))

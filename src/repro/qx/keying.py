@@ -39,33 +39,6 @@ def bits_histogram(all_bits: np.ndarray, ordered_bits: tuple[int, ...]) -> dict[
     }
 
 
-def key_for_bit_values(bits: dict[int, int]) -> str:
-    """Key one shot's ``{classical bit: outcome}`` map (lowest bit rightmost)."""
-    return "".join(str(bits[bit]) for bit in sorted(bits, reverse=True))
-
-
-def sample_index_counts(
-    probabilities: np.ndarray,
-    shots: int,
-    targets: tuple[int, ...],
-    rng: np.random.Generator,
-) -> dict[str, int]:
-    """Sample basis indices from a distribution and histogram ``targets``.
-
-    The back-end of :meth:`~repro.qx.statevector.StateVector.sample_counts`
-    and the reference that :class:`PreparedIndexSampler` replays draw for
-    draw (the QX engines sample through that sampler): draws ``shots``
-    basis indices from ``probabilities``, extracts the listed qubits and
-    keys the histogram with qubit ``targets[-1 - j]`` as character ``j``
-    (the last listed target is the leftmost character).
-    Aggregation happens over the *unique* sampled indices, so the cost is
-    independent of the shot count beyond the initial draw.
-    """
-    probabilities = np.asarray(probabilities, dtype=float)
-    outcomes = rng.choice(len(probabilities), size=shots, p=probabilities / probabilities.sum())
-    return _histogram_outcomes(outcomes, shots, targets)
-
-
 def _histogram_outcomes(
     outcomes: np.ndarray, shots: int, targets: tuple[int, ...]
 ) -> dict[str, int]:
@@ -83,26 +56,32 @@ def _histogram_outcomes(
 
 
 class PreparedIndexSampler:
-    """Amortised :func:`sample_index_counts` for repeated draws from one state.
+    """Draw basis indices from one distribution and histogram ``targets``.
 
-    ``Generator.choice(n, size, p=...)`` normalises ``p``, builds its
-    cumulative distribution and then inverse-transform samples via
-    ``cdf.searchsorted(rng.random(size), side="right")``.  The batch runtime
-    draws every shard of a circuit from the *same* probability vector, so
-    this helper performs the normalisation and cumulative sum once and
-    replays only the draw per shard.  The draw consumes the identical
+    The one basis-index sampler of the dense and density engines, behind
+    :meth:`~repro.qx.statevector.StateVector.sample_counts` too.  Character
+    ``j`` of a key is qubit ``targets[-1 - j]`` (the last listed target is
+    the leftmost character); aggregation happens over the *unique* sampled
+    indices, so the cost beyond the draw is independent of the shot count.
+
+    The draw replays ``Generator.choice(n, size, p=p / p.sum())`` exactly:
+    that call normalises ``p``, builds its cumulative distribution and then
+    inverse-transform samples via ``cdf.searchsorted(rng.random(size),
+    side="right")``.  The normalisation and cumulative sum happen once, at
+    construction, and the batch runtime draws every shard of a circuit from
+    the *same* sampler.  Each draw consumes the identical
     ``rng.random(shots)`` stream and applies the identical inverse
-    transform, so the sampled indices — and therefore the histograms — are
-    bit-for-bit those of :func:`sample_index_counts` with the same rng.
+    transform, so the sampled indices are bit-for-bit those of
+    ``Generator.choice`` with the same rng.
     """
 
     __slots__ = ("_cdf", "_targets")
 
     def __init__(self, probabilities: np.ndarray, targets: tuple[int, ...]) -> None:
         probabilities = np.asarray(probabilities, dtype=float)
-        # Two-step normalisation mirrors sample_index_counts exactly: the
-        # caller-side p / p.sum() feeds Generator.choice, which re-normalises
-        # its cumulative distribution by the final entry.
+        # Two-step normalisation mirrors Generator.choice(p=p / p.sum())
+        # exactly: the caller-side division, then choice's re-normalisation
+        # of its cumulative distribution by the final entry.
         normalized = probabilities / probabilities.sum()
         cdf = normalized.cumsum()
         cdf /= cdf[-1]

@@ -32,8 +32,10 @@ right-canonical, so
 With ``max_bond=None`` and the default threshold the engine is numerically
 exact and agrees with the dense engine bit-for-bit under the shared
 measurement-randomness contract (one uniform draw per measurement,
-``outcome = 1 iff draw < p_one``).  Histograms follow the shared
-:mod:`repro.qx.keying` convention, keyed by ``Measurement.bit``.
+``outcome = 1 iff draw < p_one``).  Circuits run on this engine through
+:class:`~repro.qx.simulator.QXSimulator` with ``backend="mps"``, which keys
+histograms by ``Measurement.bit`` under the shared :mod:`repro.qx.keying`
+convention.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ import math
 
 import numpy as np
 
-from repro.core.circuit import Circuit
-from repro.core.operations import ConditionalGate, GateOperation, Measurement
-from repro.qx.keying import bits_histogram, key_for_bit_values
+from repro.qx.keying import bits_histogram
 
 _SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -371,101 +371,3 @@ class MPSState:
         """Squared overlap with another state (dense or MPS, small n)."""
         other_vector = other.to_statevector() if isinstance(other, MPSState) else other
         return float(abs(np.vdot(self.to_statevector(), np.asarray(other_vector))) ** 2)
-
-
-class MPSSimulator:
-    """Multi-shot circuit simulator on the MPS engine.
-
-    The standalone front-end mirroring :class:`~repro.qx.stabilizer
-    .StabilizerSimulator`: takes a :class:`~repro.core.circuit.Circuit`,
-    returns a histogram keyed by the shared convention.  Full-stack
-    execution (error models, lowered programs, auto-dispatch) goes through
-    :class:`~repro.qx.simulator.QXSimulator` with ``backend="mps"``.
-    """
-
-    def __init__(
-        self,
-        max_bond: int | None = None,
-        truncation_threshold: float = DEFAULT_TRUNCATION_THRESHOLD,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        self.max_bond = max_bond
-        self.truncation_threshold = truncation_threshold
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
-        #: Truncation error and peak bond dimension of the last run() call.
-        self.last_truncation_error = 0.0
-        self.last_max_bond_reached = 1
-
-    def _fresh_state(self, num_qubits: int) -> MPSState:
-        return MPSState(
-            num_qubits,
-            max_bond=self.max_bond,
-            truncation_threshold=self.truncation_threshold,
-            rng=self.rng,
-        )
-
-    def run(self, circuit: Circuit, shots: int = 1) -> dict[str, int]:
-        """Execute a circuit and histogram the measured bit-strings.
-
-        Terminal-measurement circuits run one MPS evolution and draw all
-        shots by conditional sampling; mid-circuit measurement or classical
-        feedback falls back to per-shot trajectories.
-        """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        if _needs_trajectories(circuit):
-            return self._run_trajectories(circuit, shots)
-        state = self._fresh_state(circuit.num_qubits)
-        bit_sources: dict[int, int] = {}
-        for op in circuit.operations:
-            if isinstance(op, GateOperation):
-                state.apply_gate(np.asarray(op.gate.matrix, dtype=complex), op.qubits)
-            elif isinstance(op, Measurement):
-                bit_sources[op.bit] = op.qubit
-        self.last_truncation_error = state.truncation_error
-        self.last_max_bond_reached = state.max_bond_reached
-        if not bit_sources:
-            return {}
-        samples = state.sample_bits(shots)
-        num_bits = max(bit_sources) + 1
-        all_bits = np.zeros((shots, num_bits), dtype=np.int64)
-        for bit, source in bit_sources.items():
-            all_bits[:, bit] = samples[:, source]
-        return bits_histogram(all_bits, tuple(sorted(bit_sources)))
-
-    def _run_trajectories(self, circuit: Circuit, shots: int) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        truncation = 0.0
-        peak = 1
-        for _ in range(shots):
-            state = self._fresh_state(circuit.num_qubits)
-            bits: dict[int, int] = {}
-            for op in circuit.operations:
-                if isinstance(op, GateOperation):
-                    state.apply_gate(np.asarray(op.gate.matrix, dtype=complex), op.qubits)
-                elif isinstance(op, Measurement):
-                    bits[op.bit] = state.measure(op.qubit)
-                elif isinstance(op, ConditionalGate):
-                    if bits.get(op.condition_bit, 0):
-                        state.apply_gate(np.asarray(op.gate.matrix, dtype=complex), op.qubits)
-            truncation += state.truncation_error
-            peak = max(peak, state.max_bond_reached)
-            if bits:
-                key = key_for_bit_values(bits)
-                counts[key] = counts.get(key, 0) + 1
-        self.last_truncation_error = truncation / shots
-        self.last_max_bond_reached = peak
-        return counts
-
-
-def _needs_trajectories(circuit: Circuit) -> bool:
-    measured: set[int] = set()
-    for op in circuit.operations:
-        if isinstance(op, Measurement):
-            measured.add(op.qubit)
-        elif isinstance(op, ConditionalGate):
-            return True
-        elif isinstance(op, GateOperation) and measured.intersection(op.qubits):
-            return True
-    return False

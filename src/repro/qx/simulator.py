@@ -494,7 +494,7 @@ def _confuse(
     """Mix a basis-state distribution through a read-out confusion matrix.
 
     ``probabilities`` is flat over basis indices with qubit ``q`` at bit
-    ``q`` (the :func:`~repro.qx.keying.sample_index_counts` convention);
+    ``q`` (the :class:`~repro.qx.keying.PreparedIndexSampler` convention);
     the row-stochastic 2x2 ``confusion`` maps the true outcome of each
     measured qubit to the reported one: ``P(report b) = sum_a P(a) C[a, b]``.
     """

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from repro.qx import kernels
+from repro.qx.keying import PreparedIndexSampler
 
 PAULI_MATRICES = {
     "i": np.eye(2, dtype=complex),
@@ -107,26 +108,10 @@ class StateVector:
 
         One- and two-qubit gates go through the in-place stride kernels of
         :mod:`repro.qx.kernels`; larger gates use the generic reference
-        pipeline (see :meth:`apply_gate_generic`).
+        pipeline (:func:`repro.qx.kernels.apply_gate_generic`).
         """
         self._check_gate_operands(matrix, qubits)
         self.amplitudes = kernels.apply_gate_inplace(self.amplitudes, matrix, tuple(qubits))
-
-    def apply_gate_generic(self, matrix: np.ndarray, qubits: tuple[int, ...]) -> None:
-        """Reference gate application via axis permutation and matmul.
-
-        Kept as the ground-truth implementation the fast kernels are
-        property-tested against; the fast path must match it bit-for-bit up
-        to floating-point reassociation.
-        """
-        self._check_gate_operands(matrix, qubits)
-        # View the amplitude vector as an n-dimensional tensor with axis i
-        # corresponding to qubit (n-1-i) — i.e. numpy's most-significant-first
-        # ordering.  Qubit q lives on axis (n-1-q); target axes move to the
-        # front (operand 0 first, matching the textbook convention that
-        # operand 0 is the most significant bit of the gate-matrix index),
-        # are contracted with the gate matrix, and move back.
-        self.amplitudes = kernels.apply_gate_generic(self.amplitudes, matrix, tuple(qubits))
 
     def apply_pauli(self, pauli: str, qubit: int) -> None:
         """Apply a single Pauli error/gate by name ('i', 'x', 'y' or 'z')."""
@@ -180,13 +165,11 @@ class StateVector:
 
         Returns a histogram keyed by bit-string with qubit 0 as the rightmost
         character (cQASM display convention).  Sampling and keying are the
-        shared :func:`repro.qx.keying.sample_index_counts` implementation,
-        so the dense and density engines key identically by construction.
+        shared :class:`repro.qx.keying.PreparedIndexSampler`, so the dense
+        and density engines key identically by construction.
         """
-        from repro.qx.keying import sample_index_counts
-
         targets = qubits if qubits is not None else tuple(range(self.num_qubits))
-        return sample_index_counts(self.probabilities(), shots, targets, self.rng)
+        return PreparedIndexSampler(self.probabilities(), targets).sample(shots, self.rng)
 
     def expectation_z(self, qubit: int) -> float:
         """Expectation value of Pauli-Z on a qubit."""

@@ -5,8 +5,9 @@ with noise-free terminal measurements, and the density engine) through the
 one preparation step ``run_program_shards`` uses, and draws dense and
 density shots through ``PreparedIndexSampler``.  This module keeps the
 single-run bodies that step replaced, as they were written: dense and
-density draw through ``Generator.choice`` (``StateVector.sample_counts`` and
-``keying.sample_index_counts``), and the MPS body evolves its own state.
+density draw through ``Generator.choice`` (:func:`sample_index_counts`, the
+sampler ``StateVector.sample_counts`` and the density path used), and the
+MPS body evolves its own state.
 They are the oracle the new path is tested against, field by field.
 """
 
@@ -18,10 +19,29 @@ from repro.qx.channels import compile_channels
 from repro.qx.compiled import GATE
 from repro.qx.density import DensityMatrixSimulator
 from repro.qx.error_models import NoError
-from repro.qx.keying import bits_histogram, counts_to_bits, sample_index_counts
+from repro.qx.keying import bits_histogram, counts_to_bits
 from repro.qx.mps import MPSState
 from repro.qx.simulator import SimulationResult, _confuse
 from repro.qx.statevector import StateVector
+
+
+def sample_index_counts(probabilities, shots, targets, rng):
+    """Draw ``shots`` basis indices with ``Generator.choice``; histogram ``targets``.
+
+    Character ``j`` of a key is qubit ``targets[-1 - j]``; keys are inserted
+    in ascending order of the first basis index that produced them, the
+    order ``PreparedIndexSampler`` must reproduce.
+    """
+    probabilities = np.asarray(probabilities, dtype=float)
+    outcomes = rng.choice(len(probabilities), size=shots, p=probabilities / probabilities.sum())
+    if not targets:
+        return {"": shots}
+    values, frequencies = np.unique(outcomes, return_counts=True)
+    counts = {}
+    for value, frequency in zip(values.tolist(), frequencies.tolist(), strict=True):
+        key = "".join(str((value >> qubit) & 1) for qubit in reversed(targets))
+        counts[key] = counts.get(key, 0) + frequency
+    return counts
 
 
 def run_sampled(program, num_qubits, shots, rng, keep_final_state=False, initial_state=None):
@@ -33,7 +53,7 @@ def run_sampled(program, num_qubits, shots, rng, keep_final_state=False, initial
     result = SimulationResult(num_qubits=num_qubits, shots=shots)
     if program.num_measurements:
         ordered_bits, sources = program.sample_sources()
-        result.counts = state.sample_counts(shots, qubits=sources)
+        result.counts = sample_index_counts(state.probabilities(), shots, sources, rng)
         result.classical_bits = counts_to_bits(
             result.counts,
             tuple(ordered_bits),

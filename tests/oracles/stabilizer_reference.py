@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.operations import ConditionalGate, GateOperation, Measurement
-from repro.qx.keying import key_for_bit_values
 from repro.qx.stabilizer import StabilizerState
 
 
@@ -38,6 +37,7 @@ def run(circuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
     for _ in range(shots):
         bits = run_shot(circuit, rng)
         if bits:
-            key = key_for_bit_values(bits)
+            # Lowest classical bit rightmost, as repro.qx.keying keys histograms.
+            key = "".join(str(bits[bit]) for bit in sorted(bits, reverse=True))
             counts[key] = counts.get(key, 0) + 1
     return counts

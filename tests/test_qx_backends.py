@@ -7,14 +7,12 @@ from repro.core.circuit import Circuit, ghz_circuit
 from repro.qx import keying
 from repro.qx.backends import (
     BACKENDS,
-    BackendCapabilities,
     DispatchPolicy,
     UnsupportedBackendError,
     capability_matrix,
     entanglement_exponent,
     profile_plan,
     profile_program,
-    register_backend,
 )
 from repro.qx.error_models import DepolarizingError, DecoherenceError
 from repro.qx.simulator import QXSimulator
@@ -46,13 +44,12 @@ class TestRegistry:
         for name in BACKENDS:
             assert name in rendered
 
-    def test_register_backend(self):
-        caps = BackendCapabilities(name="toy", description="test double")
-        register_backend(caps)
-        try:
-            assert BACKENDS["toy"] is caps
-        finally:
-            del BACKENDS["toy"]
+    def test_unknown_backend_is_refused(self):
+        """Only the four engines run: any other name fails before execution."""
+        circuit = ghz_circuit(2)
+        circuit.measure_all()
+        with pytest.raises(UnsupportedBackendError, match="unknown backend 'toy'"):
+            QXSimulator(seed=0, backend="toy").run(circuit, shots=4)
 
 
 class TestEntanglementEstimate:
@@ -365,10 +362,10 @@ class TestSharedKeyingConvention:
         from repro.qx.statevector import StateVector
 
         calls = []
-        original = keying.sample_index_counts
+        original = keying.PreparedIndexSampler.sample
         monkeypatch.setattr(
-            keying,
-            "sample_index_counts",
+            keying.PreparedIndexSampler,
+            "sample",
             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
         )
         state = StateVector(2, rng=np.random.default_rng(0))
@@ -392,13 +389,11 @@ class TestSharedKeyingConvention:
         assert all(bits[3] == 1 and bits[0] == 0 for bits in result.classical_bits)
 
     def test_standalone_engines_match_qx_keying(self):
-        from repro.qx.mps import MPSSimulator
         from repro.qx.stabilizer import StabilizerSimulator
 
         circuit = self._cross_mapped_circuit()
         reference = QXSimulator(seed=4).run(circuit, shots=6).counts
         assert StabilizerSimulator(seed=4).run(circuit, shots=6) == reference
-        assert MPSSimulator(seed=4).run(circuit, shots=6) == reference
 
     def test_classical_bits_width_is_engine_and_path_invariant(self):
         """Sampled and trajectory paths, on every engine, emit classical_bits

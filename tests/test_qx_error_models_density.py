@@ -6,6 +6,7 @@ from oracles import density_reference as oracle
 
 from repro.core.circuit import Circuit, bell_pair_circuit
 from repro.core.qubits import PERFECT, REAL_TRANSMON, REALISTIC
+from repro.qx.channels import compile_circuit
 from repro.qx.density import DensityMatrixSimulator
 from repro.qx.error_models import (
     CompositeError,
@@ -103,13 +104,13 @@ class TestDensityMatrix:
 
     def test_pure_state_purity_one(self):
         dm = DensityMatrixSimulator(2)
-        dm.run(bell_pair_circuit())
+        dm.run_channels(compile_circuit(bell_pair_circuit(), None))
         assert dm.purity() == pytest.approx(1.0)
         assert dm.trace() == pytest.approx(1.0)
 
     def test_depolarizing_reduces_purity(self):
-        dm = DensityMatrixSimulator(2, depolarizing_rate=0.1)
-        dm.run(bell_pair_circuit())
+        dm = DensityMatrixSimulator(2)
+        dm.run_channels(compile_circuit(bell_pair_circuit(), DepolarizingError(0.1)))
         assert dm.purity() < 1.0
         assert dm.trace() == pytest.approx(1.0)
 
@@ -117,24 +118,17 @@ class TestDensityMatrix:
         circuit = Circuit(3)
         circuit.h(0).cnot(0, 1).t(1).cnot(1, 2)
         dm = DensityMatrixSimulator(3)
-        dm.run(circuit)
+        dm.run_channels(compile_circuit(circuit, None))
         statevector = QXSimulator(seed=0).statevector(circuit)
         np.testing.assert_allclose(dm.probabilities(), np.abs(statevector) ** 2, atol=1e-10)
-
-    def test_measurements_rejected(self):
-        dm = DensityMatrixSimulator(1)
-        circuit = Circuit(1)
-        circuit.measure(0)
-        with pytest.raises(ValueError):
-            dm.run(circuit)
 
     def test_trajectory_average_matches_exact_channel(self):
         """Many state-vector trajectories must converge to the density matrix."""
         rate = 0.15
         circuit = Circuit(2)
         circuit.h(0).cnot(0, 1)
-        dm = DensityMatrixSimulator(2, depolarizing_rate=rate)
-        dm.run(circuit)
+        dm = DensityMatrixSimulator(2)
+        dm.run_channels(compile_circuit(circuit, DepolarizingError(rate)))
         exact = dm.expectation_z(0)
 
         simulator = QXSimulator(error_model=DepolarizingError(rate), seed=13)
@@ -151,7 +145,7 @@ class TestDensityMatrix:
 
     def test_fidelity_with_pure_state(self):
         dm = DensityMatrixSimulator(2)
-        dm.run(bell_pair_circuit())
+        dm.run_channels(compile_circuit(bell_pair_circuit(), None))
         bell = QXSimulator(seed=0).statevector(bell_pair_circuit())
         assert dm.fidelity_with_pure(bell) == pytest.approx(1.0)
 
@@ -206,12 +200,13 @@ class TestTensorContraction:
         purity falls monotonically from 1 toward the mixed-state floor."""
         circuit = Circuit(4)
         circuit.h(0).cnot(0, 1).ry(2, 0.7).cnot(1, 2).rz(3, 1.1).cnot(2, 3).h(3)
-        sim = DensityMatrixSimulator(4, depolarizing_rate=0.05)
+        rate = 0.05
+        sim = DensityMatrixSimulator(4)
         purities = [sim.purity()]
         for op in circuit.operations:
             oracle.apply_unitary(sim, op.gate.matrix, op.qubits)
             for qubit in op.qubits:
-                oracle.apply_depolarizing(sim, qubit, sim.depolarizing_rate)
+                oracle.apply_depolarizing(sim, qubit, rate)
             assert sim.trace() == pytest.approx(1.0, abs=1e-12)
             purities.append(sim.purity())
         assert purities[0] == pytest.approx(1.0, abs=1e-12)
@@ -231,10 +226,10 @@ class TestTensorContraction:
         assert sim.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_contraction_keeps_hermiticity(self):
-        sim = DensityMatrixSimulator(3, depolarizing_rate=0.1)
+        sim = DensityMatrixSimulator(3)
         circuit = Circuit(3)
         circuit.h(0).cnot(0, 1).cnot(1, 2).s(2).h(1)
-        sim.run(circuit)
+        sim.run_channels(compile_circuit(circuit, DepolarizingError(0.1)))
         assert np.allclose(sim.rho, sim.rho.conj().T, atol=1e-12)
         probabilities = sim.probabilities()
         assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)

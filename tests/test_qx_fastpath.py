@@ -3,7 +3,7 @@
 The in-place kernels (:mod:`repro.qx.kernels`) and the fused kernel
 programs (:mod:`repro.qx.compiled`) must be indistinguishable — up to a
 global phase and floating-point reassociation — from the generic reference
-pipeline (``StateVector.apply_gate_generic``).
+pipeline (``kernels.apply_gate_generic``).
 """
 
 import numpy as np
@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from helpers import assert_equivalent_up_to_phase
 from repro.core.circuit import Circuit, ghz_circuit, qft_circuit, random_circuit
 from repro.core.gates import build_gate, standard_gate_set
+from repro.qx import kernels
 from repro.qx.compiled import GATE, lower, program_for
 from repro.qx.simulator import QXSimulator
-from repro.qx.statevector import StateVector
+from repro.qx.statevector import StateVector, zero_state
 
 SETTINGS = settings(
     max_examples=25,
@@ -56,10 +57,8 @@ def test_random_1q_unitary_matches_generic(seed, num_qubits):
     fast = StateVector(num_qubits)
     fast.set_state(initial)
     fast.apply_gate(matrix, (qubit,))
-    reference = StateVector(num_qubits)
-    reference.set_state(initial)
-    reference.apply_gate_generic(matrix, (qubit,))
-    np.testing.assert_allclose(fast.amplitudes, reference.amplitudes, atol=1e-10)
+    reference = kernels.apply_gate_generic(initial, matrix, (qubit,))
+    np.testing.assert_allclose(fast.amplitudes, reference, atol=1e-10)
 
 
 @SETTINGS
@@ -73,10 +72,8 @@ def test_random_2q_unitary_matches_generic(seed, num_qubits):
     fast = StateVector(num_qubits)
     fast.set_state(initial)
     fast.apply_gate(matrix, (int(qubit_a), int(qubit_b)))
-    reference = StateVector(num_qubits)
-    reference.set_state(initial)
-    reference.apply_gate_generic(matrix, (int(qubit_a), int(qubit_b)))
-    np.testing.assert_allclose(fast.amplitudes, reference.amplitudes, atol=1e-10)
+    reference = kernels.apply_gate_generic(initial, matrix, (int(qubit_a), int(qubit_b)))
+    np.testing.assert_allclose(fast.amplitudes, reference, atol=1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(gate.name for gate in standard_gate_set()))
@@ -90,10 +87,8 @@ def test_every_library_gate_matches_generic(name):
     fast = StateVector(num_qubits)
     fast.set_state(initial)
     fast.apply_gate(gate.matrix, qubits)
-    reference = StateVector(num_qubits)
-    reference.set_state(initial)
-    reference.apply_gate_generic(gate.matrix, qubits)
-    np.testing.assert_allclose(fast.amplitudes, reference.amplitudes, atol=1e-10)
+    reference = kernels.apply_gate_generic(initial, gate.matrix, qubits)
+    np.testing.assert_allclose(fast.amplitudes, reference, atol=1e-10)
 
 
 @SETTINGS
@@ -101,19 +96,19 @@ def test_every_library_gate_matches_generic(name):
 def test_fused_program_matches_generic_on_random_circuits(seed, num_qubits, depth):
     circuit = random_circuit(num_qubits, depth, seed=seed)
     fast = QXSimulator(seed=0).statevector(circuit)
-    reference = StateVector(num_qubits)
+    reference = zero_state(num_qubits)
     for op in circuit.gate_operations():
-        reference.apply_gate_generic(op.gate.matrix, op.qubits)
-    _assert_states_equal_up_to_phase(fast, reference.amplitudes)
+        reference = kernels.apply_gate_generic(reference, op.gate.matrix, op.qubits)
+    _assert_states_equal_up_to_phase(fast, reference)
 
 
 def test_fused_program_matches_generic_on_qft():
     circuit = qft_circuit(6)
     fast = QXSimulator(seed=0).statevector(circuit)
-    reference = StateVector(6)
+    reference = zero_state(6)
     for op in circuit.gate_operations():
-        reference.apply_gate_generic(op.gate.matrix, op.qubits)
-    _assert_states_equal_up_to_phase(fast, reference.amplitudes)
+        reference = kernels.apply_gate_generic(reference, op.gate.matrix, op.qubits)
+    _assert_states_equal_up_to_phase(fast, reference)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit, ghz_circuit, qft_circuit, random_circuit
-from repro.qx.mps import MPSSimulator, MPSState
+from repro.qx.mps import MPSState
 from repro.qx.simulator import QXSimulator
 
 
@@ -167,11 +167,13 @@ class TestSampling:
         assert sum(counts.values()) == 500
 
 
-class TestMPSSimulator:
+class TestMPSBackend:
+    """Circuits reach the MPS engine through ``QXSimulator(backend="mps")``."""
+
     def test_terminal_measurement_counts(self):
         circuit = ghz_circuit(4)
         circuit.measure_all()
-        counts = MPSSimulator(seed=1).run(circuit, shots=300)
+        counts = QXSimulator(seed=1, backend="mps").run(circuit, shots=300).counts
         assert set(counts) <= {"0000", "1111"}
         assert sum(counts.values()) == 300
 
@@ -181,7 +183,7 @@ class TestMPSSimulator:
         circuit.measure(0)
         circuit.conditional_gate("x", 0, 1)
         circuit.measure(1)
-        counts = MPSSimulator(seed=2).run(circuit, shots=100)
+        counts = QXSimulator(seed=2, backend="mps").run(circuit, shots=100).counts
         assert set(counts) <= {"00", "11"}
 
     def test_cross_mapped_bits(self):
@@ -189,12 +191,16 @@ class TestMPSSimulator:
         circuit.x(0)
         circuit.measure(0, bit=2)
         circuit.measure(1, bit=0)
-        assert MPSSimulator(seed=3).run(circuit, shots=5) == {"10": 5}
+        assert QXSimulator(seed=3, backend="mps").run(circuit, shots=5).counts == {"10": 5}
 
     def test_truncation_report(self):
         circuit = random_circuit(8, 10, seed=4, two_qubit_fraction=0.5)
         circuit.measure_all()
-        simulator = MPSSimulator(max_bond=2, seed=0)
-        simulator.run(circuit, shots=10)
-        assert simulator.last_truncation_error > 0.0
-        assert simulator.last_max_bond_reached == 2
+        result = QXSimulator(seed=0, backend="mps", max_bond=2).run(circuit, shots=10)
+        assert result.truncation_error > 0.0
+        assert result.backend == "mps"
+
+    def test_peak_bond_reaches_the_cap(self):
+        circuit = random_circuit(8, 10, seed=4, two_qubit_fraction=0.5)
+        state = _apply_circuit(MPSState(8, max_bond=2), circuit)
+        assert state.max_bond_reached == 2

@@ -14,13 +14,14 @@ import sys
 
 import numpy as np
 import pytest
+from oracles.sampled_reference import sample_index_counts
 
-from repro.qx.keying import PreparedIndexSampler, sample_index_counts
+from repro.qx.keying import PreparedIndexSampler
 from repro.runtime.aggregate import merge_counts
 from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.seeding import shard_seed, shard_sizes
-from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, SimulationSpec
+from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
