@@ -23,10 +23,8 @@ from repro.qx.error_models import (
 from repro.qx.channels import (
     Channel,
     ChannelProgram,
-    PauliBasis,
     compile_channels,
     compile_circuit,
-    default_basis,
     ptm_of_unitary,
 )
 from repro.qx.simulator import QXSimulator, SimulationResult
@@ -37,7 +35,6 @@ from repro.qx.backends import (
     BACKENDS,
     BackendCapabilities,
     CircuitProfile,
-    DispatchPolicy,
     UnsupportedBackendError,
     capability_matrix,
     profile_program,
@@ -59,10 +56,8 @@ __all__ = [
     "error_model_for",
     "Channel",
     "ChannelProgram",
-    "PauliBasis",
     "compile_channels",
     "compile_circuit",
-    "default_basis",
     "ptm_of_unitary",
     "QXSimulator",
     "SimulationResult",
@@ -75,7 +70,6 @@ __all__ = [
     "BACKENDS",
     "BackendCapabilities",
     "CircuitProfile",
-    "DispatchPolicy",
     "UnsupportedBackendError",
     "capability_matrix",
     "profile_program",

@@ -1,4 +1,4 @@
-"""Simulation-backend registry, capability matrix and dispatch policy.
+"""Simulation-backend registry, capability matrix and dispatch rules.
 
 The stack now carries four engines — dense state vector, stabilizer
 tableau, density matrix and matrix-product state — each with a different
@@ -14,11 +14,12 @@ lives:
   static entanglement estimate for the MPS cost), read off a lowered
   program (:func:`profile_program`) or, before materialising it, off its
   lowering plan (:func:`profile_plan`);
-* :class:`DispatchPolicy` — the cost model that picks an engine per
-  circuit.  It replaces the old ad-hoc ``STABILIZER_DISPATCH_*`` constants
-  in :mod:`repro.qx.simulator` with one policy object whose thresholds and
-  cost constants are plain fields, overridable per
-  :class:`~repro.qx.simulator.QXSimulator`;
+* :func:`choose` — the cost model that picks an engine per circuit, with
+  its thresholds and cost constants as module constants; its only per-run
+  input beyond the profile is the MPS bond cap;
+* :func:`evolve_once_engine` — the one rule for which points evolve once
+  for all their shards, shared by :class:`~repro.qx.simulator.QXSimulator`
+  and the runtime planner;
 * :class:`UnsupportedBackendError` — raised (with the capability matrix in
   the message) when an explicitly requested backend cannot run a circuit,
   instead of a silent fallback or a deep numpy error.
@@ -27,8 +28,8 @@ Auto-dispatch never changes results, only cost, for a default-configured
 simulator: the MPS engine is then auto-selected with an unbounded bond, so
 its answers match the dense engine.  Setting ``max_bond`` (or a coarser
 ``truncation_threshold``) is an explicit accuracy opt-in that applies to
-whichever engine ends up running — and it feeds the cost model, so the
-engine is chosen on the configuration that actually executes.
+whichever engine ends up running — and ``max_bond`` feeds the cost model,
+so the engine is chosen on the configuration that actually executes.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def profile_program(
 
     ``is_clifford=None`` scans the ops' gate names; callers that know the
     answer cannot change a decision pass ``False`` and skip the scan (see
-    :meth:`DispatchPolicy.reads_clifford`).
+    :func:`reads_clifford`).
     """
     return _profile(
         ((op.names, op.qubits) for op in program.ops if op.kind != MEASURE),
@@ -329,253 +330,214 @@ def profile_plan(
 
 
 # ---------------------------------------------------------------------- #
-# The dispatch policy
+# Dispatch
 # ---------------------------------------------------------------------- #
 _INFEASIBLE = float("inf")
 
+#: Clifford circuits that force per-shot trajectories (feedback or
+#: mid-circuit measurement) leave the state vector at this size.
+STABILIZER_MIN_QUBITS = 21
+#: Sampled-eligible Clifford circuits (terminal measurements only) keep the
+#: flat-in-shots dense path until the amplitude array itself is the
+#: bottleneck, then the cost model arbitrates tableau vs MPS.
+STABILIZER_SAMPLED_MIN_QUBITS = 26
+#: Entanglement exponents above this make the MPS cost estimate saturate
+#: (2**cap is already hopeless next to any alternative).
+MPS_EXPONENT_CAP = 24
+#: Relative per-element cost constants (dense amplitude update = 1).
+TABLEAU_ROW_COST = 4.0
+SVD_COST = 40.0
 
-@dataclass
-class DispatchPolicy:
-    """Chooses a simulation backend per circuit via feasibility + cost.
 
-    The thresholds reproduce the dispatch behaviour the stack had when the
-    rules were hard-coded constants (statevector whenever it fits, tableau
-    for big Clifford circuits), extended with the MPS engine for everything
-    beyond the dense wall.  With the default knobs every auto-dispatched
-    configuration is exact (``mps_max_bond=None``); a caller-set bond cap
-    is an explicit accuracy opt-in and flows into both the cost estimate
-    and the engine.
+def reads_clifford(backend: str | None, noise: str, num_qubits: int) -> bool:
+    """Whether a run's Clifford-ness can change its engine decision.
+
+    Only a pinned stabilizer, or noise-free auto-dispatch in tableau
+    territory, reads it; every other caller profiles with
+    ``is_clifford=False`` and skips the gate-name scan.
     """
+    if backend is not None:
+        return backend == "stabilizer"
+    return noise == "none" and num_qubits >= STABILIZER_MIN_QUBITS
 
-    #: Clifford circuits that force per-shot trajectories (feedback or
-    #: mid-circuit measurement) leave the state vector at this size.
-    stabilizer_min_qubits: int = 21
-    #: Sampled-eligible Clifford circuits (terminal measurements only) keep
-    #: the flat-in-shots dense path until the amplitude array itself is the
-    #: bottleneck, then the cost model arbitrates tableau vs MPS.
-    stabilizer_sampled_min_qubits: int = 26
-    #: Hard memory wall of the dense engine (2**26 amplitudes = 1 GiB).
-    statevector_max_qubits: int = 26
-    #: Mirrors the engine's own cap (one shared constant, like the MPS
-    #: dense-materialisation limit) so feasibility and execution agree.
-    density_max_qubits: int = DENSITY_MAX_QUBITS
-    #: Opt-in: route channel-exact noisy circuits to the density engine when
-    #: it is feasible, trading per-shot trajectories for one deterministic
-    #: channel evolution.  Off by default so auto-dispatch never changes the
-    #: seeded per-shot results of existing trajectory runs.
-    prefer_exact_channels: bool = False
-    #: Bond cap handed to auto-dispatched MPS runs (None = unbounded/exact).
-    mps_max_bond: int | None = None
-    mps_truncation_threshold: float = 1e-12
-    #: Entanglement exponents above this make the MPS cost estimate
-    #: saturate (2**cap is already hopeless next to any alternative).
-    mps_exponent_cap: int = 24
-    #: Relative per-element cost constants (dense amplitude update = 1).
-    tableau_row_cost: float = 4.0
-    svd_cost: float = 40.0
 
-    # ------------------------------------------------------------------ #
-    # Feasibility
-    # ------------------------------------------------------------------ #
-    def reads_clifford(self, backend: str | None, noise: str, num_qubits: int) -> bool:
-        """Whether a run's Clifford-ness can change its engine decision.
-
-        Only a pinned stabilizer, or noise-free auto-dispatch in tableau
-        territory, reads it; every other caller profiles with
-        ``is_clifford=False`` and skips the gate-name scan.
-        """
-        if backend is not None:
-            return backend == "stabilizer"
-        threshold = min(self.stabilizer_min_qubits, self.statevector_max_qubits + 1)
-        return noise == "none" and num_qubits >= threshold
-
-    def unsupported_reason(self, name: str, profile: CircuitProfile) -> str | None:
-        """Why ``name`` cannot run the profiled circuit (None = it can)."""
-        caps = BACKENDS.get(name)
-        if caps is None:
-            return f"unknown backend {name!r}; known: {', '.join(sorted(BACKENDS))}"
-        if caps.max_qubits is not None and profile.num_qubits > caps.max_qubits:
-            return f"{profile.num_qubits} qubits exceed the {name} limit of {caps.max_qubits}"
-        if caps.clifford_only and not profile.is_clifford:
-            return f"{name} is Clifford-only and the circuit has non-Clifford gates"
-        if not profile.noise_free and caps.noise == "none":
-            return f"{name} does not support error models"
-        if profile.noise == "trajectory" and caps.noise == "channel":
-            return (
-                f"{name} runs exact compiled channels only; the error model has "
-                "no channel representation (trajectory-only noise)"
-            )
-        if profile.needs_trajectories and not caps.conditionals:
-            return f"{name} cannot run mid-circuit measurement or conditional feedback"
-        if profile.has_initial_state and not caps.initial_state:
-            return f"{name} does not accept a dense initial state"
-        if profile.keep_final_state and not caps.final_state:
-            return f"{name} cannot return a dense final state"
-        if profile.num_measurements == 0 and not caps.final_state:
-            return f"{name} only produces measurement histograms and the circuit never measures"
-        if (
-            (profile.keep_final_state or profile.num_measurements == 0)
-            and name == "mps"
-            and profile.num_qubits > DENSE_MATERIALISE_LIMIT
-        ):
-            return (
-                f"returning a dense final state would materialise 2**{profile.num_qubits} "
-                f"amplitudes; it is limited to {DENSE_MATERIALISE_LIMIT} qubits "
-                "on the mps backend"
-            )
-        if (
-            caps.max_gate_qubits is not None
-            and not caps.clifford_only
-            and profile.max_gate_qubits > caps.max_gate_qubits
-        ):
-            return (
-                f"{name} applies at most {caps.max_gate_qubits}-qubit gates; "
-                f"the circuit contains a {profile.max_gate_qubits}-qubit gate"
-            )
-        return None
-
-    def validate(self, name: str, profile: CircuitProfile) -> str:
-        """Validate an explicit backend request; returns the canonical name."""
-        reason = self.unsupported_reason(name, profile)
-        if reason is not None:
-            raise UnsupportedBackendError(
-                f"backend {name!r} cannot run this circuit: {reason}\n\n"
-                f"{capability_matrix()}"
-            )
-        return name
-
-    # ------------------------------------------------------------------ #
-    # Cost model
-    # ------------------------------------------------------------------ #
-    def estimate_cost(self, name: str, profile: CircuitProfile) -> float:
-        """Rough work estimate (dense amplitude updates) of one run."""
-        if self.unsupported_reason(name, profile) is not None:
-            return _INFEASIBLE
-        n = profile.num_qubits
-        shots = max(profile.shots, 1)
-        if name == "statevector":
-            evolution = max(profile.gate_count, 1) * float(2**n) * 4.0
-            if profile.noise_free and not profile.needs_trajectories:
-                return evolution + shots
-            return shots * evolution
-        if name == "stabilizer":
-            per_shot = (
-                profile.gate_count * n + profile.num_measurements * n * n
-            ) * self.tableau_row_cost
-            return shots * max(per_shot, 1.0)
-        if name == "density":
-            # Compiled channel program: one fused superoperator per position
-            # over 4**n real Pauli coefficients, flat in shots (sampling from
-            # the final distribution is cheap next to the evolution).
-            evolution = max(profile.gate_count, 1) * float(4**n) * 4.0
-            return evolution + shots
-        if name == "mps":
-            cap = self.mps_exponent_cap
-            exponent = min(profile.entanglement_exponent(), cap)
-            if self.mps_max_bond is not None:
-                bond = min(2**exponent, self.mps_max_bond)
-            else:
-                bond = 2**exponent
-            # Every 2q gate is an SVD of a (2 bond, 2 bond) block; swap
-            # ladders multiply that by the gate span.
-            splits = profile.two_qubit_gate_count + 2 * max(
-                profile.total_gate_span - profile.two_qubit_gate_count, 0
-            )
-            evolution = max(splits, 1) * float(bond) ** 3 * self.svd_cost
-            sampling = shots * n * float(bond) ** 2 * 2.0
-            if profile.noise_free and not profile.needs_trajectories:
-                return evolution + sampling
-            return shots * (evolution + n * float(bond) ** 2)
-        return _INFEASIBLE
-
-    # ------------------------------------------------------------------ #
-    # Selection
-    # ------------------------------------------------------------------ #
-    def choose(self, profile: CircuitProfile) -> str:
-        """Pick the backend for one run (auto-dispatch).
-
-        Tiered: the dense engine keeps every circuit it comfortably fits
-        (auto-dispatch must not perturb small-register behaviour), the
-        tableau keeps its established Clifford territory, and beyond the
-        dense wall the cost model arbitrates among whatever remains
-        feasible.
-        """
-        # Dense-state obligations first: caller-provided initial states and
-        # dense final states (requested, or implied by a measurement-free
-        # circuit) are statevector-only features at full register range.
-        if profile.has_initial_state or profile.num_measurements == 0 or (
-            profile.keep_final_state and profile.num_qubits > self.statevector_max_qubits
-        ):
-            return self.validate("statevector", profile)
-        # Opt-in exact-channel arbitration: when the error model compiles to
-        # channels and the density engine fits, shots are free there — one
-        # deterministic evolution replaces per-shot trajectories.
-        if (
-            self.prefer_exact_channels
-            and profile.noise == "channel"
-            and profile.num_qubits <= self.density_max_qubits
-            and self.unsupported_reason("density", profile) is None
-        ):
-            return "density"
-        clifford_eligible = (
-            profile.noise_free
-            and profile.is_clifford
-            and profile.num_measurements > 0
-            and not profile.keep_final_state
+def unsupported_reason(name: str, profile: CircuitProfile) -> str | None:
+    """Why ``name`` cannot run the profiled circuit (None = it can)."""
+    caps = BACKENDS.get(name)
+    if caps is None:
+        return f"unknown backend {name!r}; known: {', '.join(sorted(BACKENDS))}"
+    if caps.max_qubits is not None and profile.num_qubits > caps.max_qubits:
+        return f"{profile.num_qubits} qubits exceed the {name} limit of {caps.max_qubits}"
+    if caps.clifford_only and not profile.is_clifford:
+        return f"{name} is Clifford-only and the circuit has non-Clifford gates"
+    if not profile.noise_free and caps.noise == "none":
+        return f"{name} does not support error models"
+    if profile.noise == "trajectory" and caps.noise == "channel":
+        return (
+            f"{name} runs exact compiled channels only; the error model has "
+            "no channel representation (trajectory-only noise)"
         )
-        if clifford_eligible and profile.num_qubits >= self.stabilizer_min_qubits:
-            if profile.needs_trajectories:
-                return "stabilizer"
-            if profile.num_qubits >= self.stabilizer_sampled_min_qubits:
-                mps_cost = self.estimate_cost("mps", profile)
-                if mps_cost < self.estimate_cost("stabilizer", profile):
-                    return "mps"
-                return "stabilizer"
-        if profile.num_qubits <= self.statevector_max_qubits:
-            return "statevector"
-        # Beyond the dense wall: pick the cheapest feasible engine.
-        candidates = [
-            (self.estimate_cost(name, profile), name)
-            for name in ("stabilizer", "mps")
-            if self.unsupported_reason(name, profile) is None
-        ]
-        candidates = [entry for entry in candidates if entry[0] < _INFEASIBLE]
-        if not candidates:
-            reasons = "; ".join(
-                f"{name}: {self.unsupported_reason(name, profile)}"
-                for name in BACKENDS
-                if self.unsupported_reason(name, profile) is not None
-            )
-            raise UnsupportedBackendError(
-                f"no backend can run this {profile.num_qubits}-qubit circuit "
-                f"({reasons})\n\n{capability_matrix()}"
-            )
-        return min(candidates)[1]
+    if profile.needs_trajectories and not caps.conditionals:
+        return f"{name} cannot run mid-circuit measurement or conditional feedback"
+    if profile.has_initial_state and not caps.initial_state:
+        return f"{name} does not accept a dense initial state"
+    if profile.keep_final_state and not caps.final_state:
+        return f"{name} cannot return a dense final state"
+    if profile.num_measurements == 0 and not caps.final_state:
+        return f"{name} only produces measurement histograms and the circuit never measures"
+    if (
+        (profile.keep_final_state or profile.num_measurements == 0)
+        and name == "mps"
+        and profile.num_qubits > DENSE_MATERIALISE_LIMIT
+    ):
+        return (
+            f"returning a dense final state would materialise 2**{profile.num_qubits} "
+            f"amplitudes; it is limited to {DENSE_MATERIALISE_LIMIT} qubits "
+            "on the mps backend"
+        )
+    if (
+        caps.max_gate_qubits is not None
+        and not caps.clifford_only
+        and profile.max_gate_qubits > caps.max_gate_qubits
+    ):
+        return (
+            f"{name} applies at most {caps.max_gate_qubits}-qubit gates; "
+            f"the circuit contains a {profile.max_gate_qubits}-qubit gate"
+        )
+    return None
 
-    # ------------------------------------------------------------------ #
-    # Shot-sharded points
-    # ------------------------------------------------------------------ #
-    def evolve_once_engine(self, profile: CircuitProfile, shard_shots, backend: str | None = None):
-        """The engine that serves every shard of a point from one evolution.
 
-        The single rule for which points are deterministic: every shard
-        size dispatches to one engine (the cost model sees one shard's
-        shots, so distinct sizes can split), and that engine draws no
-        randomness before sampling the final distribution — the dense and
-        MPS sampled paths (noise-free, terminal measurements only) and the
-        exact density engine (compiled channels plus read-out confusion).
-        ``None`` means each shard needs its own run: per-shot trajectories,
-        the tableau, or shard sizes that split across engines.  A pinned
-        ``backend`` is taken as is; callers validate it against the full
-        profile.
-        """
-        if backend is None:
-            sizes = sorted(set(shard_shots))
-            engines = {self.choose(replace(profile, shots=size)) for size in sizes}
-            if len(engines) > 1:
-                return None
-            (backend,) = engines
-        sampled = profile.noise_free and not profile.needs_trajectories
-        if backend == "density" or (backend in ("statevector", "mps") and sampled):
-            return backend
-        return None
+def validate(name: str, profile: CircuitProfile) -> str:
+    """Validate an explicit backend request; returns the canonical name."""
+    reason = unsupported_reason(name, profile)
+    if reason is not None:
+        raise UnsupportedBackendError(
+            f"backend {name!r} cannot run this circuit: {reason}\n\n"
+            f"{capability_matrix()}"
+        )
+    return name
+
+
+def estimate_cost(name: str, profile: CircuitProfile, max_bond: int | None = None) -> float:
+    """Rough work estimate (dense amplitude updates) of one run.
+
+    ``max_bond`` caps the MPS bond dimension the estimate assumes (``None``
+    = unbounded, the exact engine).
+    """
+    if unsupported_reason(name, profile) is not None:
+        return _INFEASIBLE
+    n = profile.num_qubits
+    shots = max(profile.shots, 1)
+    if name == "statevector":
+        evolution = max(profile.gate_count, 1) * float(2**n) * 4.0
+        if profile.noise_free and not profile.needs_trajectories:
+            return evolution + shots
+        return shots * evolution
+    if name == "stabilizer":
+        per_shot = (profile.gate_count * n + profile.num_measurements * n * n) * TABLEAU_ROW_COST
+        return shots * max(per_shot, 1.0)
+    if name == "density":
+        # Compiled channel program: one fused superoperator per position
+        # over 4**n real Pauli coefficients, flat in shots (sampling from
+        # the final distribution is cheap next to the evolution).
+        evolution = max(profile.gate_count, 1) * float(4**n) * 4.0
+        return evolution + shots
+    if name == "mps":
+        bond = 2 ** min(profile.entanglement_exponent(), MPS_EXPONENT_CAP)
+        if max_bond is not None:
+            bond = min(bond, max_bond)
+        # Every 2q gate is an SVD of a (2 bond, 2 bond) block; swap
+        # ladders multiply that by the gate span.
+        splits = profile.two_qubit_gate_count + 2 * max(
+            profile.total_gate_span - profile.two_qubit_gate_count, 0
+        )
+        evolution = max(splits, 1) * float(bond) ** 3 * SVD_COST
+        sampling = shots * n * float(bond) ** 2 * 2.0
+        if profile.noise_free and not profile.needs_trajectories:
+            return evolution + sampling
+        return shots * (evolution + n * float(bond) ** 2)
+    return _INFEASIBLE
+
+
+def choose(profile: CircuitProfile, max_bond: int | None = None) -> str:
+    """Pick the backend for one run (auto-dispatch).
+
+    Tiered: the dense engine keeps every circuit it comfortably fits
+    (auto-dispatch must not perturb small-register behaviour), the tableau
+    keeps its established Clifford territory, and beyond the dense wall the
+    cost model arbitrates among whatever remains feasible.  ``max_bond`` is
+    the bond cap the MPS engine would run with.
+    """
+    dense_max = BACKENDS["statevector"].max_qubits
+    # Dense-state obligations first: caller-provided initial states and
+    # dense final states (requested, or implied by a measurement-free
+    # circuit) are statevector-only features at full register range.
+    if profile.has_initial_state or profile.num_measurements == 0 or (
+        profile.keep_final_state and profile.num_qubits > dense_max
+    ):
+        return validate("statevector", profile)
+    clifford_eligible = (
+        profile.noise_free
+        and profile.is_clifford
+        and profile.num_measurements > 0
+        and not profile.keep_final_state
+    )
+    if clifford_eligible and profile.num_qubits >= STABILIZER_MIN_QUBITS:
+        if profile.needs_trajectories:
+            return "stabilizer"
+        if profile.num_qubits >= STABILIZER_SAMPLED_MIN_QUBITS:
+            mps_cost = estimate_cost("mps", profile, max_bond)
+            if mps_cost < estimate_cost("stabilizer", profile):
+                return "mps"
+            return "stabilizer"
+    if profile.num_qubits <= dense_max:
+        return "statevector"
+    # Beyond the dense wall: pick the cheapest feasible engine.
+    candidates = [
+        (estimate_cost(name, profile, max_bond), name)
+        for name in ("stabilizer", "mps")
+        if unsupported_reason(name, profile) is None
+    ]
+    candidates = [entry for entry in candidates if entry[0] < _INFEASIBLE]
+    if not candidates:
+        reasons = "; ".join(
+            f"{name}: {unsupported_reason(name, profile)}"
+            for name in BACKENDS
+            if unsupported_reason(name, profile) is not None
+        )
+        raise UnsupportedBackendError(
+            f"no backend can run this {profile.num_qubits}-qubit circuit "
+            f"({reasons})\n\n{capability_matrix()}"
+        )
+    return min(candidates)[1]
+
+
+def evolve_once_engine(
+    profile: CircuitProfile,
+    shard_shots,
+    backend: str | None = None,
+    max_bond: int | None = None,
+):
+    """The engine that serves every shard of a point from one evolution.
+
+    The single rule for which points are deterministic: every shard size
+    dispatches to one engine (the cost model sees one shard's shots, so
+    distinct sizes can split), and that engine draws no randomness before
+    sampling the final distribution — the dense and MPS sampled paths
+    (noise-free, terminal measurements only) and the exact density engine
+    (compiled channels plus read-out confusion).  ``None`` means each shard
+    needs its own run: per-shot trajectories, the tableau, or shard sizes
+    that split across engines.  A pinned ``backend`` is taken as is;
+    callers validate it against the full profile.  ``max_bond`` is the
+    run's MPS bond cap, so planner and worker decide on the same inputs.
+    """
+    if backend is None:
+        sizes = sorted(set(shard_shots))
+        engines = {choose(replace(profile, shots=size), max_bond) for size in sizes}
+        if len(engines) > 1:
+            return None
+        (backend,) = engines
+    sampled = profile.noise_free and not profile.needs_trajectories
+    if backend == "density" or (backend in ("statevector", "mps") and sampled):
+        return backend
+    return None

@@ -5,8 +5,8 @@ operationally — "with probability p, apply X/Y/Z" — which forces the
 density engine into per-gate Kraus contractions.  This module gives every
 channel a single linear-algebra representation instead: a real
 ``4**k x 4**k`` matrix acting on the coefficient vector of the density
-matrix in an orthonormal Hermitian operator basis (the Pauli-transfer
-matrix).  In that picture
+matrix in the normalised Pauli basis (the Pauli-transfer matrix).  In
+that picture
 
 * a unitary gate is a PTM (conjugation lifted to superoperator form),
 * every noise channel is a PTM,
@@ -43,94 +43,49 @@ PAULIS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: The operator basis every PTM here is written in: the normalised Pauli
+#: basis ``{I, X, Y, Z} / sqrt(2)``, orthonormal under the trace inner
+#: product, in which PTMs of Pauli channels are diagonal and the state
+#: vector is real.
+_BASIS = np.stack([PAULIS[p] for p in "IXYZ"]) / _SQRT2
 
-class PauliBasis:
-    """An orthonormal Hermitian operator basis for one qubit.
 
-    The PTM representation is defined relative to a basis ``{B_i}`` with
-    ``Tr[B_i^dag B_j] = delta_ij``; the default is the normalised Pauli
-    basis ``{I, X, Y, Z} / sqrt(2)``, in which PTMs of Pauli channels are
-    diagonal and the state vector is real.  Alternative orderings (or
-    rotated bases) plug in through :meth:`from_matrices`.
+def pauli_elements(num_qubits: int = 1) -> np.ndarray:
+    """All ``4**k`` elements of the k-qubit product Pauli basis.
+
+    Element ``i`` is the Kronecker product over qubits with operand 0 as
+    the *most* significant base-4 digit of ``i`` — the same textbook
+    convention the gate kernels use for matrix indices.
     """
-
-    __slots__ = ("labels", "matrices")
-
-    def __init__(self, labels: tuple[str, ...], matrices: np.ndarray):
-        matrices = np.asarray(matrices, dtype=complex)
-        if matrices.shape != (4, 2, 2):
-            raise ValueError("a single-qubit operator basis needs shape (4, 2, 2)")
-        if len(labels) != 4:
-            raise ValueError("need exactly four basis labels")
-        gram = np.einsum("iab,jab->ij", matrices.conj(), matrices)
-        if not np.allclose(gram, np.eye(4), atol=1e-10):
-            raise ValueError("basis matrices are not orthonormal under the trace inner product")
-        for index, matrix in enumerate(matrices):
-            if not np.allclose(matrix, matrix.conj().T, atol=1e-10):
-                raise ValueError(f"basis element {labels[index]!r} is not Hermitian")
-        self.labels = tuple(labels)
-        self.matrices = matrices
-
-    @classmethod
-    def ixyz(cls) -> "PauliBasis":
-        """The normalised Pauli basis ``{I, X, Y, Z} / sqrt(2)``."""
-        stack = np.stack([PAULIS[p] for p in "IXYZ"]) / _SQRT2
-        return cls(("I", "X", "Y", "Z"), stack)
-
-    @classmethod
-    def from_matrices(cls, labels, matrices) -> "PauliBasis":
-        return cls(tuple(labels), np.asarray(matrices, dtype=complex))
-
-    def tensor_elements(self, num_qubits: int) -> np.ndarray:
-        """All ``4**k`` elements of the k-qubit product basis.
-
-        Element ``i`` is the Kronecker product over qubits with operand 0
-        as the *most* significant base-4 digit of ``i`` — the same textbook
-        convention the gate kernels use for matrix indices.
-        """
-        elements = self.matrices
-        for _ in range(num_qubits - 1):
-            count, dim = elements.shape[0], elements.shape[1]
-            elements = np.einsum("iab,jcd->ijacbd", elements, self.matrices).reshape(
-                count * 4, dim * 2, dim * 2
-            )
-        return elements
-
-    def traces(self, num_qubits: int = 1) -> np.ndarray:
-        """Trace of each k-qubit basis element.
-
-        The linear functional expressing trace preservation of a PTM as
-        ``traces @ ptm == traces``.
-        """
-        return np.einsum("iaa->i", self.tensor_elements(num_qubits))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PauliBasis({'/'.join(self.labels)})"
+    elements = _BASIS
+    for _ in range(num_qubits - 1):
+        count, dim = elements.shape[0], elements.shape[1]
+        elements = np.einsum("iab,jcd->ijacbd", elements, _BASIS).reshape(
+            count * 4, dim * 2, dim * 2
+        )
+    return elements
 
 
-_DEFAULT_BASIS: PauliBasis | None = None
+def pauli_traces(num_qubits: int = 1) -> np.ndarray:
+    """Trace of each k-qubit basis element.
 
-
-def default_basis() -> PauliBasis:
-    """The module-wide default ``{I, X, Y, Z} / sqrt(2)`` basis (cached)."""
-    global _DEFAULT_BASIS
-    if _DEFAULT_BASIS is None:
-        _DEFAULT_BASIS = PauliBasis.ixyz()
-    return _DEFAULT_BASIS
+    The linear functional expressing trace preservation of a PTM as
+    ``traces @ ptm == traces``.
+    """
+    return np.einsum("iaa->i", pauli_elements(num_qubits))
 
 
 # ---------------------------------------------------------------------- #
 # State conversions
 # ---------------------------------------------------------------------- #
-def density_to_vector(rho: np.ndarray, basis: PauliBasis | None = None) -> np.ndarray:
+def density_to_vector(rho: np.ndarray) -> np.ndarray:
     """Coefficient vector ``r_i = Tr[B_i^dag rho]`` of a density matrix.
 
     Qubit ``q`` occupies the base-4 digit of significance ``4**q`` in the
     flat index, matching the little-endian bit layout of the state-vector
-    engine.  Real for Hermitian ``rho`` in a Hermitian basis; cost is
-    ``O(n 4**n)`` via per-qubit partial transforms.
+    engine.  Real for Hermitian ``rho``; cost is ``O(n 4**n)`` via
+    per-qubit partial transforms.
     """
-    basis = basis or default_basis()
     rho = np.asarray(rho, dtype=complex)
     num_qubits = rho.shape[0].bit_length() - 1
     # Interleave row/column bits per qubit: axes (r_0, c_0, r_1, c_1, ...)
@@ -138,7 +93,7 @@ def density_to_vector(rho: np.ndarray, basis: PauliBasis | None = None) -> np.nd
     tensor = rho.reshape((2,) * (2 * num_qubits))
     order = [axis for q in range(num_qubits) for axis in (q, num_qubits + q)]
     tensor = np.transpose(tensor, order)
-    contract = basis.matrices.conj()  # r_i = sum_ab conj(B_i[a, b]) rho[a, b]
+    contract = _BASIS.conj()  # r_i = sum_ab conj(B_i[a, b]) rho[a, b]
     for qubit_axis in range(num_qubits):
         axis = qubit_axis  # processed axes collapse 2 -> 1, so pairs stay put
         moved = np.tensordot(contract, tensor, axes=([1, 2], [axis, axis + 1]))
@@ -149,16 +104,15 @@ def density_to_vector(rho: np.ndarray, basis: PauliBasis | None = None) -> np.nd
     return np.ascontiguousarray(vector.real)
 
 
-def vector_to_density(vector: np.ndarray, basis: PauliBasis | None = None) -> np.ndarray:
+def vector_to_density(vector: np.ndarray) -> np.ndarray:
     """Reassemble ``rho = sum_i r_i B_i`` from its coefficient vector."""
-    basis = basis or default_basis()
     vector = np.asarray(vector)
     num_qubits = (vector.size.bit_length() - 1) // 2
     tensor = vector.astype(complex).reshape((4,) * num_qubits)
     # Expand each base-4 axis into an interleaved (row, column) pair.
     for qubit_axis in range(num_qubits):
         axis = 2 * qubit_axis
-        moved = np.tensordot(basis.matrices, tensor, axes=([0], [axis]))
+        moved = np.tensordot(_BASIS, tensor, axes=([0], [axis]))
         tensor = np.moveaxis(moved, [0, 1], [axis, axis + 1])
     order = [2 * q for q in range(num_qubits)] + [2 * q + 1 for q in range(num_qubits)]
     dim = 1 << num_qubits
@@ -171,14 +125,14 @@ def vector_to_density(vector: np.ndarray, basis: PauliBasis | None = None) -> np
 class Channel:
     """A quantum channel represented by its Pauli-transfer matrix.
 
-    ``ptm[i, j] = Tr[B_i^dag E(B_j)]`` over the k-qubit product basis;
-    real for Hermiticity-preserving maps in a Hermitian basis.  Operand 0
-    is the most significant base-4 digit of the PTM index.
+    ``ptm[i, j] = Tr[B_i^dag E(B_j)]`` over the k-qubit product Pauli
+    basis; real for Hermiticity-preserving maps.  Operand 0 is the most
+    significant base-4 digit of the PTM index.
     """
 
-    __slots__ = ("ptm", "num_qubits", "basis")
+    __slots__ = ("ptm", "num_qubits")
 
-    def __init__(self, ptm: np.ndarray, basis: PauliBasis | None = None):
+    def __init__(self, ptm: np.ndarray):
         ptm = np.ascontiguousarray(ptm, dtype=np.float64)
         if ptm.ndim != 2 or ptm.shape[0] != ptm.shape[1]:
             raise ValueError("a PTM must be square")
@@ -187,39 +141,37 @@ class Channel:
             raise ValueError("PTM dimension must be a power of four")
         self.ptm = ptm
         self.num_qubits = num_qubits
-        self.basis = basis or default_basis()
 
     # -- constructors ---------------------------------------------------- #
     @classmethod
-    def from_kraus(cls, kraus, basis: PauliBasis | None = None) -> "Channel":
+    def from_kraus(cls, kraus) -> "Channel":
         """Channel ``E(rho) = sum_k K rho K^dag`` from its Kraus operators."""
-        basis = basis or default_basis()
         kraus = [np.asarray(k, dtype=complex) for k in kraus]
         num_qubits = kraus[0].shape[0].bit_length() - 1
-        elements = basis.tensor_elements(num_qubits)
+        elements = pauli_elements(num_qubits)
         images = np.zeros_like(elements)
         for operator in kraus:
             conjugated = np.einsum("ab,jbc,dc->jad", operator, elements, operator.conj())
             images = images + conjugated
         ptm = np.einsum("iab,jab->ij", elements.conj(), images)
         if np.max(np.abs(ptm.imag)) > 1e-10:
-            raise ValueError("Kraus map is not Hermiticity-preserving in this basis")
-        return cls(ptm.real, basis)
+            raise ValueError("Kraus map is not Hermiticity-preserving")
+        return cls(ptm.real)
 
     @classmethod
-    def from_unitary(cls, matrix, basis: PauliBasis | None = None) -> "Channel":
+    def from_unitary(cls, matrix) -> "Channel":
         """The superoperator lift ``rho -> U rho U^dag`` of a unitary gate."""
-        return cls.from_kraus([matrix], basis)
+        return cls.from_kraus([matrix])
 
     @classmethod
-    def identity(cls, num_qubits: int = 1, basis: PauliBasis | None = None) -> "Channel":
-        return cls(np.eye(4**num_qubits), basis)
+    def identity(cls, num_qubits: int = 1) -> "Channel":
+        return cls(np.eye(4**num_qubits))
 
     @classmethod
     def pauli(cls, p_x: float, p_y: float, p_z: float) -> "Channel":
         """Biased Pauli channel: apply X/Y/Z with the given probabilities.
 
-        Diagonal in the default basis: each Pauli axis is damped by twice
+        Diagonal in the Pauli basis: each Pauli axis is damped by twice
         the weight of the anticommuting error probabilities.
         """
         diag = [
@@ -294,11 +246,11 @@ class Channel:
         """The channel "``other``, then ``self``" (``self`` applied after)."""
         if other.num_qubits != self.num_qubits:
             raise ValueError("cannot compose channels of different arity")
-        return Channel(self.ptm @ other.ptm, self.basis)
+        return Channel(self.ptm @ other.ptm)
 
     def tensor(self, other: "Channel") -> "Channel":
         """Parallel composition; ``self`` takes the more significant digits."""
-        return Channel(np.kron(self.ptm, other.ptm), self.basis)
+        return Channel(np.kron(self.ptm, other.ptm))
 
     def is_identity(self, atol: float = _ATOL) -> bool:
         return bool(np.allclose(self.ptm, np.eye(self.ptm.shape[0]), atol=atol))
@@ -309,13 +261,13 @@ class Channel:
 
         Positive semidefinite iff the channel is completely positive.
         """
-        elements = self.basis.tensor_elements(self.num_qubits)
+        elements = pauli_elements(self.num_qubits)
         return np.einsum("ij,iab,jcd->acbd", self.ptm, elements, elements.conj()).reshape(
             self.ptm.shape
         )
 
     def is_trace_preserving(self, atol: float = 1e-9) -> bool:
-        traces = self.basis.traces(self.num_qubits)
+        traces = pauli_traces(self.num_qubits)
         return bool(np.allclose(traces @ self.ptm, traces, atol=atol))
 
     def is_cptp(self, atol: float = 1e-9) -> bool:
@@ -326,7 +278,7 @@ class Channel:
         return bool(eigenvalues.min() > -atol)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Channel(qubits={self.num_qubits}, basis={self.basis!r})"
+        return f"Channel(qubits={self.num_qubits})"
 
 
 # PTMs of unitary lifts are recomputed for every gate position; circuits
@@ -336,10 +288,8 @@ _PTM_CACHE: dict[bytes, np.ndarray] = {}
 _PTM_CACHE_CAP = 512
 
 
-def ptm_of_unitary(matrix: np.ndarray, basis: PauliBasis | None = None) -> np.ndarray:
-    """Memoised ``Channel.from_unitary(matrix).ptm`` (default basis only)."""
-    if basis is not None and basis is not default_basis():
-        return Channel.from_unitary(matrix, basis).ptm
+def ptm_of_unitary(matrix: np.ndarray) -> np.ndarray:
+    """Memoised ``Channel.from_unitary(matrix).ptm``."""
     key = np.ascontiguousarray(matrix).tobytes()
     cached = _PTM_CACHE.get(key)
     if cached is not None:
@@ -430,7 +380,6 @@ def compile_channels(
     *,
     num_qubits: int | None = None,
     fuse: bool = True,
-    basis: PauliBasis | None = None,
 ) -> ChannelProgram:
     """Lower a :class:`KernelProgram` + error model into a channel program.
 
@@ -447,7 +396,6 @@ def compile_channels(
     measurement) and, when noise is attached, lowered with ``fuse=False``
     so every physical gate keeps its noise-injection point.
     """
-    basis = basis or default_basis()
     register = num_qubits or program.num_qubits
     if program.needs_trajectories:
         raise ValueError(
@@ -490,7 +438,7 @@ def compile_channels(
         if op.kind != GATE:  # pragma: no cover - guarded by needs_trajectories
             raise ValueError("channel compilation hit a non-gate, non-measure op")
         gate_count += 1
-        position = ptm_of_unitary(op.matrix, basis)
+        position = ptm_of_unitary(op.matrix)
         attached: list[tuple[tuple[int, ...], Channel]] = []
         if error_model is not None:
             attached = [
@@ -539,10 +487,7 @@ def compile_circuit(
     *,
     num_qubits: int | None = None,
     fuse: bool = True,
-    basis: PauliBasis | None = None,
 ) -> ChannelProgram:
     """Compile a circuit directly (lowering unfused so noise points survive)."""
     program = program_for(circuit, fuse=False)
-    return compile_channels(
-        program, error_model, num_qubits=num_qubits, fuse=fuse, basis=basis
-    )
+    return compile_channels(program, error_model, num_qubits=num_qubits, fuse=fuse)

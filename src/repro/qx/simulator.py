@@ -10,8 +10,8 @@ Four engines sit behind one front-end: the dense state vector (exact, up
 to 26 qubits), the stabilizer tableau (Clifford-only, hundreds of qubits),
 the density matrix (exact compiled channels, 16 qubits) and the
 matrix-product state (low-entanglement circuits on 50-100+ qubits).  Which engine runs a
-circuit is decided by the :class:`~repro.qx.backends.DispatchPolicy` cost
-model, overridable per call with ``backend=``; every engine emits
+circuit is decided by the :func:`~repro.qx.backends.choose` cost model,
+overridable per call with ``backend=``; every engine emits
 histograms under the shared :mod:`repro.qx.keying` convention, so routing
 only ever changes the cost, never the result format.
 
@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.circuit import Circuit
 from repro.core.operations import Measurement
 from repro.core.qubits import PERFECT, QubitModel
-from repro.qx.backends import DispatchPolicy, profile_program
+from repro.qx.backends import choose, evolve_once_engine, profile_program, reads_clifford, validate
 from repro.qx.channels import compile_channels
 from repro.qx.compiled import COND_GATE, GATE, MEASURE, program_for
 from repro.qx.density import DensityMatrixSimulator
@@ -43,7 +43,7 @@ from repro.qx.error_models import (
     noise_kind,
 )
 from repro.qx.keying import PreparedIndexSampler, bits_histogram, counts_to_bits
-from repro.qx.mps import MPSState
+from repro.qx.mps import DEFAULT_TRUNCATION_THRESHOLD, MPSState
 from repro.qx.stabilizer import StabilizerSimulator
 from repro.qx.statevector import StateVector
 from repro.qx.trajectories import TrajectorySchedule
@@ -89,11 +89,13 @@ class QXSimulator:
 
     ``backend`` fixes the engine for every run of this simulator
     (``"statevector"``, ``"stabilizer"``, ``"density"`` or ``"mps"``);
-    ``None`` lets the dispatch ``policy`` choose per circuit.  ``max_bond``
-    and ``truncation_threshold`` are the MPS accuracy knobs (``None``
-    inherits the policy defaults: unbounded bond, i.e. exact).  Every
-    evolve-once run (dense or MPS sampled, density) evolves through one
-    preparation step, whether it serves one run or many seeded shards.
+    ``None`` lets the cost model choose per circuit.  ``max_bond`` and
+    ``truncation_threshold`` are the MPS accuracy knobs (``None`` keeps the
+    engine defaults: unbounded bond, i.e. exact); ``max_bond`` also feeds
+    the cost model, so the engine is chosen on the configuration that
+    runs.  Every evolve-once run (dense or MPS sampled, density) evolves
+    through one preparation step, whether it serves one run or many seeded
+    shards.
     """
 
     def __init__(
@@ -105,7 +107,6 @@ class QXSimulator:
         backend: str | None = None,
         max_bond: int | None = None,
         truncation_threshold: float | None = None,
-        policy: DispatchPolicy | None = None,
     ):
         if error_model is not None and qubit_model is not None:
             raise ValueError("pass either error_model or qubit_model, not both")
@@ -118,26 +119,6 @@ class QXSimulator:
         self.backend = backend
         self.max_bond = max_bond
         self.truncation_threshold = truncation_threshold
-        self.policy = policy if policy is not None else DispatchPolicy()
-
-    def _dispatch_policy(self) -> DispatchPolicy:
-        """The policy with this simulator's MPS knobs folded in.
-
-        A simulator-level ``max_bond`` is an explicit accuracy opt-in (auto
-        dispatch stays exact only for a default-configured simulator); it
-        must also feed the cost model, so the engine is chosen on the
-        configuration that will actually run.
-        """
-        if self.max_bond is None and self.truncation_threshold is None:
-            return self.policy
-        from dataclasses import replace
-
-        changes: dict = {}
-        if self.max_bond is not None:
-            changes["mps_max_bond"] = self.max_bond
-        if self.truncation_threshold is not None:
-            changes["mps_truncation_threshold"] = self.truncation_threshold
-        return replace(self.policy, **changes)
 
     # ------------------------------------------------------------------ #
     def run(
@@ -157,7 +138,7 @@ class QXSimulator:
         histogram is sampled from the final distribution, which is
         exponentially cheaper than re-running.
 
-        The engine is chosen by the dispatch policy's cost model — dense
+        The engine is chosen by the dispatch cost model — dense
         state vector while it fits, the stabilizer tableau for QEC-scale
         Clifford circuits, the MPS engine beyond the dense wall — or fixed
         with ``backend=``.  An explicitly requested backend that cannot run
@@ -192,11 +173,11 @@ class QXSimulator:
         generator.  Noisy execution requires an *unfused* program, because
         gate fusion removes error-injection points.
         """
-        register, requested, policy, profile = self._profile_program(
+        register, requested, profile = self._profile_program(
             program, shots, num_qubits, backend, initial_state, keep_final_state
         )
-        name = requested if requested is not None else policy.choose(profile)
-        if policy.evolve_once_engine(profile, (shots,), name) is not None:
+        name = requested if requested is not None else choose(profile, self.max_bond)
+        if evolve_once_engine(profile, (shots,), name) is not None:
             sample, final_state, truncation_error = self._prepare(
                 name, program, register, initial_state
             )
@@ -239,11 +220,11 @@ class QXSimulator:
 
         The runtime's evolve-once entry point.  When every shard size
         dispatches to one engine that serves all shots from a single
-        evolution (:meth:`~repro.qx.backends.DispatchPolicy
-        .evolve_once_engine`), the program evolves once and each shard
-        samples the prepared distribution with its own generator, drawing
-        exactly what :meth:`run_program` would draw on a simulator seeded
-        with that generator — so every shard's histogram is bit-identical to
+        evolution (:func:`~repro.qx.backends.evolve_once_engine`), the
+        program evolves once and each shard samples the prepared
+        distribution with its own generator, drawing exactly what
+        :meth:`run_program` would draw on a simulator seeded with that
+        generator — so every shard's histogram is bit-identical to
         its own ``run_program`` call.  Any other program runs
         :meth:`run_program` once per shard on the shard's generator.
         Results carry histograms only: per-shot classical bits are not
@@ -253,10 +234,10 @@ class QXSimulator:
         if not shards:
             return []
         sizes = [shots for shots, _ in shards]
-        register, requested, policy, profile = self._profile_program(
+        register, requested, profile = self._profile_program(
             program, min(sizes), num_qubits, backend
         )
-        name = policy.evolve_once_engine(profile, sizes, requested)
+        name = evolve_once_engine(profile, sizes, requested, self.max_bond)
         if name is None:
             results = []
             own_rng = self.rng
@@ -282,14 +263,13 @@ class QXSimulator:
     def _profile_program(
         self, program, shots, num_qubits, backend, initial_state=None, keep_final_state=False
     ):
-        """Validate one lowered-program run; returns ``(register, requested, policy, profile)``."""
+        """Validate one lowered-program run; returns ``(register, requested, profile)``."""
         if shots < 1:
             raise ValueError("shots must be >= 1")
         register = num_qubits or self.num_qubits or program.num_qubits
         if program.num_qubits > register:
             raise ValueError("program does not fit the simulator register")
         requested = backend if backend is not None else self.backend
-        policy = self._dispatch_policy()
         noise = noise_kind(self.error_model)
         profile = profile_program(
             program,
@@ -298,15 +278,15 @@ class QXSimulator:
             noise=noise,
             has_initial_state=initial_state is not None,
             keep_final_state=keep_final_state,
-            is_clifford=None if policy.reads_clifford(requested, noise, register) else False,
+            is_clifford=None if reads_clifford(requested, noise, register) else False,
         )
         if requested is not None:
-            policy.validate(requested, profile)
+            validate(requested, profile)
         if not profile.noise_free and program.fused:
             raise ValueError(
                 "noisy execution requires an unfused program (lower with fuse=False)"
             )
-        return register, requested, policy, profile
+        return register, requested, profile
 
     def _prepare(self, name, program, num_qubits, initial_state=None):
         """Evolve ``program`` once on an evolve-once engine.
@@ -393,11 +373,11 @@ class QXSimulator:
 
     # ------------------------------------------------------------------ #
     def _mps_state(self, num_qubits) -> MPSState:
-        policy = self._dispatch_policy()
+        threshold = self.truncation_threshold
         return MPSState(
             num_qubits,
-            max_bond=policy.mps_max_bond,
-            truncation_threshold=policy.mps_truncation_threshold,
+            max_bond=self.max_bond,
+            truncation_threshold=DEFAULT_TRUNCATION_THRESHOLD if threshold is None else threshold,
             rng=self.rng,
         )
 

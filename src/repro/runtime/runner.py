@@ -13,7 +13,7 @@ into executed results in three stages:
    list of shards, each carrying its ``(root seed, point, shard)`` seed
    coordinates (:mod:`repro.runtime.seeding`), and group them into work
    units: a deterministic point (one evolution serves every shot, see
-   :meth:`~repro.qx.backends.DispatchPolicy.evolve_once_engine`) is one
+   :func:`~repro.qx.backends.evolve_once_engine`) is one
    unit that evolves once and samples every shard's stream; any other
    point is one unit per shard;
 3. **execute** — run every unit inline (``workers=1``, or a single unit)
@@ -39,13 +39,19 @@ from typing import TYPE_CHECKING
 from repro.analysis.circuit_check import report
 from repro.core.circuit import Circuit
 from repro.qx import kernels
-from repro.qx.backends import DispatchPolicy, plan_is_clifford, profile_plan
+from repro.qx.backends import (
+    evolve_once_engine,
+    plan_is_clifford,
+    profile_plan,
+    reads_clifford,
+    validate,
+)
 from repro.qx.compiled import LoweringPlan, circuit_content_key, plan_cache_stats, plan_for
 from repro.qx.error_models import error_model_for, noise_kind
 from repro.runtime.aggregate import ExperimentResult, PointResult, merge_counts, merge_metrics
 from repro.runtime.cache import ArtifactCache, default_cache_dir
 from repro.runtime.seeding import shard_sizes
-from repro.runtime.spec import ExperimentSpec, SweepPoint
+from repro.runtime.spec import ExperimentSpec, SimulationSpec, SweepPoint
 from repro.runtime.worker import (
     CompileShardTask,
     QecShardTask,
@@ -144,13 +150,12 @@ class ExperimentRunner:
             self.cache: ArtifactCache | None = ArtifactCache(cache_dir or default_cache_dir())
         else:
             self.cache = None
-        self.policy = DispatchPolicy()
-        #: (plan, shard sizes, pinned backend, noise, Clifford) -> (evolve-once
-        #: engine, widest gate).  Gate names are not structural, so the
-        #: Clifford flag is part of the key wherever it can change the
-        #: decision (else it is False); points sharing the rest of the key
-        #: share the decision.  Keying on the plan object itself holds the
-        #: reference, so an evicted plan's id is never reused.
+        #: (plan, shard sizes, pinned backend, MPS bond cap, noise, Clifford)
+        #: -> (evolve-once engine, widest gate).  Gate names are not
+        #: structural, so the Clifford flag is part of the key wherever it can
+        #: change the decision (else it is False); points sharing the rest of
+        #: the key share the decision.  Keying on the plan object itself
+        #: holds the reference, so an evicted plan's id is never reused.
         self._dispatch_memo: dict[tuple, tuple[str | None, int]] = {}
         #: Plans already dataflow-verified: structurally identical points
         #: share a plan, so a sweep or fleet verifies once per structure.
@@ -160,26 +165,31 @@ class ExperimentRunner:
     # Planning: compile + lower once per point, through the cache.
     # ------------------------------------------------------------------ #
     def _evolve_once(
-        self, plan: LoweringPlan, circuit: Circuit, sizes: tuple, backend: str | None, noise: str
+        self,
+        plan: LoweringPlan,
+        circuit: Circuit,
+        sizes: tuple,
+        simulation: SimulationSpec,
+        noise: str,
     ) -> tuple[str | None, int]:
         """The point's evolve-once engine (or ``None``) and its widest gate.
 
-        A pinned ``backend`` is validated here, in the parent: an engine
-        that cannot run the point surfaces as one clear
-        :class:`~repro.qx.backends.UnsupportedBackendError`, not as N
-        worker crashes.
+        Decided on the inputs the worker's simulator decides on: the point's
+        pinned backend and MPS bond cap.  A pinned backend is validated
+        here, in the parent: an engine that cannot run the point surfaces
+        as one clear :class:`~repro.qx.backends.UnsupportedBackendError`,
+        not as N worker crashes.
         """
-        clifford = (
-            self.policy.reads_clifford(backend, noise, circuit.num_qubits)
-            and plan_is_clifford(plan, circuit)
-        )
-        key = (plan, sizes, backend, noise, clifford)
+        backend, max_bond = simulation.backend, simulation.max_bond
+        reads = reads_clifford(backend, noise, circuit.num_qubits)
+        clifford = reads and plan_is_clifford(plan, circuit)
+        key = (plan, sizes, backend, max_bond, noise, clifford)
         decision = self._dispatch_memo.get(key)
         if decision is None:
             profile = profile_plan(plan, circuit, noise=noise, is_clifford=clifford)
             if backend is not None:
-                self.policy.validate(backend, profile)
-            engine = self.policy.evolve_once_engine(profile, sizes, backend)
+                validate(backend, profile)
+            engine = evolve_once_engine(profile, sizes, backend, max_bond)
             decision = self._dispatch_memo[key] = (engine, profile.max_gate_qubits)
         return decision
 
@@ -212,7 +222,6 @@ class ExperimentRunner:
 
         qubit_model = platform.qubit_model
         noise = noise_kind(error_model_for(qubit_model))
-        backend = spec.simulation.backend
         before = plan_cache_stats()
         plan = plan_for(circuit, fuse=qubit_model.is_perfect)
         after = plan_cache_stats()
@@ -227,7 +236,7 @@ class ExperimentRunner:
             report(circuit, where=f"point {point.params!r}", strict=self.strict_verify)
             self._verified_plans.add(plan)
         sizes = tuple(shard_sizes(spec.shots, spec.max_shard_shots, spec.min_shards))
-        engine, widest_gate = self._evolve_once(plan, circuit, sizes, backend, noise)
+        engine, widest_gate = self._evolve_once(plan, circuit, sizes, spec.simulation, noise)
         planned = PlannedPoint(
             point=point,
             num_qubits=circuit.num_qubits,

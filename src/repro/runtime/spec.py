@@ -136,13 +136,14 @@ class PlatformSpec:
 class SimulationSpec:
     """Which simulation engine executes the shots, and its accuracy knobs.
 
-    ``backend=None`` (the default) lets the
-    :class:`~repro.qx.backends.DispatchPolicy` cost model choose per
-    circuit; an explicit name pins the engine for every sweep point and
-    fails fast (:class:`~repro.qx.backends.UnsupportedBackendError`) when
-    the circuit is outside its capability matrix.  ``max_bond`` and
+    ``backend=None`` (the default) lets the :func:`~repro.qx.backends.choose`
+    cost model choose per circuit; an explicit name pins the engine for
+    every sweep point and fails fast
+    (:class:`~repro.qx.backends.UnsupportedBackendError`) when the circuit
+    is outside its capability matrix.  ``max_bond`` and
     ``truncation_threshold`` are the MPS Schmidt-truncation knobs (``None``
-    = engine defaults: unbounded bond, i.e. exact).  All fields are
+    = engine defaults: unbounded bond, i.e. exact); ``max_bond`` also feeds
+    the cost model, in the planner and the worker alike.  All fields are
     sweepable as ``"simulation.<field>"``; the backend axis also has the
     short form ``"backend"`` (e.g. ``backend=statevector,mps``).
     """
@@ -173,16 +174,12 @@ class CompilerSpec:
     optimize: bool = True
     map_circuits: bool = True
     schedule_policy: str = "asap"
-    #: Append the opt-in dataflow verification pass (warn-only; the runner's
-    #: ``strict_verify`` escalates findings to errors at plan time).
-    verify: bool = False
 
     def build(self) -> Compiler:
         return Compiler(
             optimize=self.optimize,
             map_circuits=self.map_circuits,
             schedule_policy=self.schedule_policy,
-            verify=self.verify,
         )
 
 

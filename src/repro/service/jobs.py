@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.runtime.batch import BatchSpec
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.spec import ExperimentSpec, SweepPoint
+from repro.runtime.spec import BUILDERS, PLATFORMS, ExperimentSpec, SweepPoint
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("pending", "planning", "running", "done", "failed")
@@ -54,12 +54,35 @@ def point_key(point: SweepPoint) -> str:
 
 
 def parse_job_spec(payload: dict, kind: str) -> ExperimentSpec | BatchSpec:
-    """Validate and materialise a submitted spec dict."""
+    """Validate and materialise a submitted spec dict.
+
+    The service resolves registry names only: a circuit builder outside
+    :data:`~repro.runtime.spec.BUILDERS` or a platform factory outside
+    :data:`~repro.runtime.spec.PLATFORMS` (such as a ``"module:function"``
+    dotted reference) is refused here, before anything is imported, so a
+    request never names code for the daemon to run.  cQASM circuits carry
+    no reference and pass.
+    """
     if kind == "experiment":
-        return ExperimentSpec.from_dict(payload)
-    if kind == "batch":
-        return BatchSpec.from_dict(payload)
-    raise ValueError(f"unknown job kind {kind!r}: expected 'experiment' or 'batch'")
+        spec = ExperimentSpec.from_dict(payload)
+        circuits = [spec.circuit] if spec.circuit is not None else []
+    elif kind == "batch":
+        spec = BatchSpec.from_dict(payload)
+        circuits = [entry.circuit for entry in spec.circuits]
+    else:
+        raise ValueError(f"unknown job kind {kind!r}: expected 'experiment' or 'batch'")
+    for circuit in circuits:
+        if circuit.builder is not None and circuit.builder not in BUILDERS:
+            raise ValueError(
+                f"circuit builder {circuit.builder!r} is not a registry name; "
+                f"the service runs only {sorted(BUILDERS)}"
+            )
+    if spec.platform.factory not in PLATFORMS:
+        raise ValueError(
+            f"platform factory {spec.platform.factory!r} is not a registry name; "
+            f"the service runs only {sorted(PLATFORMS)}"
+        )
+    return spec
 
 
 @dataclass

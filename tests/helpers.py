@@ -145,3 +145,24 @@ def clifford_feedback_circuit(num_qubits: int = 21):
     for qubit in range(1, num_qubits):
         circuit.measure(qubit)
     return circuit
+
+
+def layered_clifford_circuit(num_qubits: int = 30):
+    """Six layers of random H/S on every qubit, each followed by CNOTs over
+    a random pairing of the qubits.
+
+    Noise-free and Clifford past the dense wall: the unbounded MPS cost
+    estimate loses to the tableau, while a small ``max_bond`` cap makes the
+    MPS engine the cheaper one.
+    """
+    from repro.core.circuit import Circuit
+
+    rng = np.random.default_rng(0)
+    circuit = Circuit(num_qubits, "layered_clifford")
+    for _ in range(6):
+        for qubit in range(num_qubits):
+            circuit.add_gate("h" if rng.random() < 0.5 else "s", qubit)
+        pairing = rng.permutation(num_qubits)
+        for index in range(0, num_qubits - 1, 2):
+            circuit.cnot(int(pairing[index]), int(pairing[index + 1]))
+    return circuit

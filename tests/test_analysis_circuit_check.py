@@ -265,11 +265,6 @@ class TestWiring:
         with pytest.raises(CircuitContractError):
             compiler.compile_circuit(use_before_write_circuit(), perfect_platform(num_qubits=2))
 
-    def test_compiler_spec_opts_into_verification(self):
-        spec = CompilerSpec(verify=True)
-        assert any(isinstance(p, VerificationPass) for p in spec.build().passes)
-        assert not any(isinstance(p, VerificationPass) for p in CompilerSpec().build().passes)
-
     def test_runner_plan_warns_on_bad_circuit(self, tmp_path):
         cqasm = (
             "version 1.0\n"

@@ -1,4 +1,4 @@
-"""Backend registry, dispatch-policy and capability-matrix tests."""
+"""Backend registry, dispatch and capability-matrix tests."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,18 @@ from repro.core.circuit import Circuit, ghz_circuit
 from repro.qx import keying
 from repro.qx.backends import (
     BACKENDS,
-    DispatchPolicy,
     UnsupportedBackendError,
     capability_matrix,
+    choose,
     entanglement_exponent,
+    evolve_once_engine,
     profile_plan,
     profile_program,
 )
 from repro.qx.error_models import DepolarizingError, DecoherenceError
 from repro.qx.simulator import QXSimulator
 from repro.qx.compiled import plan_for, program_for
-from helpers import REGISTRY_BUILDER_KWARGS, REGISTRY_PLATFORMS
+from helpers import REGISTRY_BUILDER_KWARGS, REGISTRY_PLATFORMS, layered_clifford_circuit
 
 
 def _clifford_dense(num_qubits, gates, seed):
@@ -113,16 +114,17 @@ DISPATCH_CIRCUITS = {
     "ghz24": lambda: _measured(ghz_circuit(24)),
     "ghz30_unmeasured": lambda: ghz_circuit(30),
     "toffoli30": _toffoli_30,
+    "layered_clifford30": lambda: _measured(layered_clifford_circuit(30)),
 }
 
 
 class TestAutoDispatch:
-    """The policy replaces the old STABILIZER_DISPATCH_* constants: same
-    behaviour where the old rules applied, MPS beyond the dense wall."""
+    """The cost model keeps the old STABILIZER_DISPATCH_* behaviour where
+    those rules applied, and picks MPS beyond the dense wall."""
 
-    def _choice(self, case, **kwargs):
+    def _choice(self, case, max_bond=None, **kwargs):
         profile = profile_program(program_for(DISPATCH_CIRCUITS[case]()), **kwargs)
-        return DispatchPolicy().choose(profile)
+        return choose(profile, max_bond)
 
     def test_small_circuit_stays_dense(self):
         assert self._choice("ghz5", shots=100) == "statevector"
@@ -157,6 +159,12 @@ class TestAutoDispatch:
         with pytest.raises(UnsupportedBackendError, match="3-qubit gate"):
             self._choice("toffoli30", shots=1)
 
+    def test_bond_cap_reaches_the_cost_model(self):
+        """A layered Clifford circuit beyond the wall costs less on the
+        tableau than on an unbounded MPS; capping the bond flips that."""
+        assert self._choice("layered_clifford30", shots=128) == "stabilizer"
+        assert self._choice("layered_clifford30", max_bond=4, shots=128) == "mps"
+
 
 def _registry_circuits():
     """Every registry builder on every registry platform, source and compiled,
@@ -181,30 +189,29 @@ def _agreement_cases():
     yield from _registry_circuits()
 
 
-def _engines(policy, profile, sizes):
+def _engines(profile, sizes, max_bond):
     """``choose`` and ``evolve_once_engine`` for one profile (or the error)."""
     try:
-        return policy.choose(profile), policy.evolve_once_engine(profile, sizes)
+        return choose(profile, max_bond), evolve_once_engine(profile, sizes, max_bond=max_bond)
     except UnsupportedBackendError as error:
         return str(error)
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [DispatchPolicy(), DispatchPolicy(stabilizer_min_qubits=2, stabilizer_sampled_min_qubits=2)],
-    ids=["default", "tableau-eager"],
-)
-def test_plan_and_program_profiles_pick_the_same_engine(policy):
+@pytest.mark.parametrize("max_bond", [None, 4], ids=["exact", "max_bond4"])
+def test_plan_and_program_profiles_pick_the_same_engine(max_bond):
     """The runner dispatches on ``profile_plan`` before lowering; workers and
     ``QXSimulator`` dispatch on ``profile_program``.  Both must pick the same
-    engine for every registry circuit and every auto-dispatch case."""
+    engine for every registry circuit and every auto-dispatch case, under
+    the same MPS bond cap."""
     sizes = (128,) * 8
     checked = 0
     for name, circuit, noise, fuse in _agreement_cases():
         from_plan = profile_plan(plan_for(circuit, fuse), circuit, shots=128, noise=noise)
         from_program = profile_program(program_for(circuit, fuse), shots=128, noise=noise)
         assert from_plan.is_clifford == from_program.is_clifford, name
-        assert _engines(policy, from_plan, sizes) == _engines(policy, from_program, sizes), name
+        assert _engines(from_plan, sizes, max_bond) == _engines(
+            from_program, sizes, max_bond
+        ), name
         checked += 1
     assert checked == len(DISPATCH_CIRCUITS) + 2 * len(REGISTRY_BUILDER_KWARGS) * len(
         REGISTRY_PLATFORMS
@@ -325,31 +332,26 @@ class TestExplicitBackends:
         assert result.final_state is not None
         assert result.final_state.shape == (16,)
 
-    def test_simulator_mps_knobs_fold_into_dispatch_policy(self):
+    def test_simulator_mps_knobs_fold_into_dispatch(self):
         """A simulator-level max_bond is an explicit accuracy opt-in: it
-        configures the MPS engine AND the cost model the policy chooses
+        configures the MPS engine AND the cost model dispatch chooses
         with, so selection matches the configuration that runs."""
         simulator = QXSimulator(seed=0, max_bond=3, truncation_threshold=1e-6)
-        policy = simulator._dispatch_policy()
-        assert policy.mps_max_bond == 3
-        assert policy.mps_truncation_threshold == 1e-6
-        assert simulator.policy.mps_max_bond is None  # base policy untouched
         circuit = ghz_circuit(30)
         circuit.measure_all()
         result = simulator.run(circuit, shots=10)
         assert result.backend == "mps"
         assert result.truncation_error == 0.0  # GHZ is rank 2 <= the cap
 
-    def test_policy_thresholds_overridable(self):
-        """The policy object replaces the old module constants: lowering the
-        trajectory threshold re-routes a small feedback circuit."""
-        circuit = Circuit(5)
+    def test_feedback_clifford_at_threshold_runs_on_tableau(self):
+        """A default simulator sends a feedback Clifford circuit at the
+        trajectory threshold (21 qubits) to the tableau."""
+        circuit = Circuit(21)
         circuit.h(0)
         circuit.measure(0)
-        circuit.conditional_gate("x", 0, 4)
-        circuit.measure(4)
-        policy = DispatchPolicy(stabilizer_min_qubits=2)
-        result = QXSimulator(seed=3, policy=policy).run(circuit, shots=10)
+        circuit.conditional_gate("x", 0, 20)
+        circuit.measure(20)
+        result = QXSimulator(seed=3).run(circuit, shots=10)
         assert result.backend == "stabilizer"
 
 

@@ -25,11 +25,10 @@ from repro.core.circuit import Circuit
 from repro.qx import kernels
 from repro.qx.channels import (
     Channel,
-    PauliBasis,
     _lift_noise_to,
     compile_circuit,
-    default_basis,
     density_to_vector,
+    pauli_elements,
     ptm_of_unitary,
     vector_to_density,
 )
@@ -158,13 +157,8 @@ class TestChannelAlgebra:
         second = ptm_of_unitary(np.array(H))
         assert first is second
 
-    def test_custom_basis_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            PauliBasis(("a", "b"), np.zeros((2, 2, 2)))
-
     def test_default_basis_is_normalised(self):
-        basis = default_basis()
-        elements = basis.tensor_elements(1)
+        elements = pauli_elements(1)
         gram = np.einsum("iab,jab->ij", elements.conj(), elements)
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
@@ -389,45 +383,36 @@ class TestEngineParity:
 
 
 class TestDispatchArbitration:
-    """prefer_exact_channels routes compiled-noise circuits to density."""
+    """Auto-dispatch keeps compiled-noise circuits on the state vector;
+    only ``backend="density"`` pins the exact channel engine."""
 
     @staticmethod
-    def _profile(num_qubits=4, noise="channel"):
+    def _profile(noise="channel"):
         from repro.qx.backends import profile_program
         from repro.qx.compiled import program_for
 
-        circuit = Circuit(num_qubits)
+        circuit = Circuit(4)
         circuit.h(0)
-        for qubit in range(num_qubits - 1):
+        for qubit in range(3):
             circuit.cnot(qubit, qubit + 1)
         circuit.rx(0, 0.3)  # non-Clifford: keep the stabilizer tier out
         circuit.measure_all()
         return profile_program(program_for(circuit), shots=500, noise=noise)
 
-    def test_default_policy_leaves_auto_dispatch_unchanged(self):
-        from repro.qx.backends import DispatchPolicy
+    def test_channel_noise_stays_on_statevector(self):
+        from repro.qx.backends import choose
 
-        assert DispatchPolicy().choose(self._profile()) == "statevector"
+        assert choose(self._profile()) == "statevector"
 
-    def test_opt_in_routes_channel_noise_to_density(self):
-        from repro.qx.backends import DispatchPolicy
+    def test_trajectory_only_noise_stays_on_statevector(self):
+        from repro.qx.backends import choose
 
-        policy = DispatchPolicy(prefer_exact_channels=True)
-        assert policy.choose(self._profile()) == "density"
+        assert choose(self._profile(noise="trajectory")) == "statevector"
 
-    def test_opt_in_ignores_trajectory_only_noise(self):
-        from repro.qx.backends import DispatchPolicy
+    def test_density_pin_accepts_channel_noise(self):
+        from repro.qx.backends import validate
 
-        policy = DispatchPolicy(prefer_exact_channels=True)
-        assert policy.choose(self._profile(noise="trajectory")) == "statevector"
-
-    def test_opt_in_respects_density_qubit_cap(self):
-        from repro.qx.backends import DispatchPolicy
-        from repro.qx.density import DENSITY_MAX_QUBITS
-
-        policy = DispatchPolicy(prefer_exact_channels=True)
-        profile = self._profile(num_qubits=DENSITY_MAX_QUBITS + 1)
-        assert policy.choose(profile) != "density"
+        assert validate("density", self._profile()) == "density"
 
 
 class TestTrajectoryMatchesChannel:

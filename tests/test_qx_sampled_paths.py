@@ -14,10 +14,10 @@ from oracles import sampled_reference as oracle
 
 from repro.core.circuit import Circuit, random_circuit
 from repro.core.qubits import REALISTIC
-from repro.qx.backends import DispatchPolicy
 from repro.qx.channels import compile_channels
 from repro.qx.compiled import program_for
 from repro.qx.error_models import NoError, error_model_for
+from repro.qx.mps import DEFAULT_TRUNCATION_THRESHOLD
 from repro.qx.simulator import QXSimulator
 
 SEED = 17
@@ -97,7 +97,7 @@ def _mps(max_bond=None, keep_final_state=False):
     def reference(program, num_qubits, shots, rng, model):
         return oracle.run_mps_sampled(
             program, num_qubits, shots, rng, keep_final_state, max_bond,
-            DispatchPolicy().mps_truncation_threshold,
+            DEFAULT_TRUNCATION_THRESHOLD,
         )
 
     return reference

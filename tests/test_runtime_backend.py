@@ -160,6 +160,36 @@ class TestRunnerBackendAxis:
             assert point.metrics["backend"] == "stabilizer"
             assert point.counts == expected
 
+    def test_bond_capped_point_evolves_once_on_mps(self):
+        """The planner dispatches on the point's ``max_bond`` like the
+        worker does: a bond-capped 30-qubit Clifford point that only the
+        capped cost model sends to MPS is one unit covering all 8 shards,
+        and its histogram is the merge of each shard's own seeded run."""
+        spec = ExperimentSpec(
+            name="bond-capped",
+            circuit=CircuitSpec(builder="helpers:layered_clifford_circuit"),
+            compiler=CompilerSpec(enabled=False),
+            simulation=SimulationSpec(max_bond=4),
+            shots=1024,
+            seed=3,
+        )
+        sizes = shard_sizes(spec.shots)
+        assert len(sizes) == 8
+        runner = ExperimentRunner(spec, workers=1, use_cache=False)
+        (planned,) = runner.plan()
+        (task,) = planned.tasks
+        assert task.shards == list(enumerate(sizes))
+        program = lower(spec.circuit.build(), fuse=True)  # measured, like the point
+        expected = merge_counts(
+            QXSimulator(seed=shard_seed(spec.seed, 0, index), max_bond=4)
+            .run_program(program, shots=size)
+            .counts
+            for index, size in enumerate(sizes)
+        )
+        (point,) = runner.run().points
+        assert point.metrics["backend"] == "mps"
+        assert point.counts == expected
+
     def test_host_offload_backend_override(self, tmp_path):
         host = HostCPU(runtime_workers=1)
         spec = _ghz_spec(30, shots=64, seed=2)

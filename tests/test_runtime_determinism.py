@@ -264,12 +264,12 @@ def test_realistic_point_plans_one_unit_per_shard(tmp_path):
 def test_shard_sizes_split_across_engines_keep_one_unit_per_shard(tmp_path, monkeypatch):
     """When the cost model sends distinct shard sizes to different engines,
     no single evolution serves the point, so each shard stays a unit."""
-    from repro.qx.backends import DispatchPolicy
+    from repro.qx import backends
 
-    def choose(self, profile):
+    def choose(profile, max_bond=None):
         return "mps" if profile.shots > 12 else "statevector"
 
-    monkeypatch.setattr(DispatchPolicy, "choose", choose)
+    monkeypatch.setattr(backends, "choose", choose)
     spec = ExperimentSpec(
         name="plan-split",
         circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}),
@@ -402,9 +402,15 @@ def _zero_text_runs(tmp_path) -> dict:
                 use_processes=False,
             )
             await service.start()
+            # The service resolves registry names only, so its fleet drops
+            # the dotted-reference Toffoli entry.
+            payload = fleet.to_dict()
+            payload["circuits"] = [
+                entry for entry in payload["circuits"] if ":" not in entry["circuit"]["builder"]
+            ]
             try:
                 accepted = await service.submit(
-                    client="alice", kind="batch", payload=fleet.to_dict(), priority=1
+                    client="alice", kind="batch", payload=payload, priority=1
                 )
                 return [event async for event in service.stream(accepted["job_id"])]
             finally:

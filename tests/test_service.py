@@ -557,6 +557,39 @@ class TestJobServiceEngine:
         assert terminal["event"] == "error"
         assert stats["counters"]["jobs_failed"] == 1
 
+    @pytest.mark.parametrize("where", ["circuit", "batch-circuit", "platform"])
+    def test_dotted_reference_is_refused_before_it_runs(self, tmp_path, where):
+        """A spec naming ``os:makedirs`` ends in one error event naming the
+        reference, and the directory it asks for is never created."""
+        target = tmp_path / "pwned"
+        dotted = {"builder": "os:makedirs", "kwargs": {"name": str(target)}}
+        ghz = {"builder": "ghz", "kwargs": {"num_qubits": 2}}
+        if where == "batch-circuit":
+            kind = "batch"
+            payload = {"name": "refuse", "circuits": [{"circuit": ghz}, {"circuit": dotted}]}
+        else:
+            kind = "experiment"
+            payload = {"name": "refuse", "shots": 8, "circuit": dotted}
+            if where == "platform":
+                payload["circuit"] = ghz
+                payload["platform"] = {"factory": "os:makedirs", "kwargs": {"name": str(target)}}
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                accepted = await service.submit(client="alice", kind=kind, payload=payload)
+                return [event async for event in service.stream(accepted["job_id"])]
+            finally:
+                await service.close()
+
+        events = asyncio.run(scenario())
+        errors = [event for event in events if event["event"] == "error"]
+        assert len(errors) == 1
+        assert _terminal(events) == errors[0]
+        assert "'os:makedirs'" in errors[0]["message"]
+        assert not target.exists()
+
     def test_resume_fails_a_stale_spec_and_finishes_the_rest(self, tmp_path):
         """A journalled job whose spec carries a field the spec no longer has
         (``simulation.channel_fusion``) fails on resume with one error event;
