@@ -59,8 +59,13 @@ class CircuitContractError(ValueError):
 
     def __init__(self, diagnostics: list["Diagnostic"], where: str = "circuit"):
         self.diagnostics = diagnostics
+        self.where = where
         lines = "; ".join(diag.format() for diag in diagnostics)
         super().__init__(f"{where}: {lines}")
+
+    def __reduce__(self):
+        # Pool workers verify too: the error must unpickle in the parent.
+        return type(self), (self.diagnostics, self.where)
 
 
 class CircuitContractWarning(UserWarning):

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 def merge_counts(histograms) -> dict[str, int]:
-    """Sum measurement histograms; keys are sorted so merges are canonical."""
+    """Sum measurement histograms; keys are sorted so merges are canonical.
+
+    Keys are interned: every merged histogram shares one string per
+    outcome, so a caller that keeps many results holds each bitstring once.
+    """
     merged: Counter[str] = Counter()
     for histogram in histograms:
         merged.update(histogram)
-    return {key: int(merged[key]) for key in sorted(merged)}
+    return {sys.intern(key): int(merged[key]) for key in sorted(merged)}
 
 
 def merge_metrics(metric_dicts) -> dict:

@@ -16,8 +16,10 @@ amortises every stage across the fleet:
   same operands) and evolves each group as one stacked ``(batch, 2**n)``
   ndarray pass through the batched kernels of :mod:`repro.qx.kernels` —
   one kernel call per gate position instead of one per circuit per shard;
-* **dispatch** ships whole *chunks* of circuits to pool workers, so the
-  process-pool round trip is paid per chunk, not per shard.
+* **dispatch** ships contiguous *windows* of the fleet's points to pool
+  workers, and each worker plans, stacks and runs its own window, so
+  planning runs in parallel and the process-pool round trip is paid per
+  window, not per shard.
 
 Determinism contract: circuit ``i``'s histogram is the merge of its shard
 histograms, where shard ``s`` samples with
@@ -40,6 +42,7 @@ import copy
 import json
 import os
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -452,6 +455,134 @@ def _compose_permutations(steps: list[tuple], num_qubits: int) -> list[tuple]:
     return composed
 
 
+# ---------------------------------------------------------------------- #
+# Windows: the unit of pool dispatch
+# ---------------------------------------------------------------------- #
+@dataclass
+class BatchWindow:
+    """A contiguous run of fleet points that one worker plans, stacks and runs.
+
+    Windows hold ``max_chunk_circuits`` points each, in circuit order.  The
+    layout is a pure function of the spec, never of the worker count.
+    """
+
+    points: list[SweepPoint]
+    max_chunk_bytes: int
+    #: The runner's artifact cache directory (``None``: no cache).
+    cache_dir: str | None
+    strict_verify: bool
+
+
+@dataclass
+class WindowResult:
+    """One window's merged points, its own counters and its warnings."""
+
+    circuits: list[PointResult]
+    #: Plan shape and lowering-cache counters of this window alone.
+    plan: dict
+    cache_stats: dict
+    #: ``(category, message)`` of each warning planning raised.
+    warnings: list[tuple[type, str]]
+
+
+def _bundles(planned: list[PlannedPoint], max_chunk_bytes: int) -> tuple[list[list], int, int]:
+    """One window's dispatch bundles, stack chunk count and stack group count.
+
+    Stack rows are grouped by lowering plan and each group is cut into
+    chunks of at most ``max_chunk_bytes`` of stacked amplitudes (a window
+    already holds at most ``max_chunk_circuits`` rows); each chunk is a
+    one-unit bundle.  The window's unstackable points make one more bundle
+    of their work units.
+    """
+    groups: dict[tuple, list[PlannedPoint]] = {}
+    for circuit in planned:
+        if circuit.stackable:
+            # Stack rows that share a lowering plan: same gate positions on
+            # the same operands (matrices and angles free to differ per
+            # row).  Plan objects are interned by the structural cache, so
+            # identity is structure equality here.
+            groups.setdefault((circuit.num_qubits, id(circuit.plan)), []).append(circuit)
+
+    bundles: list[list] = []
+    # Insertion order = first-seen circuit order: deterministic layout.
+    for (num_qubits, _), members in groups.items():
+        plan = members[0].plan
+        _, sources = plan.sample_sources()
+        row_bytes = 16 << num_qubits
+        per_chunk = max(1, max_chunk_bytes // row_bytes)
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            steps = _stack_positions(plan, [member.circuit for member in chunk])
+            entries = [
+                StackEntry(
+                    index=member.point.index,
+                    seed=member.point.spec.seed,
+                    shard_shots=member.shard_shots,
+                )
+                for member in chunk
+            ]
+            bundles.append([StackChunk(num_qubits, steps, sources, entries)])
+    stack_chunks = len(bundles)
+    fallback = [task for circuit in planned for task in circuit.tasks]
+    if fallback:
+        bundles.append(fallback)
+    return bundles, stack_chunks, len(groups)
+
+
+def _counter_delta(after: dict, before: dict) -> dict:
+    return {key: after[key] - before.get(key, 0) for key in after}
+
+
+def _add_counters(total: dict, part: dict) -> dict:
+    """Sum ``part`` into ``total`` key by key, nested dicts included."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            total[key] = _add_counters(total.get(key, {}), value)
+        else:
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+def run_window(window: BatchWindow) -> WindowResult:
+    """Plan, stack and run one window; the function the pool maps.
+
+    A fresh planner per window: it verifies once per structure per window,
+    and its cache counters are the window's own.  Warnings are recorded and
+    handed back, so the caller re-issues them even when a pool worker
+    raised them.
+    """
+    # The planner plans the window's points; its own spec is never read.
+    planner = ExperimentRunner(
+        window.points[0].spec,
+        workers=1,
+        cache_dir=window.cache_dir,
+        use_cache=window.cache_dir is not None,
+        strict_verify=window.strict_verify,
+    )
+    plan_before = compiled.plan_cache_stats()
+    content_before = compiled.content_cache_stats()
+    with warnings.catch_warnings(record=True) as recorded:
+        planned = [planner.plan_point(point, stack=True) for point in window.points]
+        bundles, stack_chunks, stack_groups = _bundles(planned, window.max_chunk_bytes)
+        units = [result for bundle in bundles for result in run_batch_chunk(bundle)]
+    stacked = sum(1 for circuit in planned if circuit.stackable)
+    return WindowResult(
+        circuits=merge_points(planned, units),
+        plan={
+            "circuits": len(planned),
+            "stacked_circuits": stacked,
+            "fallback_circuits": len(planned) - stacked,
+            "stack_groups": stack_groups,
+            "stack_chunks": stack_chunks,
+            "chunks": len(bundles),
+            "plan_cache": _counter_delta(compiled.plan_cache_stats(), plan_before),
+            "program_content_cache": _counter_delta(compiled.content_cache_stats(), content_before),
+        },
+        cache_stats=planner.cache.stats() if planner.cache is not None else {},
+        warnings=[(caught.category, str(caught.message)) for caught in recorded],
+    )
+
+
 @dataclass
 class BatchResult:
     """Merged per-circuit results plus plan/cache observability."""
@@ -460,9 +591,11 @@ class BatchResult:
     workers: int
     circuits: list[PointResult] = field(default_factory=list)
     total_time_s: float = 0.0
+    #: Artifact-cache counters of this run, summed over its windows.
     cache_stats: dict = field(default_factory=dict)
-    #: Plan shape: stacked vs fallback counts, group/chunk layout, and the
-    #: lowering-cache counters accumulated while planning.
+    #: Plan shape of this run, summed over its windows: stacked vs fallback
+    #: counts, group/chunk layout, and the lowering-cache hits and misses
+    #: planning and execution caused.
     plan: dict = field(default_factory=dict)
 
     def circuit(self, label: str) -> PointResult:
@@ -495,91 +628,50 @@ class BatchResult:
 class BatchRunner(ExperimentRunner):
     """Plans and executes a :class:`BatchSpec`.
 
-    The runner's planner with stacking on: every fleet circuit is one
-    point of :meth:`BatchSpec.points`, planned as a stack row when the
-    stacked pass can take it and as ordinary work units otherwise.  This
-    class adds only the chunk layout and the :class:`BatchResult`.
+    The fleet is cut into :class:`BatchWindow` windows; :func:`run_window`
+    plans, stacks and runs each one — inline for one worker or one window,
+    else one pool task per window.  The parent only concatenates the
+    windows' results in point order.
     """
 
     def plan(self) -> list[PlannedPoint]:
+        """Every fleet point planned in this process, stacking on.
+
+        :meth:`run` plans inside its windows instead; this is the whole
+        fleet's plan in one place, for inspection.
+        """
         return [self.plan_point(point, stack=True) for point in self.spec.points()]
 
-    # ------------------------------------------------------------------ #
-    def _chunks(self, planned: list[PlannedPoint]) -> tuple[list[list], int, int]:
-        """Deterministic dispatch bundles: pure function of the planned batch.
-
-        A stack chunk is a one-unit bundle; the unstackable circuits' units
-        are bundled ``max_chunk_circuits`` circuits at a time.
-        """
+    def _windows(self) -> list[BatchWindow]:
+        """The fleet cut into ``max_chunk_circuits``-point windows, in order."""
         spec = self.spec
-        groups: dict[tuple, list[PlannedPoint]] = {}
-        fallback: list[PlannedPoint] = []
-        for circuit in planned:
-            if not circuit.stackable:
-                fallback.append(circuit)
-                continue
-            # Stack rows that share a lowering plan: same gate positions on
-            # the same operands (matrices and angles free to differ per
-            # row).  Plan objects are interned by the structural cache, so
-            # identity is structure equality here.
-            key = (circuit.num_qubits, id(circuit.plan))
-            groups.setdefault(key, []).append(circuit)
-
-        chunks: list[list] = []
-        # Insertion order = first-seen circuit order: deterministic layout.
-        for key, members in groups.items():
-            num_qubits = key[0]
-            plan = members[0].plan
-            _, sources = plan.sample_sources()
-            row_bytes = 16 << num_qubits
-            per_chunk = max(1, min(spec.max_chunk_circuits, spec.max_chunk_bytes // row_bytes))
-            for start in range(0, len(members), per_chunk):
-                window = members[start : start + per_chunk]
-                steps = _stack_positions(plan, [member.circuit for member in window])
-                entries = [
-                    StackEntry(
-                        index=member.point.index,
-                        seed=member.point.spec.seed,
-                        shard_shots=member.shard_shots,
-                    )
-                    for member in window
-                ]
-                chunks.append([StackChunk(num_qubits, steps, sources, entries)])
-        stack_chunk_count = len(chunks)
-        pending: list = []
-        pending_circuits = 0
-        for circuit in fallback:
-            pending.extend(circuit.tasks)
-            pending_circuits += 1
-            if pending_circuits >= spec.max_chunk_circuits:
-                chunks.append(pending)
-                pending, pending_circuits = [], 0
-        if pending:
-            chunks.append(pending)
-        return chunks, stack_chunk_count, len(groups)
+        points = spec.points()
+        cache_dir = str(self.cache.directory) if self.cache is not None else None
+        size = spec.max_chunk_circuits
+        return [
+            BatchWindow(
+                points[start : start + size], spec.max_chunk_bytes, cache_dir, self.strict_verify
+            )
+            for start in range(0, len(points), size)
+        ]
 
     # ------------------------------------------------------------------ #
     def run(self) -> BatchResult:
         start = time.perf_counter()
-        planned = self.plan()
-        chunks, stack_chunk_count, stack_groups = self._chunks(planned)
-        units = [unit for result in self._execute(run_batch_chunk, chunks) for unit in result]
-        stacked = sum(1 for circuit in planned if circuit.stackable)
+        windows = self._execute(run_window, self._windows())
+        plan: dict = {}
+        cache_stats: dict = {}
+        for window in windows:
+            _add_counters(plan, window.plan)
+            _add_counters(cache_stats, window.cache_stats)
+            for category, message in window.warnings:
+                warnings.warn(message, category, stacklevel=2)
         result = BatchResult(
             name=self.spec.name,
             workers=self.workers,
-            circuits=merge_points(planned, units),
-            cache_stats=self.cache.stats() if self.cache is not None else {},
-            plan={
-                "circuits": len(planned),
-                "stacked_circuits": stacked,
-                "fallback_circuits": len(planned) - stacked,
-                "stack_groups": stack_groups,
-                "stack_chunks": stack_chunk_count,
-                "chunks": len(chunks),
-                "plan_cache": compiled.plan_cache_stats(),
-                "program_content_cache": compiled.content_cache_stats(),
-            },
+            circuits=[circuit for window in windows for circuit in window.circuits],
+            cache_stats=cache_stats,
+            plan=plan,
         )
         result.total_time_s = time.perf_counter() - start
         return result

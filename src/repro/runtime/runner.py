@@ -57,6 +57,7 @@ from repro.runtime.worker import (
     QecShardTask,
     ShardResult,
     ShardTask,
+    init_pool_worker,
     mapping_cache_key,
     run_shard,
 )
@@ -370,13 +371,22 @@ class ExperimentRunner:
 
         Inline units may split large gate kernels across up to
         ``min(workers, available_workers())`` threads; pool workers keep the
-        default budget of one thread each.
+        default budget of one thread each, and one OpenBLAS thread
+        (:func:`~repro.runtime.worker.init_pool_worker`).
         """
         if self.workers == 1 or len(items) <= 1:
             with kernels.thread_budget(min(self.workers, available_workers())):
                 return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(items)), initializer=init_pool_worker
+        ) as pool:
+            try:
+                return list(pool.map(fn, items))
+            except BaseException:
+                # A failed item (a batch window's strict verify error) ends
+                # the run: drop the items no worker has started.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     def run(self) -> ExperimentResult:
         start = time.perf_counter()

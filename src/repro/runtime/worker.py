@@ -5,14 +5,18 @@ list, so :func:`run_shard` is the one dispatcher for every driver and unit
 kind.  Units carry their spec section (``SimulationSpec``, ``QecSpec`` or
 ``CompileSpec``), not copies of its fields.  A circuit unit's lowered
 program comes from the content cache of :mod:`repro.qx.compiled`, so a
-worker lowers each distinct circuit at most once.
+worker lowers each distinct circuit at most once.  Every process pool of
+the runtime starts its workers with :func:`init_pool_worker`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import pickle
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -334,3 +338,33 @@ def run_shard(unit) -> list[ShardResult]:
     for result in results:
         result.wall_time_s = share
     return results
+
+
+@functools.cache
+def openblas_threads() -> ctypes.c_int | None:
+    """numpy's bundled OpenBLAS thread count (``blas_cpu_number``), or ``None``.
+
+    ``None`` when numpy ships no OpenBLAS of its own (another BLAS, or a
+    system build).  Reading the variable starts no BLAS thread.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            return ctypes.c_int.in_dll(ctypes.CDLL(str(path)), "blas_cpu_number")
+        except (OSError, ValueError):
+            continue
+    return None
+
+
+def init_pool_worker() -> None:
+    """Initializer of every process pool the runtime creates.
+
+    Caps numpy's OpenBLAS at the worker's own thread.  By default OpenBLAS
+    gives each worker a thread per core, and those threads spin after
+    every gemm, so pool workers fight over the host's cores.  The cap writes OpenBLAS's thread
+    count directly: its ``set_num_threads`` entry point would start the
+    BLAS thread server in a fresh worker, and that spins too.
+    """
+    threads = openblas_threads()
+    if threads is not None:
+        threads.value = 1

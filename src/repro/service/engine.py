@@ -46,7 +46,7 @@ from repro.runtime.aggregate import PointResult
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.runner import ExperimentRunner, PlannedPoint, available_workers
 from repro.runtime.spec import SweepPoint
-from repro.runtime.worker import run_shard
+from repro.runtime.worker import init_pool_worker, run_shard
 from repro.service.jobs import Job, parse_job_spec, point_key
 from repro.service.journal import JobJournal
 from repro.service.scheduler import FairScheduler
@@ -118,7 +118,7 @@ class JobService:
         """Bind loop state, start the pump, and resume journalled jobs."""
         self._loop = asyncio.get_running_loop()
         if self.use_processes:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.workers, initializer=init_pool_worker)
             # Start every worker now, while no other thread of ours exists:
             # a pool that forks on demand would otherwise fork mid-job while
             # the I/O thread holds locks, and the child can hang on them.

@@ -166,3 +166,14 @@ def layered_clifford_circuit(num_qubits: int = 30):
         for index in range(0, num_qubits - 1, 2):
             circuit.cnot(int(pairing[index]), int(pairing[index + 1]))
     return circuit
+
+
+def openblas_thread_count() -> int | None:
+    """This process's numpy OpenBLAS thread count (``None``: no OpenBLAS).
+
+    Module-level, so a process pool can run it by reference.
+    """
+    from repro.runtime.worker import openblas_threads
+
+    threads = openblas_threads()
+    return None if threads is None else threads.value

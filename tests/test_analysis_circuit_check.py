@@ -331,6 +331,38 @@ class TestWiring:
         with pytest.raises(CircuitContractError):
             runner.plan()
 
+    @staticmethod
+    def _fleet_with_bad_circuit() -> BatchSpec:
+        """A clean circuit, a use-before-write one, a clean one: three windows."""
+        bad = "version 1.0\nqubits 2\nh q[0]\nc-x b[0], q[1]\nmeasure q[0], b[0]\n"
+        clean = CircuitSpec(builder="rotations", kwargs={"num_qubits": 2})
+        return BatchSpec(
+            name="bad_window",
+            circuits=[
+                BatchCircuit(circuit=clean),
+                BatchCircuit(circuit=CircuitSpec(cqasm=bad, measure="asis")),
+                BatchCircuit(circuit=clean),
+            ],
+            compiler=CompilerSpec(enabled=False),
+            shots=8,
+            max_chunk_circuits=1,
+        )
+
+    def test_batch_strict_verify_raises_once_from_a_pool_worker(self, tmp_path):
+        runner = BatchRunner(
+            self._fleet_with_bad_circuit(), workers=2, cache_dir=tmp_path, strict_verify=True
+        )
+        with pytest.raises(CircuitContractError) as raised:
+            runner.run()
+        assert [diag.code for diag in raised.value.diagnostics] == ["QV001"]
+        assert str(raised.value).startswith("point {'label': 'circuit[1]'}")
+
+    def test_batch_pool_worker_warnings_reach_the_caller(self, tmp_path):
+        runner = BatchRunner(self._fleet_with_bad_circuit(), workers=2, cache_dir=tmp_path)
+        with pytest.warns(CircuitContractWarning, match="QV001"):
+            result = runner.run()
+        assert len(result.circuits) == 3
+
     def test_batch_clean_fleet_plans_silently(self, tmp_path):
         spec = BatchSpec(
             name="ok_batch",

@@ -21,7 +21,7 @@ from repro.runtime.aggregate import merge_counts
 from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.seeding import shard_seed, shard_sizes
-from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec
+from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, PlatformSpec
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -88,6 +88,84 @@ def test_workers_and_chunk_layout_do_not_change_results():
     )
     assert chunked.plan["chunks"] == 3
     _assert_counts_match(reference.circuits, chunked.circuits)
+
+
+# ---------------------------------------------------------------------- #
+# Windows: each pool task plans, stacks and runs its own points
+# ---------------------------------------------------------------------- #
+def _window_fleet(max_chunk_circuits: int, platform: str = "perfect") -> BatchSpec:
+    """Two interleaved stack structures plus rows that cannot stack: a
+    toffoli, an MPS-pinned GHZ and a feedback circuit run per shard."""
+    wide = CircuitSpec(builder="rotations", kwargs={"num_qubits": 5, "depth": 2})
+    narrow = CircuitSpec(builder="rotations", kwargs={"num_qubits": 4, "depth": 3})
+    circuits = []
+    for seed in range(3):
+        for base in (wide, narrow):
+            spec = CircuitSpec(builder=base.builder, kwargs={**base.kwargs, "seed": seed})
+            circuits.append(BatchCircuit(circuit=spec))
+    circuits[3:3] = [
+        BatchCircuit(circuit=CircuitSpec(builder="helpers:toffoli_circuit")),
+        BatchCircuit(circuit=CircuitSpec(builder="ghz", kwargs={"num_qubits": 4}), backend="mps"),
+        BatchCircuit(
+            circuit=CircuitSpec(
+                builder="helpers:clifford_feedback_circuit", kwargs={"num_qubits": 3}
+            )
+        ),
+    ]
+    return BatchSpec(
+        name="windows",
+        circuits=circuits,
+        shots=64,
+        seed=3,
+        platform=PlatformSpec(factory=platform, kwargs={"num_qubits": 5}),
+        compiler=CompilerSpec(enabled=False),
+        max_chunk_circuits=max_chunk_circuits,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("max_chunk_circuits", [1, 2, 64])
+def test_windows_match_the_serial_runner(max_chunk_circuits, workers):
+    fleet = _window_fleet(max_chunk_circuits)
+    serial = ExperimentRunner(fleet, workers=1, use_cache=False).run()
+    batch = run_batch(fleet, workers=workers, use_cache=False)
+    _assert_counts_match(serial.points, batch.circuits)
+    assert [circuit.index for circuit in batch.circuits] == list(range(9))
+    plan = batch.plan
+    assert (plan["circuits"], plan["stacked_circuits"], plan["fallback_circuits"]) == (9, 6, 3)
+    windows = -(-9 // max_chunk_circuits)
+    if windows == 1:
+        # One window: the two structures are one stack chunk each, and the
+        # three unstackable rows share one bundle.
+        assert (plan["stack_groups"], plan["stack_chunks"], plan["chunks"]) == (2, 2, 3)
+    if max_chunk_circuits == 1:
+        assert plan["stack_groups"] == plan["stack_chunks"] == 6
+        assert plan["chunks"] == 9
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_noisy_windows_match_the_serial_runner(workers):
+    """On a noisy platform no row stacks: every window runs per-shard units."""
+    fleet = _window_fleet(2, platform="realistic")
+    fleet.circuits = [entry for entry in fleet.circuits if entry.backend != "mps"]
+    serial = ExperimentRunner(fleet, workers=1, use_cache=False).run()
+    batch = run_batch(fleet, workers=workers, use_cache=False)
+    _assert_counts_match(serial.points, batch.circuits)
+    assert batch.plan["stacked_circuits"] == 0
+    assert batch.plan["chunks"] == 4
+
+
+def test_plan_counters_cover_this_run_only():
+    """The plan dict reports this run's lowering-cache lookups, not the
+    process's lifetime totals: a repeated run reports the same lookups."""
+    fleet = _batch_product(range(4), max_chunk_circuits=2)
+    first = run_batch(fleet, workers=1, use_cache=False)
+    second = run_batch(fleet, workers=1, use_cache=False)
+    for key in ("plan_cache", "program_content_cache"):
+        assert sum(first.plan[key].values()) == sum(second.plan[key].values())
+    # Every circuit looks its structure up once; the repeat only hits.
+    assert sum(second.plan["plan_cache"].values()) == 4
+    assert second.plan["plan_cache"]["misses"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -404,6 +482,19 @@ def test_sample_shards_equals_merged_per_shard_samples(targets, sizes):
     if targets == (4, 1):
         # Strict subset: several basis indices collapse onto each key.
         assert len(pooled) == 4
+
+
+def test_merged_histograms_share_key_strings():
+    """Two merges of different histograms return the same key objects, with
+    the contents and key order a plain sum gives."""
+    # Built at run time, so no two inputs share a string object.
+    first = [{"".join(("0", "1")): 3, "".join(("1", "1")): 1}, {"".join(("0", "1")): 2}]
+    second = [{"".join(("1", "1")): 5, "".join(("0", "0")): 4}]
+    one, two = merge_counts(first), merge_counts(second)
+    assert list(one.items()) == [("01", 5), ("11", 1)]
+    assert list(two.items()) == [("00", 4), ("11", 5)]
+    (shared,) = set(one) & set(two)
+    assert next(key for key in one if key == shared) is next(key for key in two if key == shared)
 
 
 # ---------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ from repro.runtime import (
     PlatformSpec,
     QecSpec,
 )
-from repro.runtime.batch import BatchRunner, BatchSpec, StackChunk
+from repro.runtime.batch import BatchRunner, BatchSpec, StackChunk, _bundles
 from repro.runtime.worker import (
     CompileShardTask,
     QecShardTask,
@@ -80,8 +80,8 @@ def _unit(kind: str):
         shots=128,
         compiler=CompilerSpec(enabled=False),
     )
-    runner = BatchRunner(spec, workers=1, use_cache=False)
-    bundles, stack_chunks, _ = runner._chunks(runner.plan())
+    planned = BatchRunner(spec, workers=1, use_cache=False).plan()
+    bundles, stack_chunks, _ = _bundles(planned, spec.max_chunk_bytes)
     assert stack_chunks == len(bundles) == 1
     (unit,) = bundles[0]
     assert isinstance(unit, StackChunk)

@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import openblas_thread_count
 
 from repro.runtime import (
     ArtifactCache,
@@ -438,6 +439,21 @@ class TestJobServiceEngine:
         live, events = asyncio.run(scenario())
         assert live == [True, True]
         assert _terminal(events)["event"] == "done"
+
+    @pytest.mark.skipif(openblas_thread_count() is None, reason="numpy ships no OpenBLAS here")
+    def test_process_pool_workers_run_one_blas_thread(self, tmp_path):
+        async def scenario():
+            service = _service(tmp_path, workers=2, use_processes=True)
+            await service.start()
+            try:
+                loop = asyncio.get_running_loop()
+                return await asyncio.gather(
+                    *(loop.run_in_executor(service._pool, openblas_thread_count) for _ in range(4))
+                )
+            finally:
+                await service.close()
+
+        assert asyncio.run(scenario()) == [1, 1, 1, 1]
 
     def test_cache_directory_is_scanned_at_most_once(self, tmp_path, monkeypatch):
         """Delivery reads the cache's running byte total: a 32-point batch
