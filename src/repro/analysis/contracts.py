@@ -34,9 +34,9 @@ REPRO007   rng isolation: engine ``copy()``/``clone()``/``spawn()`` paths
            must not share ``self.rng`` with the clone — spawn a child
            generator instead.
 REPRO008   event-loop purity: service coroutines never call blocking runtime
-           entry points (``run_shard``, ``run_batch``, ``compile_and_map``,
-           runner ``run``/``plan``/``plan_point``) directly — dispatch them
-           through an executor.
+           entry points (``run_shard``, ``run_window``, ``run_batch``,
+           ``compile_and_map``, runner ``run``/``plan``/``plan_point``)
+           directly — dispatch them through an executor.
 ========== ==================================================================
 
 ``scripts/lint_contracts.py`` is the CLI; the CI ``contracts`` job runs it
@@ -686,7 +686,7 @@ class RngSharingRule(Rule):
 
 
 #: Module-level functions that execute shards/batches synchronously.
-_BLOCKING_RUNTIME_FUNCTIONS = frozenset({"run_shard", "run_batch", "compile_and_map"})
+_BLOCKING_RUNTIME_FUNCTIONS = frozenset({"run_shard", "run_window", "run_batch", "compile_and_map"})
 
 #: Blocking methods when called on a runner/planner object.
 _BLOCKING_RUNNER_METHODS = frozenset({"run", "plan", "plan_point"})

@@ -206,13 +206,15 @@ class ExperimentRunner:
             )
         cached = False
         if spec.compiler.enabled:
-            key = ArtifactCache.key_for(
-                "compile",
-                source=circuit_content_key(circuit),
-                platform=platform.describe(),
-                compiler=vars(spec.compiler),
-            )
-            compiled = self.cache.get(key) if self.cache is not None else None
+            compiled = None
+            if self.cache is not None:
+                key = ArtifactCache.key_for(
+                    "compile",
+                    source=circuit_content_key(circuit),
+                    platform=platform.describe(),
+                    compiler=vars(spec.compiler),
+                )
+                compiled = self.cache.get(key)
             cached = isinstance(compiled, Circuit)
             if not cached:
                 compiled = spec.compiler.build().compile_circuit(circuit, platform)

@@ -10,20 +10,28 @@ sweep points are classified exactly once:
 - **in flight** — another tenant is already executing an identical point,
   so this job subscribes to that execution and receives the result when it
   lands (exactly one execution, many subscribers);
-- **fresh** — the point is planned (compile + shard, in the planning
-  executor) and its work units enter the weighted-fair scheduler, each
-  charged its declared ``cost``: a deterministic circuit point is one unit
-  (it evolves once and samples every shard), any other point one unit per
-  shard.
+- **fresh** — an experiment job's point is planned (compile + shard, in
+  the I/O executor) and its work units enter the weighted-fair scheduler,
+  each charged its declared ``cost``: a deterministic circuit point is one
+  unit (it evolves once and samples every shard), any other point one
+  unit per shard.  A batch job's fresh points are cut, in point order,
+  into windows (at least one per worker, at most ``max_chunk_circuits``
+  points each): one unit each, charged its points' shots, that a pool
+  worker runs with :func:`~repro.runtime.batch.run_window` without the
+  compile cache.  A window that fails runs again point by point, so a bad
+  circuit fails only the jobs subscribed to its own point.
 
 A pump coroutine moves units from the scheduler into a process pool as
-slots free up; every blocking runtime entry point — planning, unit
-execution, cache and journal I/O — runs in an executor, never on the event
-loop (contract rule REPRO008).  Points are planned by the runtime's
-:meth:`~repro.runtime.runner.ExperimentRunner.plan_point` and merged by
-:meth:`~repro.runtime.runner.PlannedPoint.merge` over the deterministic
-shard list, so a job's histograms are bit-identical to a serial
-:class:`~repro.runtime.runner.ExperimentRunner` run of the same spec.
+slots free up.  The slot rule: in a pool of more than one worker a window
+starts only while two slots are free, so another client's short unit can
+take the last one (the scheduler bounds a window's wait).  Every blocking
+runtime entry point — planning, unit execution, cache and journal I/O —
+runs in an executor, never on the event loop (contract rule REPRO008).
+Points are planned by :meth:`~repro.runtime.runner.ExperimentRunner.plan_point`
+and merged by :meth:`~repro.runtime.runner.PlannedPoint.merge` over the
+deterministic shard list, so a job's histograms are bit-identical to a
+serial :class:`~repro.runtime.runner.ExperimentRunner` run of the same
+spec (:func:`~repro.runtime.batch.run_batch` for a batch job).
 
 Durability: accepted jobs and committed point keys are journalled
 (flush + fsync) before the daemon acts on them.  On restart with the same
@@ -37,12 +45,15 @@ from __future__ import annotations
 
 import asyncio
 import os
+import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.runtime.aggregate import PointResult
+from repro.runtime.batch import BatchWindow, run_window
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.runner import ExperimentRunner, PlannedPoint, available_workers
 from repro.runtime.spec import SweepPoint
@@ -59,10 +70,10 @@ class _PointExecution:
     Created as a *claim* (``planned is None``) before the owning job's
     first await, so concurrent admissions of an identical point always see
     it in the in-flight table and subscribe instead of planning a second
-    execution.  ``planned``/``pending`` are filled in once planning lands.
+    execution.  ``planned``/``pending`` are filled in once planning lands;
+    a point that runs in a batch window keeps ``planned is None``.
     """
 
-    key: str
     planned: PlannedPoint | None = None
     pending: set[int] = field(default_factory=set)
     results: dict[int, object] = field(default_factory=dict)
@@ -105,7 +116,7 @@ class JobService:
             "points_deduped_inflight": 0,
         }
         self._inflight: dict[str, _PointExecution] = {}
-        self._scheduler = FairScheduler()
+        self._scheduler = FairScheduler(may_start=self._may_start)
         self._job_counter = 0
         self._closing = False
         self._started = False
@@ -248,19 +259,23 @@ class JobService:
 
     async def _admit(self, job: Job) -> None:
         """Classify a job's points into cached / in-flight / fresh work."""
+        claimed: list[tuple[str, SweepPoint]] = []  # keys of this job not yet scheduled
         try:
             spec = parse_job_spec(job.payload, job.kind)
             points = spec.points()
             job.name = job.name or spec.name
             job.points_total = len(points)
             job.state = "running"
-            # Points are planned one by one, so cached and joined points
-            # skip compilation; the daemon's own cache instance is shared so
-            # artifacts and their counters are common to every tenant.
+            # An experiment job's points are planned one by one, so cached
+            # and joined points skip compilation; the daemon's own cache
+            # instance is shared so artifacts and their counters are common
+            # to every tenant.  A batch job's windows start as they fill.
             planner = ExperimentRunner(
                 spec, workers=1, use_cache=False, strict_verify=self.strict_verify
             )
             planner.cache = self.cache
+            batch = job.kind == "batch"
+            size = min(spec.max_chunk_circuits, -(-len(points) // self.workers)) if batch else 1
             from_cache = joined = fresh = 0
             for point in points:
                 key = point_key(point)
@@ -273,34 +288,31 @@ class JobService:
                 # Claim the key synchronously — no await between the
                 # in-flight miss and the insert — so a concurrent identical
                 # admission subscribes here instead of executing twice.
-                execution = _PointExecution(key=key, subscribers=[(job, point)])
+                execution = _PointExecution(subscribers=[(job, point)])
                 self._inflight[key] = execution
+                claimed.append((key, point))
                 cached = await self._run_io(self.cache.get, key)
                 if isinstance(cached, PointResult):
                     self._inflight.pop(key, None)
+                    claimed.pop()
                     self.counters["points_from_cache"] += 1
                     from_cache += 1
                     for sub_job, sub_point in execution.subscribers:
                         await self._deliver_point(sub_job, sub_point, cached, source="cache")
                     continue
-                try:
-                    planned = await self._run_io(planner.plan_point, point)
-                except Exception:
-                    self._inflight.pop(key, None)
-                    await self._fail_subscribers(
-                        execution, f"planning failed for point {key}", skip=job
-                    )
-                    raise
-                execution.planned = planned
-                execution.pending = {task.shard_index for task in planned.tasks}
                 self.counters["points_executed"] += 1
                 fresh += 1
-                for task in planned.tasks:
-                    self._scheduler.push(
-                        job.client, weight=job.priority, item=(key, task), cost=task.cost
-                    )
-                async with self._wake:
-                    self._wake.notify_all()
+                if not batch:
+                    planned = await self._run_io(planner.plan_point, point)
+                    claimed.clear()
+                    execution.planned = planned
+                    execution.pending = {task.shard_index for task in planned.tasks}
+                    for task in planned.tasks:
+                        await self._schedule(job, ((key,), task), task.cost)
+                elif len(claimed) == size:
+                    await self._schedule_window(job, spec, claimed)
+            if claimed:
+                await self._schedule_window(job, spec, claimed)
             job.deliver(
                 {
                     "event": "planned",
@@ -314,17 +326,38 @@ class JobService:
             if job.points_done == job.points_total and not job.finished:
                 await self._finish_job(job)
         except Exception as exc:  # noqa: BLE001 - job errors become events
+            # A claimed, unscheduled key would hang every job that joined it.
+            for key, _ in claimed:
+                await self._fail_point(key, f"admission failed for point {key}", skip=job)
             await self._fail_job(job, f"{type(exc).__name__}: {exc}")
+
+    async def _schedule_window(self, job: Job, spec, claimed: list[tuple[str, SweepPoint]]) -> None:
+        """Queue (and clear) ``claimed`` as one window charged its shots, with
+        no compile cache: its writes would escape the daemon's byte total."""
+        keys, points = zip(*claimed, strict=True)
+        claimed.clear()
+        unit = BatchWindow(list(points), spec.max_chunk_bytes, None, self.strict_verify)
+        await self._schedule(job, (keys, unit), sum(point.spec.shots for point in points))
+
+    async def _schedule(self, job: Job, item: tuple, cost: float) -> None:
+        """Queue one work unit ``(point keys, task or window)`` and wake the pump."""
+        self._scheduler.push(job.client, weight=job.priority, item=item, cost=cost)
+        async with self._wake:
+            self._wake.notify_all()
 
     # ------------------------------------------------------------------ #
     # Execution pump.
     # ------------------------------------------------------------------ #
+    def _may_start(self, unit) -> bool:
+        """The slot rule: a window never takes the last free slot of a wider pool."""
+        return self.workers == 1 or self._slots > 1 or not isinstance(unit.item[1], BatchWindow)
+
     async def _pump(self) -> None:
-        """Move shard units from the fair scheduler into free pool slots."""
+        """Move work units from the fair scheduler into free pool slots."""
         while True:
             async with self._wake:
                 await self._wake.wait_for(
-                    lambda: self._closing or (self._slots > 0 and len(self._scheduler) > 0)
+                    lambda: self._closing or (self._slots > 0 and self._scheduler.ready())
                 )
                 if self._closing:
                     return
@@ -333,49 +366,69 @@ class JobService:
             self._spawn(self._run_unit(unit))
 
     async def _run_unit(self, unit) -> None:
-        """Execute one work unit in the pool and fold its results into its point."""
-        key, task = unit.item
+        """Execute one work unit in the pool and commit the points it completes."""
+        keys, work = unit.item
         try:
-            results = await self._loop.run_in_executor(self._pool, run_shard, task)
-        except Exception as exc:  # noqa: BLE001 - worker crashes fail the point
-            execution = self._inflight.pop(key, None)
-            if execution is not None:
-                await self._fail_subscribers(
-                    execution, f"shard failed: {type(exc).__name__}: {exc}"
-                )
-        else:
-            execution = self._inflight.get(key)
-            if execution is not None:
+            if isinstance(work, BatchWindow):
+                await self._run_window(keys, work)
+                return
+            try:
+                results = await self._loop.run_in_executor(self._pool, run_shard, work)
+            except Exception as exc:  # noqa: BLE001 - worker crashes fail the point
+                await self._fail_point(keys[0], f"shard failed: {type(exc).__name__}: {exc}")
+                return
+            if (execution := self._inflight.get(keys[0])) is not None:
                 for result in results:
                     if result.shard_index in execution.pending:
                         execution.results[result.shard_index] = result
                         execution.pending.discard(result.shard_index)
                 if execution.results and not execution.pending:
-                    try:
-                        await self._complete_execution(execution)
-                    except Exception as exc:  # noqa: BLE001 - e.g. ENOSPC on commit
-                        await self._fail_subscribers(
-                            execution,
-                            f"commit failed for point {key}: {type(exc).__name__}: {exc}",
-                        )
+                    shards = [execution.results[index] for index in sorted(execution.results)]
+                    await self._commit(keys[0], shards)
         finally:
             async with self._wake:
                 self._slots += 1
                 self._wake.notify_all()
 
-    async def _complete_execution(self, execution: _PointExecution) -> None:
-        """Merge shards, commit the point, and fan out to subscribers."""
-        self._inflight.pop(execution.key, None)
-        merged = execution.planned.merge(
-            execution.results[index] for index in sorted(execution.results)
-        )
-        await self._run_io(self.cache.put, execution.key, merged)
-        await self._run_io(self.journal.append, {"type": "point", "key": execution.key})
-        if self.max_cache_bytes is not None:
-            await self._run_io(self.cache.prune, self.max_cache_bytes)
-        for position, (job, point) in enumerate(execution.subscribers):
-            source = "executed" if position == 0 else "inflight"
-            await self._deliver_point(job, point, merged, source=source)
+    async def _run_window(self, keys: tuple[str, ...], window: BatchWindow) -> None:
+        """Run one window in the pool and commit its points; a window that
+        raises runs again point by point, so only the bad point's jobs fail."""
+        try:
+            output = await self._loop.run_in_executor(self._pool, run_window, window)
+        except Exception as exc:  # noqa: BLE001 - worker errors fail the point
+            if len(keys) == 1:
+                await self._fail_point(keys[0], f"window failed: {type(exc).__name__}: {exc}")
+                return
+            for key, point in zip(keys, window.points, strict=True):
+                await self._run_window((key,), replace(window, points=[point]))
+            return
+        for category, message in output.warnings:
+            warnings.warn(message, category)
+        for key, merged in zip(keys, output.circuits, strict=True):
+            await self._commit(key, merged)
+
+    async def _fail_point(self, key: str, message: str, skip: Job | None = None) -> None:
+        if (execution := self._inflight.pop(key, None)) is not None:
+            await self._fail_subscribers(execution, message, skip)
+
+    async def _commit(self, key: str, result) -> None:
+        """Commit one point (a window's merged result, or a planned point's
+        shard results in shard order) and fan it out to its subscribers."""
+        if (execution := self._inflight.pop(key, None)) is None:
+            return
+        try:
+            merged = result if execution.planned is None else execution.planned.merge(result)
+            await self._run_io(self.cache.put, key, merged)
+            await self._run_io(self.journal.append, {"type": "point", "key": key})
+            if self.max_cache_bytes is not None:
+                await self._run_io(self.cache.prune, self.max_cache_bytes)
+            for position, (job, point) in enumerate(execution.subscribers):
+                source = "executed" if position == 0 else "inflight"
+                await self._deliver_point(job, point, merged, source=source)
+        except Exception as exc:  # noqa: BLE001 - e.g. ENOSPC on commit
+            await self._fail_subscribers(
+                execution, f"commit failed for point {key}: {type(exc).__name__}: {exc}"
+            )
 
     async def _deliver_point(
         self, job: Job, point: SweepPoint, merged: PointResult, source: str
@@ -384,9 +437,11 @@ class JobService:
 
         ``merged`` may come from another tenant's identical point or from
         the cache, so the subscriber's own index and params are bound here.
+        Histogram keys are interned: pickles and cache reads copy them.
         """
         if job.finished:
             return
+        counts = {sys.intern(outcome): count for outcome, count in merged.counts.items()}
         metrics = dict(merged.metrics)
         cache_stats = self.cache.stats()
         metrics["artifact_cache_hits"] = cache_stats["hits"]
@@ -398,7 +453,7 @@ class JobService:
         metrics["artifact_cache_size_bytes"] = self.cache.size_bytes()
         metrics["point_source"] = source
         result = replace(
-            merged, index=point.index, params=dict(point.params), metrics=metrics
+            merged, index=point.index, params=dict(point.params), counts=counts, metrics=metrics
         ).to_dict()
         job.point_results.append(result)
         job.points_done += 1

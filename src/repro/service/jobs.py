@@ -5,8 +5,8 @@ A *job* is one client submission: an :class:`~repro.runtime.spec.ExperimentSpec`
 (``kind="batch"``), plus the client identity and priority the scheduler
 uses for weighted-fair sharing.  Jobs are decomposed into *sweep points* —
 the service's unit of dedup and streaming — and points into *work units*
-(one per deterministic point, one per shard otherwise), the unit of fair
-scheduling and pool dispatch.
+(one per deterministic point, one per shard otherwise, one per window of
+a batch job's fresh points), the unit of fair scheduling and pool dispatch.
 
 Both spec types expand through their own ``points()``: a batch spec yields
 one single-circuit point per fleet entry with ``point_index = circuit

@@ -11,9 +11,9 @@ simulates twice the shots of a priority-1 client, regardless of how many
 jobs either has queued or how large those jobs are.
 
 Because a unit is at most one point (a per-shot point is split into
-shards of a few thousand shots), a giant sweep cannot monopolise the pool:
-its units interleave with everyone else's.  An idle client that becomes
-backlogged re-enters at
+shards of a few thousand shots) or one window of a batch job's points, a
+giant sweep cannot monopolise the pool: its units interleave with
+everyone else's.  An idle client that becomes backlogged re-enters at
 ``max(own vtime, global vclock)`` — the standard virtual-clock re-entry
 that prevents saved-up idle time from being spent as a burst that starves
 currently active clients.
@@ -21,13 +21,20 @@ currently active clients.
 Ties (equal virtual time, e.g. at cold start) break on the client name, so
 the dispatch order of a given submission pattern is deterministic and
 testable.
+
+An optional ``may_start(unit)`` predicate says whether a unit may start
+now.  :meth:`FairScheduler.pop` skips a client whose head unit may not
+(its virtual time is kept), but serves no client past the skipped one's
+virtual finish (vtime + head cost / weight): from there it returns
+``None``, the caller holds the free slot, and the skipped unit starts at
+the next release however much others keep queued.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 @dataclass
@@ -52,10 +59,11 @@ class WorkUnit:
 class FairScheduler:
     """Stride scheduler distributing work units across weighted clients."""
 
-    def __init__(self) -> None:
+    def __init__(self, may_start: Callable[[WorkUnit], bool] | None = None) -> None:
         self._clients: dict[str, _ClientQueue] = {}
         self._vclock = 0.0
         self._size = 0
+        self._may_start = may_start
 
     def __len__(self) -> int:
         return self._size
@@ -77,12 +85,28 @@ class FairScheduler:
         queue.units.append(WorkUnit(client=client, cost=max(cost, 1.0), item=item))
         self._size += 1
 
+    def _next(self) -> _ClientQueue | None:
+        """The client :meth:`pop` serves now, if any (see the module notes)."""
+        limit = float("inf")
+        backlogged = (queue for queue in self._clients.values() if queue.units)
+        for queue in sorted(backlogged, key=lambda queue: (queue.vtime, queue.name)):
+            if queue.vtime > limit:
+                return None
+            head = queue.units[0]
+            if self._may_start is None or self._may_start(head):
+                return queue
+            limit = min(limit, queue.vtime + head.cost / queue.weight)
+        return None
+
+    def ready(self) -> bool:
+        """Whether :meth:`pop` would return a unit now."""
+        return self._next() is not None
+
     def pop(self) -> WorkUnit | None:
-        """Dequeue the next unit under weighted-fair order, or ``None``."""
-        backlogged = [queue for queue in self._clients.values() if queue.units]
-        if not backlogged:
+        """Dequeue the next startable unit under weighted-fair order, or ``None``."""
+        queue = self._next()
+        if queue is None:
             return None
-        queue = min(backlogged, key=lambda candidate: (candidate.vtime, candidate.name))
         unit = queue.units.popleft()
         queue.vtime += unit.cost / queue.weight
         self._vclock = max(self._vclock, queue.vtime)

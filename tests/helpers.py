@@ -8,6 +8,9 @@ first (historically ``benchmarks/conftest.py``, breaking collection).
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 
 
@@ -177,3 +180,17 @@ def openblas_thread_count() -> int | None:
 
     threads = openblas_threads()
     return None if threads is None else threads.value
+
+
+def wait_for_path(path: str, timeout: float = 60.0) -> bool:
+    """Block until ``path`` exists (``False`` on timeout).
+
+    Module-level, so a test can park process-pool workers on it by
+    reference and release them by creating the file.
+    """
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True

@@ -352,11 +352,21 @@ class TestEventLoopBlocking:
         )
         assert codes(lint_source(source, "src/repro/service/http.py")) == ["REPRO008"]
 
+    def test_run_window_in_coroutine_flagged(self):
+        source = (
+            "from repro.runtime.batch import run_window\n"
+            "async def handle(window):\n"
+            "    return run_window(window)\n"
+        )
+        assert codes(lint_source(source, "src/repro/service/engine.py")) == ["REPRO008"]
+
     def test_executor_dispatch_allowed(self):
         source = (
+            "from repro.runtime.batch import run_window\n"
             "from repro.runtime.worker import run_shard\n"
             "async def handle(loop, pool, runner, task, point):\n"
             "    await loop.run_in_executor(pool, run_shard, task)\n"
+            "    await loop.run_in_executor(pool, run_window, task)\n"
             "    await loop.run_in_executor(pool, runner.plan_point, point)\n"
         )
         assert lint_source(source, "src/repro/service/engine.py") == []

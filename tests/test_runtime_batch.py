@@ -155,6 +155,23 @@ def test_noisy_windows_match_the_serial_runner(workers):
     assert batch.plan["chunks"] == 4
 
 
+def test_uncached_stack_rows_skip_the_compile_key(monkeypatch, tmp_path):
+    """Without a cache, planning a compiled stack row never hashes the
+    circuit for the compile-cache key, and histograms are unchanged."""
+    import repro.runtime.runner as runner_module
+
+    fleet = _batch_product(range(3), compile_enabled=True)
+    reference = run_batch(fleet, workers=1, cache_dir=tmp_path)
+
+    def forbidden(circuit):
+        raise AssertionError("compile-cache key computed without a cache")
+
+    monkeypatch.setattr(runner_module, "circuit_content_key", forbidden)
+    uncached = run_batch(fleet, workers=1, use_cache=False)
+    assert uncached.plan["stacked_circuits"] == 3
+    _assert_counts_match(reference.circuits, uncached.circuits)
+
+
 def test_plan_counters_cover_this_run_only():
     """The plan dict reports this run's lowering-cache lookups, not the
     process's lifetime totals: a repeated run reports the same lookups."""

@@ -24,11 +24,13 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
-from helpers import openblas_thread_count
+from helpers import openblas_thread_count, wait_for_path
 
 from repro.runtime import (
     ArtifactCache,
@@ -40,6 +42,7 @@ from repro.runtime import (
     run_batch,
 )
 from repro.service import FairScheduler, JobJournal, JobService, ServiceClient, point_key
+from repro.service import engine as service_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -166,6 +169,72 @@ class TestFairScheduler:
             while len(scheduler):
                 scheduler.pop()
         assert as_unit._clients["a"].vtime == as_shards._clients["a"].vtime == 64 / 2
+
+    def test_may_start_skips_a_client_and_keeps_virtual_times(self):
+        """A client whose head unit may not start is skipped: another
+        client's unit pops instead, ``ready()`` is false when no head may
+        start, and every client's virtual time is what an unfiltered
+        scheduler charges for the same pops."""
+        blocked = {"window"}
+        gated = FairScheduler(may_start=lambda unit: unit.item not in blocked)
+        plain = FairScheduler()
+        for scheduler in (gated, plain):
+            scheduler.push("bulk", weight=1, item="window", cost=32)
+            scheduler.push("bulk", weight=1, item="window-2", cost=32)
+            scheduler.push("interactive", weight=1, item="shard", cost=64)
+        # bulk has the smaller name at equal virtual time, so it would win.
+        assert plain.pop().item == "window"
+        assert gated.ready()
+        assert gated.pop().item == "shard"
+        assert not gated.ready()
+        assert gated.pop() is None
+        assert len(gated) == 2
+        blocked.clear()
+        assert gated.ready()
+        assert [gated.pop().item, gated.pop().item] == ["window", "window-2"]
+        assert plain.pop().item == "shard"
+        assert plain.pop().item == "window-2"
+        for client in ("bulk", "interactive"):
+            assert gated._clients[client].vtime == plain._clients[client].vtime
+        assert gated._vclock == plain._vclock
+
+    def test_a_skipped_unit_is_passed_by_at_most_its_own_charge(self):
+        """Another client keeps far more units queued than there are
+        slots.  It may take the slot a waiting window cannot use only until
+        its virtual time passes the window's (own vtime + charge); then
+        ``pop`` holds the free slot and the window starts at the next
+        release, instead of after the whole flood."""
+        slots = {"free": 2}
+        scheduler = FairScheduler(
+            may_start=lambda unit: unit.item != "window" or slots["free"] > 1
+        )
+        for index in range(100):
+            scheduler.push("flood", weight=1, item=index, cost=8)
+        running, started, held = deque(), [], 0
+
+        def fill():
+            nonlocal held
+            while slots["free"]:
+                unit = scheduler.pop()
+                if unit is None:
+                    held += bool(len(scheduler)) and not scheduler.ready()
+                    return
+                slots["free"] -= 1
+                running.append(unit.item)
+                started.append(unit.item)
+
+        fill()
+        scheduler.push("bulk", weight=1, item="window", cost=32)
+        while len(scheduler):
+            running.popleft()
+            slots["free"] += 1
+            fill()
+        # bulk entered at the flood's vtime 16; flood units starting at
+        # vtimes 16..48 pass the window, the one at 56 may not.
+        assert started.index("window") == 2 + 5
+        assert held == 1
+        assert scheduler._clients["bulk"].vtime == 16 + 32
+        assert started[7:] == ["window", *range(7, 100)]
 
     def test_every_task_type_declares_its_cost(self):
         from repro.core.circuit import Circuit
@@ -699,6 +768,428 @@ class TestJobServiceEngine:
                 await service.close()
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------- #
+# Engine: batch jobs run as windows in the pool
+# ---------------------------------------------------------------------- #
+def _ten_circuit_fleet(same_at=None, other_seed=0, max_chunk_circuits=64) -> BatchSpec:
+    """A ten-circuit fleet; entries outside ``same_at`` (default: all of
+    them are kept) are reseeded to ``other_seed``, so only the points at
+    ``same_at`` share their keys with the default fleet's."""
+    circuits = []
+    for index in range(10):
+        entry = {
+            "circuit": {"builder": "rotations", "kwargs": {"num_qubits": 2 + index % 3}},
+            "shots": 40 + index,
+        }
+        if same_at is not None and index not in same_at:
+            entry["seed"] = other_seed
+        circuits.append(entry)
+    return BatchSpec.from_dict(
+        {
+            "name": "ten",
+            "seed": 7,
+            "compiler": {"enabled": False},
+            "max_chunk_circuits": max_chunk_circuits,
+            "circuits": circuits,
+        }
+    )
+
+
+async def _until_planned(service: JobService, job_id: str) -> dict:
+    """The job's ``planned`` event, once admission has delivered it."""
+    while True:
+        for event in service.jobs[job_id].events:
+            if event["event"] in ("planned", "error"):
+                return event
+        await asyncio.sleep(0.005)
+
+
+async def _events(service: JobService, job_id: str) -> list[dict]:
+    return [event async for event in service.stream(job_id)]
+
+
+def _use_before_write_fleet(clean: bool = False) -> BatchSpec:
+    """A clean circuit, a use-before-write one (a clean GHZ-4 if
+    ``clean``), a clean one: two windows on two workers."""
+    bad = "version 1.0\nqubits 2\nh q[0]\nc-x b[0], q[1]\nmeasure q[0], b[0]\n"
+    middle = {"builder": "ghz", "kwargs": {"num_qubits": 4}} if clean else {"cqasm": bad}
+    return BatchSpec.from_dict(
+        {
+            "name": "bad-window",
+            "shots": 16,
+            "compiler": {"enabled": False},
+            "circuits": [
+                {"circuit": {"builder": "ghz", "kwargs": {"num_qubits": 2}}},
+                {"circuit": {**middle, "measure": "asis"}},
+                {"circuit": {"builder": "ghz", "kwargs": {"num_qubits": 3}}},
+            ],
+        }
+    )
+
+
+class _GatedWindows:
+    """Stands in for ``run_window`` in a thread-pool service: records how
+    many windows run at once and holds each one until ``release`` is set."""
+
+    def __init__(self):
+        self.original = service_engine.run_window
+        self.lock = threading.Lock()
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.running = self.peak = self.calls = 0
+
+    def __call__(self, window):
+        with self.lock:
+            self.calls += 1
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        self.started.set()
+        try:
+            assert self.release.wait(30), "window never released"
+            return self.original(window)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+@pytest.fixture
+def gated_windows(monkeypatch):
+    gate = _GatedWindows()
+    monkeypatch.setattr(service_engine, "run_window", gate)
+    yield gate
+    gate.release.set()
+
+
+class TestBatchWindows:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_chunk_circuits", [1, 3])
+    def test_cached_joined_and_fresh_points_match_run_batch(
+        self, tmp_path, workers, max_chunk_circuits
+    ):
+        """Job C's ten points: 0 and 4 are cached by job A, 2 and 6 are in
+        flight in job B's windows, and six fresh points cut into windows.
+        Every histogram equals the serial batch driver's."""
+        cached_by = _ten_circuit_fleet(same_at={0, 4}, other_seed=101)
+        in_flight = _ten_circuit_fleet(same_at={2, 6}, other_seed=202)
+        fleet = _ten_circuit_fleet(max_chunk_circuits=max_chunk_circuits)
+        release = tmp_path / "release"
+
+        async def scenario():
+            service = _service(tmp_path, workers=workers, use_processes=True)
+            await service.start()
+            try:
+                _, first = await _run_job(service, cached_by, kind="batch", client="a")
+                assert _terminal(first)["event"] == "done"
+                # Park every worker, so B's windows stay in flight while C
+                # is admitted.
+                loop = asyncio.get_running_loop()
+                parked = [
+                    loop.run_in_executor(service._pool, wait_for_path, str(release))
+                    for _ in range(workers)
+                ]
+                second = await service.submit("b", "batch", in_flight.to_dict())
+                await _until_planned(service, second["job_id"])
+                third = await service.submit("c", "batch", fleet.to_dict())
+                planned = await _until_planned(service, third["job_id"])
+                release.touch()
+                assert all(await asyncio.gather(*parked))
+                streams = await asyncio.wait_for(
+                    asyncio.gather(
+                        _events(service, second["job_id"]), _events(service, third["job_id"])
+                    ),
+                    timeout=60,
+                )
+                return planned, streams
+            finally:
+                await service.close()
+
+        planned, (second, third) = asyncio.run(scenario())
+        counts = (planned["points_cached"], planned["points_inflight"], planned["points_fresh"])
+        assert counts == (2, 2, 6)
+        sources = {event["index"]: event["source"] for event in _point_events(third)}
+        assert [index for index, source in sorted(sources.items()) if source != "executed"] == [
+            0,
+            2,
+            4,
+            6,
+        ]
+        for spec, events in ((in_flight, second), (fleet, third)):
+            assert _terminal(events)["event"] == "done"
+            reference = run_batch(spec, workers=1, use_cache=False)
+            svc_points = _terminal(events)["result"]["points"]
+            assert [point["counts"] for point in svc_points] == [
+                circuit.counts for circuit in reference.circuits
+            ]
+
+    def test_point_joined_while_its_window_runs_reaches_both_jobs(
+        self, tmp_path, gated_windows
+    ):
+        fleet = _ten_circuit_fleet()
+
+        async def scenario():
+            service = _service(tmp_path, workers=2)
+            await service.start()
+            try:
+                first = await service.submit("a", "batch", fleet.to_dict())
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, gated_windows.started.wait, 30)
+                # A window starts as soon as it is full, before admission ends.
+                await _until_planned(service, first["job_id"])
+                second = await service.submit("b", "batch", fleet.to_dict())
+                planned = await _until_planned(service, second["job_id"])
+                gated_windows.release.set()
+                streams = await asyncio.wait_for(
+                    asyncio.gather(
+                        _events(service, first["job_id"]), _events(service, second["job_id"])
+                    ),
+                    timeout=60,
+                )
+                return planned, streams, service.stats()["counters"]
+            finally:
+                await service.close()
+
+        planned, (first, second), counters = asyncio.run(scenario())
+        assert planned["points_inflight"] == 10
+        # Ten points on two workers: two windows, both run by the first job.
+        assert gated_windows.calls == 2
+        assert counters["points_executed"] == 10
+        assert {event["source"] for event in _point_events(first)} == {"executed"}
+        assert {event["source"] for event in _point_events(second)} == {"inflight"}
+        reference = run_batch(fleet, workers=1, use_cache=False)
+        reference = [circuit.counts for circuit in reference.circuits]
+        for events in (first, second):
+            assert [point["counts"] for point in _terminal(events)["result"]["points"]] == reference
+
+    def test_strict_verify_failure_in_a_window_fails_only_its_point_subscribers(
+        self, tmp_path, gated_windows
+    ):
+        """A use-before-write circuit fails its window under strict
+        verification.  The jobs subscribed to the bad point end with one
+        error event; a job that joined only the clean points of the same
+        window, and another client's job, finish with the serial results."""
+        bad, clean = _use_before_write_fleet(), _use_before_write_fleet(clean=True)
+
+        async def scenario():
+            service = _service(tmp_path, workers=2, strict_verify=True)
+            await service.start()
+            try:
+                first = await service.submit("bulk", "batch", bad.to_dict())
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, gated_windows.started.wait, 30)
+                # A window starts as soon as it is full, before admission ends.
+                await _until_planned(service, first["job_id"])
+                second = await service.submit("carol", "batch", bad.to_dict())
+                third = await service.submit("dave", "batch", clean.to_dict())
+                for job in (second, third):
+                    await _until_planned(service, job["job_id"])
+                gated_windows.release.set()
+                streams = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(_events(service, job["job_id"]) for job in (first, second, third)),
+                        _run_job(service, _ghz_spec(), client="interactive"),
+                    ),
+                    timeout=60,
+                )
+                return streams, service.stats()
+            finally:
+                await service.close()
+
+        (first, second, third, (_, other)), stats = asyncio.run(scenario())
+        # Every point of the failed window left the in-flight table.
+        assert stats["inflight_points"] == 0
+        for events in (first, second):
+            errors = [event for event in events if event["event"] == "error"]
+            assert len(errors) == 1
+            assert _terminal(events) == errors[0]
+            assert "window failed: CircuitContractError" in errors[0]["message"]
+        sources = {event["index"]: event["source"] for event in _point_events(third)}
+        assert sources == {0: "inflight", 1: "executed", 2: "inflight"}
+        assert _terminal(third)["event"] == "done"
+        reference = run_batch(clean, workers=1, use_cache=False).circuits
+        assert [point["counts"] for point in _terminal(third)["result"]["points"]] == [
+            circuit.counts for circuit in reference
+        ]
+        assert _terminal(other)["event"] == "done"
+
+    def test_window_warnings_are_reissued_by_the_daemon(self, tmp_path):
+        """Without strict verification the same window plans with a
+        contract warning in the pool; the daemon re-issues it and the job
+        finishes."""
+        from repro.analysis import CircuitContractWarning
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                return await _run_job(service, _use_before_write_fleet(), kind="batch")
+            finally:
+                await service.close()
+
+        with pytest.warns(CircuitContractWarning, match="use-before-write"):
+            _, events = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        assert len(_point_events(events)) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slot_rule_leaves_a_slot_for_short_units(self, tmp_path, gated_windows, workers):
+        """With two workers a window never holds the last slot: while one
+        window runs, the next waits and another client's job runs in the
+        free slot.  A one-worker pool runs windows like any other unit."""
+        fleet = _ten_circuit_fleet(max_chunk_circuits=2)
+
+        async def scenario():
+            service = _service(tmp_path, workers=workers)
+            await service.start()
+            try:
+                bulk = await service.submit("bulk", "batch", fleet.to_dict())
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, gated_windows.started.wait, 30)
+                await asyncio.sleep(0.05)
+                assert gated_windows.calls == 1
+                if workers == 2:
+                    # Four windows are queued; the free slot goes to this job.
+                    _, short = await asyncio.wait_for(
+                        _run_job(service, _ghz_spec(), client="interactive"), timeout=30
+                    )
+                    assert _terminal(short)["event"] == "done"
+                    assert gated_windows.calls == 1
+                gated_windows.release.set()
+                events = await asyncio.wait_for(_events(service, bulk["job_id"]), timeout=60)
+                return events, service._scheduler._clients["bulk"].vtime
+            finally:
+                await service.close()
+
+        events, bulk_vtime = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        assert gated_windows.calls == 5
+        assert gated_windows.peak == 1
+        # Each window is charged its points' shots.
+        assert bulk_vtime == sum(point.spec.shots for point in fleet.points())
+
+    @pytest.mark.parametrize(("workers", "sizes"), [(1, [10]), (3, [4, 4, 2])])
+    def test_windows_are_at_least_as_many_as_the_workers(self, tmp_path, monkeypatch, workers, sizes):
+        """A default-spec fleet (``max_chunk_circuits`` 64) of ten points is
+        cut into ``ceil(10 / workers)``-point windows."""
+        seen = []
+
+        def record(window):
+            seen.append(len(window.points))
+            return run_window(window)
+
+        run_window = service_engine.run_window
+        monkeypatch.setattr(service_engine, "run_window", record)
+
+        async def scenario():
+            service = _service(tmp_path, workers=workers)
+            await service.start()
+            try:
+                return await _run_job(service, _ten_circuit_fleet(), kind="batch")
+            finally:
+                await service.close()
+
+        _, events = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        assert sorted(seen, reverse=True) == sizes
+
+    def test_admission_failure_releases_claimed_window_points(self, tmp_path):
+        """A cache read fails while job A's first window is still being
+        filled.  Job B, which joined A's claimed points, gets one error
+        instead of waiting forever, and nothing stays in flight."""
+        fleet = _ten_circuit_fleet()
+        entered, release = threading.Event(), threading.Event()
+
+        async def scenario():
+            service = _service(tmp_path, workers=2)
+            await service.start()
+            reads = []
+            original = service.cache.get
+
+            def get(key):
+                reads.append(key)
+                if len(reads) == 4:
+                    entered.set()
+                    assert release.wait(30)
+                    raise OSError("cache read failed")
+                return original(key)
+
+            service.cache.get = get
+            try:
+                first = await service.submit("a", "batch", fleet.to_dict())
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                # Not journalled: the I/O thread is parked in A's cache read.
+                second = await service.submit("b", "batch", fleet.to_dict(), journal=False)
+                while service.counters["points_deduped_inflight"] < 4:
+                    await asyncio.sleep(0.005)
+                release.set()
+                streams = await asyncio.wait_for(
+                    asyncio.gather(
+                        _events(service, first["job_id"]), _events(service, second["job_id"])
+                    ),
+                    timeout=60,
+                )
+                while service.stats()["inflight_points"]:
+                    await asyncio.sleep(0.005)
+                return streams
+            finally:
+                await service.close()
+
+        first, second = asyncio.run(asyncio.wait_for(scenario(), timeout=90))
+        assert _terminal(first)["message"].startswith("OSError: cache read failed")
+        errors = [event for event in second if event["event"] == "error"]
+        assert len(errors) == 1 and _terminal(second) == errors[0]
+        assert "admission failed for point" in errors[0]["message"]
+
+    def test_a_failing_merge_fails_the_point_subscribers(self, tmp_path, monkeypatch):
+        """Merging a planned point's shards is part of its commit: if it
+        raises, the point's subscribers fail instead of waiting."""
+        from repro.runtime.runner import PlannedPoint
+
+        def broken(self, results):
+            raise ValueError("merge failed")
+
+        monkeypatch.setattr(PlannedPoint, "merge", broken)
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                return await asyncio.wait_for(_run_job(service, _ghz_spec()), timeout=60)
+            finally:
+                await service.close()
+
+        _, events = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "error"
+        assert "commit failed for point" in _terminal(events)["message"]
+        assert "ValueError: merge failed" in _terminal(events)["message"]
+
+    def test_delivery_interns_histogram_keys(self, tmp_path):
+        """The executed job's histogram and the cached copy another job
+        reads share their key objects, with unchanged contents."""
+        fleet = _ten_circuit_fleet()
+
+        async def scenario():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                _, first = await _run_job(service, fleet, kind="batch", client="a")
+                _, second = await _run_job(service, fleet, kind="batch", client="b")
+                return first, second
+            finally:
+                await service.close()
+
+        first, second = asyncio.run(scenario())
+        assert {event["source"] for event in _point_events(second)} == {"cache"}
+        reference = run_batch(fleet, workers=1, use_cache=False).circuits
+        for executed, cached, circuit in zip(
+            _point_events(first), _point_events(second), reference, strict=True
+        ):
+            left, right = executed["result"]["counts"], cached["result"]["counts"]
+            assert left == right == circuit.counts
+            for left_key, right_key in zip(sorted(left), sorted(right), strict=True):
+                assert left_key is right_key
 
 
 # ---------------------------------------------------------------------- #
