@@ -33,12 +33,6 @@ class EmbeddingResult:
     max_chain_length: int = 0
     failure_reason: str = ""
 
-    @property
-    def average_chain_length(self) -> float:
-        if not self.chains:
-            return 0.0
-        return self.num_physical_qubits_used / len(self.chains)
-
 
 class MinorEmbedder:
     """Greedy chain-growth minor-embedding heuristic."""

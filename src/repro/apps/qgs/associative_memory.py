@@ -66,10 +66,6 @@ class QuantumAssociativeMemory:
     def amplitudes(self) -> np.ndarray:
         return self._state.amplitudes.copy()
 
-    def memory_utilisation(self) -> float:
-        """Stored entries as a fraction of the address space."""
-        return self.num_entries / 2 ** self.address_qubits
-
     def capacity_advantage(self) -> float:
         """Classical bits needed to store the database per qubit used.
 

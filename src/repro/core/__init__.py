@@ -3,9 +3,10 @@
 This subpackage implements the computational model on which the whole
 accelerator stack is built: the quantum gate set (:mod:`repro.core.gates`),
 the circuit intermediate representation (:mod:`repro.core.circuit` and
-:mod:`repro.core.operations`), the dependency DAG used by the scheduler and
-mapper (:mod:`repro.core.dag`), and the real / realistic / perfect qubit
+:mod:`repro.core.operations`), and the real / realistic / perfect qubit
 quality models of Section 2.1 of the paper (:mod:`repro.core.qubits`).
+Operation dependencies are read where they are used, by the scheduler's one
+pass over a circuit (:mod:`repro.mapping.scheduling`).
 """
 
 from repro.core.gates import Gate, GateSet, standard_gate_set
@@ -18,7 +19,6 @@ from repro.core.operations import (
 )
 from repro.core.circuit import Circuit
 from repro.core.qubits import QubitModel, PERFECT, REALISTIC, REAL_TRANSMON
-from repro.core.dag import CircuitDAG
 
 __all__ = [
     "Gate",
@@ -34,5 +34,4 @@ __all__ = [
     "PERFECT",
     "REALISTIC",
     "REAL_TRANSMON",
-    "CircuitDAG",
 ]

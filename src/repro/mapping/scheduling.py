@@ -6,6 +6,10 @@ paper describes: operations on disjoint qubits may be issued in the same
 cycle, subject to optional resource constraints such as a limited number of
 parallel two-qubit gates (a stand-in for the limited number of control
 frequencies / AWG channels of a real device).
+
+Dependencies come from one pass over the circuit (:func:`_predecessors`).
+Program order is a topological order of them, so ASAP is one forward loop
+over the operations and ALAP one backward loop.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.circuit import Circuit
-from repro.core.dag import CircuitDAG
-from repro.core.operations import Barrier, ConditionalGate, GateOperation, Operation
+from repro.core.operations import Barrier, ConditionalGate, GateOperation, Measurement, Operation
 
 
 @dataclass
@@ -57,14 +60,13 @@ class Schedule:
             return 0.0
         return len(self.entries) / len(cycles)
 
-    def validate(self, dag: CircuitDAG | None = None) -> None:
+    def validate(self) -> None:
         """Check that no qubit executes two operations at once and deps hold.
 
-        Dependency order is verified against the circuit's
-        :class:`~repro.core.dag.CircuitDAG` — including the classical
-        RAW/WAR/WAW hazard edges — so a schedule that lets a measurement
-        overwrite a bit before the conditional gate that reads it is
-        rejected, not silently accepted.
+        Dependency order is checked against the circuit's predecessor lists
+        — including the classical RAW/WAR/WAW hazards — so a schedule that
+        lets a measurement overwrite a bit before the conditional gate that
+        reads it is rejected, not silently accepted.
         """
         busy: dict[int, list[tuple[int, int]]] = {}
         for entry in self.entries:
@@ -78,28 +80,28 @@ class Schedule:
                             f"[{entry.start},{entry.end})"
                         )
                 busy.setdefault(qubit, []).append((entry.start, entry.end))
-        if dag is None:
-            dag = CircuitDAG(self.circuit)
-        # Pair DAG nodes with entries by operation identity; repeated
-        # operation objects (e.g. flattened kernel iterations) pair in
-        # start-time order, the only order a valid schedule can use.
+        # Pair operations with entries by identity; repeated operation
+        # objects (e.g. flattened kernel iterations) pair in start-time
+        # order, the only order a valid schedule can use.
         entries_for: dict[int, list[ScheduledOperation]] = {}
         for entry in sorted(self.entries, key=lambda item: item.start):
             entries_for.setdefault(id(entry.operation), []).append(entry)
-        scheduled: dict[int, ScheduledOperation] = {}
-        for node in range(dag.num_nodes()):
-            bucket = entries_for.get(id(dag.operation(node)))
-            if bucket:
-                scheduled[node] = bucket.pop(0)
-        for pred, succ in dag.graph.edges:
-            if pred not in scheduled or succ not in scheduled:
+        operations = self.circuit.operations
+        scheduled: list[ScheduledOperation | None] = []
+        for op in operations:
+            bucket = entries_for.get(id(op))
+            scheduled.append(bucket.pop(0) if bucket else None)
+        for node, preds in enumerate(_predecessors(operations)):
+            if (entry := scheduled[node]) is None:
                 continue
-            if scheduled[succ].start < scheduled[pred].end:
-                raise ValueError(
-                    f"dependency violated: {dag.operation(succ).name!r} starts at "
-                    f"{scheduled[succ].start} before {dag.operation(pred).name!r} "
-                    f"ends at {scheduled[pred].end}"
-                )
+            for pred in preds:
+                before = scheduled[pred]
+                if before is not None and entry.start < before.end:
+                    raise ValueError(
+                        f"dependency violated: {operations[node].name!r} starts at "
+                        f"{entry.start} before {operations[pred].name!r} "
+                        f"ends at {before.end}"
+                    )
 
 
 class Scheduler:
@@ -112,82 +114,132 @@ class Scheduler:
         self.max_parallel_two_qubit = max_parallel_two_qubit
 
     def schedule(self, circuit: Circuit) -> Schedule:
-        dag = CircuitDAG(circuit)
-        if self.policy == "asap":
-            start_times = self._asap_times(dag)
-        else:
-            start_times = self._alap_times(dag)
+        operations = circuit.operations
+        predecessors = _predecessors(operations)
+        durations = [op.duration for op in operations]
+        starts = _settle(predecessors, durations, [0] * len(operations))
+        if self.policy == "alap":
+            starts = _alap(predecessors, durations, starts)
         if self.max_parallel_two_qubit is not None:
-            start_times = self._enforce_issue_limit(dag, start_times)
+            starts = _enforce_issue_limit(
+                self.max_parallel_two_qubit, operations, predecessors, durations, starts
+            )
         entries = [
             ScheduledOperation(
-                operation=dag.operation(node),
-                start=start,
-                end=start + dag.operation(node).duration,
+                operation=operations[node],
+                start=starts[node],
+                end=starts[node] + durations[node],
             )
-            for node, start in sorted(start_times.items(), key=lambda kv: (kv[1], kv[0]))
+            for node in sorted(range(len(operations)), key=lambda node: (starts[node], node))
         ]
         schedule = Schedule(circuit=circuit, entries=entries, policy=self.policy)
-        schedule.validate(dag)
+        schedule.validate()
         return schedule
 
-    # ------------------------------------------------------------------ #
-    def _asap_times(self, dag: CircuitDAG) -> dict[int, int]:
-        times: dict[int, int] = {}
-        for node in dag.topological_order():
-            preds = dag.predecessors(node)
-            times[node] = max(
-                (times[p] + dag.operation(p).duration for p in preds), default=0
-            )
-        return times
 
-    def _alap_times(self, dag: CircuitDAG) -> dict[int, int]:
-        asap = self._asap_times(dag)
-        total = max(
-            (asap[n] + dag.operation(n).duration for n in asap), default=0
-        )
-        times: dict[int, int] = {}
-        for node in reversed(dag.topological_order()):
-            succs = dag.successors(node)
-            duration = dag.operation(node).duration
-            if not succs:
-                times[node] = total - duration
-            else:
-                times[node] = min(times[s] for s in succs) - duration
-        # Normalise so the earliest operation starts at 0.
-        offset = min(times.values(), default=0)
-        return {n: t - offset for n, t in times.items()}
+def _predecessors(operations: list[Operation]) -> list[list[int]]:
+    """Each operation's predecessor indices, from one pass in program order.
 
-    def _enforce_issue_limit(self, dag: CircuitDAG, times: dict[int, int]) -> dict[int, int]:
-        """Delay two-qubit gates so at most N are issued at the same time."""
-        limit = self.max_parallel_two_qubit
-        assert limit is not None
-        adjusted = dict(times)
-        changed = True
-        while changed:
-            changed = False
-            by_start: dict[int, list[int]] = {}
-            for node, start in adjusted.items():
-                op = dag.operation(node)
-                if isinstance(op, (GateOperation, ConditionalGate)) and len(op.qubits) == 2:
-                    by_start.setdefault(start, []).append(node)
-            for start, nodes in sorted(by_start.items()):
-                if len(nodes) <= limit:
-                    continue
-                for node in sorted(nodes)[limit:]:
-                    adjusted[node] = start + dag.operation(node).duration
-                    changed = True
-            if changed:
-                adjusted = self._repair_dependencies(dag, adjusted)
-        return adjusted
+    An operation follows the last earlier use of each of its qubits, or the
+    last barrier for a qubit not used since.  A barrier follows every
+    qubit's last use and the previous barrier; a qubit outside its targets
+    that was used before it is not held back by it.  Classical hazards on
+    bits: RAW — a conditional gate follows the measurement that wrote its
+    bit; WAR — a measurement overwriting a bit follows every conditional
+    gate that read the previous value; WAW — writes to one bit stay
+    ordered, so the last write wins.
+    """
+    predecessors: list[list[int]] = []
+    last_use: dict[int, int] = {}
+    last_writer: dict[int, int] = {}
+    readers: dict[int, list[int]] = {}
+    last_barrier: int | None = None
+    for index, op in enumerate(operations):
+        preds: set[int] = set()
+        if isinstance(op, Measurement):
+            preds.update(readers.pop(op.bit, ()))
+            if op.bit in last_writer:
+                preds.add(last_writer[op.bit])
+            last_writer[op.bit] = index
+        elif isinstance(op, ConditionalGate):
+            if op.condition_bit in last_writer:
+                preds.add(last_writer[op.condition_bit])
+            readers.setdefault(op.condition_bit, []).append(index)
+        if isinstance(op, Barrier):
+            preds.update(last_use.values())
+            if last_barrier is not None:
+                preds.add(last_barrier)
+            last_barrier = index
+            for qubit in op.qubits:
+                last_use[qubit] = index
+        else:
+            for qubit in op.qubits:
+                pred = last_use.get(qubit, last_barrier)
+                if pred is not None:
+                    preds.add(pred)
+                last_use[qubit] = index
+        preds.discard(index)
+        predecessors.append(sorted(preds))
+    return predecessors
 
-    def _repair_dependencies(self, dag: CircuitDAG, times: dict[int, int]) -> dict[int, int]:
-        repaired = dict(times)
-        for node in dag.topological_order():
-            earliest = max(
-                (repaired[p] + dag.operation(p).duration for p in dag.predecessors(node)),
-                default=0,
-            )
-            if repaired[node] < earliest:
-                repaired[node] = earliest
-        return repaired
+
+def _settle(
+    predecessors: list[list[int]], durations: list[int], starts: list[int]
+) -> list[int]:
+    """Forward pass: delay each start to its predecessors' latest end.
+
+    From all-zero starts this is the ASAP schedule.
+    """
+    settled: list[int] = []
+    ends: list[int] = []
+    for preds, duration, start in zip(predecessors, durations, starts, strict=True):
+        start = max(start, max((ends[pred] for pred in preds), default=0))
+        settled.append(start)
+        ends.append(start + duration)
+    return settled
+
+
+def _alap(predecessors: list[list[int]], durations: list[int], asap: list[int]) -> list[int]:
+    """Backward pass: start each operation as late as its successors allow,
+    within the ASAP makespan, then shift so the earliest start is 0."""
+    total = max((start + duration for start, duration in zip(asap, durations)), default=0)
+    # The earliest successor start, or the makespan for an operation without
+    # successors (durations are non-negative, so no start exceeds it).
+    latest = [total] * len(durations)
+    starts = [0] * len(durations)
+    for node in reversed(range(len(durations))):
+        start = starts[node] = latest[node] - durations[node]
+        for pred in predecessors[node]:
+            if start < latest[pred]:
+                latest[pred] = start
+    offset = min(starts, default=0)
+    return [start - offset for start in starts]
+
+
+def _enforce_issue_limit(
+    limit: int,
+    operations: list[Operation],
+    predecessors: list[list[int]],
+    durations: list[int],
+    starts: list[int],
+) -> list[int]:
+    """Delay two-qubit gates so at most ``limit`` are issued at the same time."""
+    two_qubit = [
+        node
+        for node, op in enumerate(operations)
+        if isinstance(op, (GateOperation, ConditionalGate)) and len(op.qubits) == 2
+    ]
+    changed = True
+    while changed:
+        changed = False
+        by_start: dict[int, list[int]] = {}
+        for node in two_qubit:
+            by_start.setdefault(starts[node], []).append(node)
+        for start, nodes in sorted(by_start.items()):
+            # ``nodes`` is in program order: the earliest ones keep the slot.
+            for node in nodes[limit:]:
+                starts[node] = start + durations[node]
+                changed = True
+        if changed:
+            starts = _settle(predecessors, durations, starts)
+    return starts

@@ -84,9 +84,6 @@ class AnalogDigitalInterface:
         ]
         return self.pulses
 
-    def total_pulse_count(self) -> int:
-        return len(self.pulses)
-
     def total_energy(self) -> float:
         return sum(pulse.energy for pulse in self.pulses)
 

@@ -51,9 +51,6 @@ class OperationQueue:
         self.stats.pops += 1
         return self._entries.popleft()
 
-    def peek(self) -> tuple[int, object] | None:
-        return self._entries[0] if self._entries else None
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -105,9 +105,6 @@ class MatchingDecoder:
         return int(self._boundary_par[defect[1]])
 
     # ------------------------------------------------------------------ #
-    def _defect_row(self, defect: tuple[int, int]) -> float:
-        return float(self._rows[defect[1]])
-
     def _spacetime_weight(self, a: tuple[int, int], b: tuple[int, int]) -> float:
         return float(self._spatial[a[1], b[1]]) + self.time_weight * abs(a[0] - b[0])
 

@@ -252,9 +252,6 @@ class Channel:
         """Parallel composition; ``self`` takes the more significant digits."""
         return Channel(np.kron(self.ptm, other.ptm))
 
-    def is_identity(self, atol: float = _ATOL) -> bool:
-        return bool(np.allclose(self.ptm, np.eye(self.ptm.shape[0]), atol=atol))
-
     # -- diagnostics ----------------------------------------------------- #
     def choi(self) -> np.ndarray:
         """The Choi matrix ``sum_ij ptm[i, j] B_i (x) conj(B_j)``.

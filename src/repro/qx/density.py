@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.qx.channels import Channel, ChannelProgram, density_to_vector, vector_to_density
+from repro.qx.channels import ChannelProgram, density_to_vector, vector_to_density
 
 #: Qubit cap of the density engine — the single source of truth shared with
 #: the backend registry's feasibility check (same pattern as the MPS
@@ -330,10 +330,6 @@ class DensityMatrixSimulator:
             self.vector = _apply_dense_generic(
                 self.vector, host_ptm, qubits, self.num_qubits, xp
             )
-
-    def apply_channel(self, channel: Channel, qubits: tuple[int, ...]) -> None:
-        """Apply a :class:`~repro.qx.channels.Channel` to ``qubits``."""
-        self.apply_ptm(channel.ptm, qubits)
 
     def run_channels(self, program: ChannelProgram) -> None:
         """Execute a compiled channel program (one PTM per fused position)."""

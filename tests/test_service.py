@@ -1096,7 +1096,9 @@ class TestBatchWindows:
     def test_admission_failure_releases_claimed_window_points(self, tmp_path):
         """A cache read fails while job A's first window is still being
         filled.  Job B, which joined A's claimed points, gets one error
-        instead of waiting forever, and nothing stays in flight."""
+        instead of waiting forever, and nothing stays in flight.  B's
+        stream has then ended, so its own points 4-9 are released, never
+        executed."""
         fleet = _ten_circuit_fleet()
         entered, release = threading.Event(), threading.Event()
 
@@ -1115,6 +1117,14 @@ class TestBatchWindows:
                 return original(key)
 
             service.cache.get = get
+            ran = []
+            run_unit = service._run_unit
+
+            async def record(unit):
+                ran.extend(unit.item[0])
+                await run_unit(unit)
+
+            service._run_unit = record
             try:
                 first = await service.submit("a", "batch", fleet.to_dict())
                 loop = asyncio.get_running_loop()
@@ -1132,15 +1142,102 @@ class TestBatchWindows:
                 )
                 while service.stats()["inflight_points"]:
                     await asyncio.sleep(0.005)
-                return streams
+                # Let an admission that wrongly went on reach the pool.
+                await asyncio.sleep(0.2)
+                return streams, ran, dict(service.counters)
             finally:
                 await service.close()
 
-        first, second = asyncio.run(asyncio.wait_for(scenario(), timeout=90))
+        (first, second), ran, counters = asyncio.run(asyncio.wait_for(scenario(), timeout=90))
         assert _terminal(first)["message"].startswith("OSError: cache read failed")
         errors = [event for event in second if event["event"] == "error"]
         assert len(errors) == 1 and _terminal(second) == errors[0]
         assert "admission failed for point" in errors[0]["message"]
+        assert ran == []
+        assert counters["points_executed"] == 0
+
+    def test_a_failed_job_still_runs_the_claims_another_job_joined(self, tmp_path):
+        """Job A fails while its cache read for point 1 is out, and job B
+        has joined that point: A releases nothing B waits for, so B still
+        finishes, and only the joined point runs for A's admission."""
+
+        def fleet(seeds):
+            payload = _ten_circuit_fleet().to_dict()
+            for index, seed in seeds.items():
+                payload["circuits"][index]["seed"] = seed
+            return payload
+
+        entered, release = threading.Event(), threading.Event()
+
+        async def scenario():
+            service = _service(tmp_path, workers=2)
+            await service.start()
+            reads = []
+            original = service.cache.get
+
+            def get(key):
+                reads.append(key)
+                if len(reads) == 4:
+                    entered.set()
+                    assert release.wait(30)
+                    raise OSError("cache read failed")
+                return original(key)
+
+            service.cache.get = get
+            ran = []
+            run_unit = service._run_unit
+
+            async def record(unit):
+                ran.append(len(unit.item[0]))
+                await run_unit(unit)
+
+            service._run_unit = record
+            try:
+                # Z claims points 0-3 and fails on the read of point 3.
+                doomed = await service.submit("z", "batch", fleet({}))
+                loop = asyncio.get_running_loop()
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                # Y claims its point 0 (seed 5) and waits on the I/O thread.
+                # A joins Z's point 0, claims its point 1 (seed 6) and waits.
+                # B joins Y's point 0 and A's point 1, then claims more.
+                others = {index: 9 for index in range(2, 10)}
+                await service.submit("y", "batch", fleet({i: 5 for i in range(10)}), journal=False)
+                while len(service._inflight) < 5:
+                    await asyncio.sleep(0.005)
+                first = await service.submit(
+                    "a", "batch", fleet({1: 6, **{i: 8 for i in range(2, 10)}}), journal=False
+                )
+                while service.counters["points_deduped_inflight"] < 1:
+                    await asyncio.sleep(0.005)
+                second = await service.submit(
+                    "b", "batch", fleet({0: 5, 1: 6, **others}), journal=False
+                )
+                while service.counters["points_deduped_inflight"] < 3:
+                    await asyncio.sleep(0.005)
+                release.set()
+                streams = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            _events(service, job["job_id"])
+                            for job in (doomed, first, second)
+                        )
+                    ),
+                    timeout=60,
+                )
+                return streams, ran, dict(service.counters)
+            finally:
+                await service.close()
+
+        (doomed, first, second), ran, counters = asyncio.run(
+            asyncio.wait_for(scenario(), timeout=90)
+        )
+        assert _terminal(doomed)["message"].startswith("OSError: cache read failed")
+        assert "admission failed for point" in _terminal(first)["message"]
+        assert _terminal(second)["event"] == "done"
+        assert len(_point_events(second)) == 10
+        # Y's ten points, B's eight fresh ones and A's point 1, which B joined.
+        assert counters["points_executed"] == 19
+        assert sorted(ran) == [1, 3, 5, 5, 5]
 
     def test_a_failing_merge_fails_the_point_subscribers(self, tmp_path, monkeypatch):
         """Merging a planned point's shards is part of its commit: if it
