@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=None, help="process-pool size (default: all cores)"
     )
-    parser.add_argument("--cache-dir", default=None, help="artifact cache directory")
+    parser.add_argument(
+        "--cache-dir", default=None, help="artifact cache directory (a batch plans without it)"
+    )
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the on-disk artifact cache"
     )
@@ -479,8 +481,6 @@ def print_batch_report(result) -> None:
         f"{plan.get('fallback_circuits', 0)} fallback circuit(s) in "
         f"{plan.get('stack_groups', 0)} group(s), {plan.get('chunks', 0)} chunk(s)"
     )
-    if result.cache_stats:
-        print(f"artifact cache: {result.cache_stats}")
     for point in result.circuits:
         label = point.params.get("label") or "-"
         top = sorted(point.counts.items(), key=lambda item: -item[1])[:4]

@@ -15,6 +15,7 @@ over the operations and ALAP one backward loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from repro.core.circuit import Circuit
 from repro.core.operations import Barrier, ConditionalGate, GateOperation, Measurement, Operation
@@ -70,16 +71,22 @@ class Schedule:
         """
         busy: dict[int, list[tuple[int, int]]] = {}
         for entry in self.entries:
-            if isinstance(entry.operation, Barrier):
-                continue
-            for qubit in entry.operation.qubits:
-                for start, end in busy.get(qubit, []):
-                    if entry.start < end and start < entry.end:
-                        raise ValueError(
-                            f"qubit {qubit} double-booked: [{start},{end}) vs "
-                            f"[{entry.start},{entry.end})"
-                        )
+            for qubit in () if isinstance(entry.operation, Barrier) else entry.operation.qubits:
                 busy.setdefault(qubit, []).append((entry.start, entry.end))
+        # Sorted by (start, end), two intervals of a qubit overlap only if two
+        # neighbours do, zero-duration ones included; only then is the first
+        # double-booking in entry order searched for, to name it.
+        if any(b[0] < a[1] for intervals in busy.values() for a, b in pairwise(sorted(intervals))):
+            seen: dict[int, list[tuple[int, int]]] = {}
+            for entry in self.entries:
+                for qubit in () if isinstance(entry.operation, Barrier) else entry.operation.qubits:
+                    for start, end in seen.get(qubit, []):
+                        if entry.start < end and start < entry.end:
+                            raise ValueError(
+                                f"qubit {qubit} double-booked: [{start},{end}) vs "
+                                f"[{entry.start},{entry.end})"
+                            )
+                    seen.setdefault(qubit, []).append((entry.start, entry.end))
         # Pair operations with entries by identity; repeated operation
         # objects (e.g. flattened kernel iterations) pair in start-time
         # order, the only order a valid schedule can use.
@@ -110,6 +117,10 @@ class Scheduler:
     def __init__(self, policy: str = "asap", max_parallel_two_qubit: int | None = None):
         if policy not in ("asap", "alap"):
             raise ValueError("policy must be 'asap' or 'alap'")
+        if max_parallel_two_qubit is not None and max_parallel_two_qubit < 1:
+            raise ValueError(
+                f"max_parallel_two_qubit must be >= 1 (or None), got {max_parallel_two_qubit}"
+            )
         self.policy = policy
         self.max_parallel_two_qubit = max_parallel_two_qubit
 

@@ -26,8 +26,8 @@ class SchedulingPass(Pass):
     name = "scheduling"
 
     def __init__(self, policy: str = "asap", max_parallel_two_qubit: int | None = None):
-        self.policy = policy
-        self.max_parallel_two_qubit = max_parallel_two_qubit
+        # Built now, so a bad policy or issue limit fails here, not on first read.
+        self._scheduler = Scheduler(policy=policy, max_parallel_two_qubit=max_parallel_two_qubit)
         self._timed: Circuit | None = None
         self._schedule: Schedule | None = None
 
@@ -40,10 +40,7 @@ class SchedulingPass(Pass):
     def last_schedule(self) -> Schedule | None:
         """The schedule of the last ``run``'s circuit, built on first read."""
         if self._schedule is None and self._timed is not None:
-            scheduler = Scheduler(
-                policy=self.policy, max_parallel_two_qubit=self.max_parallel_two_qubit
-            )
-            self._schedule = scheduler.schedule(self._timed)
+            self._schedule = self._scheduler.schedule(self._timed)
         return self._schedule
 
     def statistics(self) -> dict:
@@ -53,7 +50,7 @@ class SchedulingPass(Pass):
         return {
             "makespan_ns": schedule.makespan,
             "parallelism": round(schedule.parallelism(), 3),
-            "policy": self.policy,
+            "policy": self._scheduler.policy,
         }
 
 

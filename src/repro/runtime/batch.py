@@ -16,10 +16,10 @@ amortises every stage across the fleet:
   same operands) and evolves each group as one stacked ``(batch, 2**n)``
   ndarray pass through the batched kernels of :mod:`repro.qx.kernels` —
   one kernel call per gate position instead of one per circuit per shard;
-* **dispatch** ships contiguous *windows* of the fleet's points to pool
-  workers, and each worker plans, stacks and runs its own window, so
-  planning runs in parallel and the process-pool round trip is paid per
-  window, not per shard.
+* **dispatch** cuts the fleet into *windows* of :func:`window_size`
+  points, as the experiment service does, and each pool worker plans
+  (without the artifact cache), stacks and runs its own window, so
+  planning runs in parallel and the pool round trip is paid per window.
 
 Determinism contract: circuit ``i``'s histogram is the merge of its shard
 histograms, where shard ``s`` samples with
@@ -100,9 +100,9 @@ class BatchSpec:
     """A fleet of circuits sharing shots/seed/platform/backend defaults.
 
     JSON-serialisable like :class:`~repro.runtime.spec.ExperimentSpec`.
-    ``max_chunk_circuits`` and ``max_chunk_bytes`` bound how many circuits
-    (and how much stacked amplitude memory) one pool task carries; both
-    only affect scheduling granularity, never results.
+    ``max_chunk_circuits`` bounds how many circuits one window carries
+    (:func:`window_size`); it only affects scheduling granularity, never
+    results.
     """
 
     name: str
@@ -115,7 +115,6 @@ class BatchSpec:
     max_shard_shots: int = 4096
     min_shards: int = 8
     max_chunk_circuits: int = 64
-    max_chunk_bytes: int = 1 << 27
 
     def __post_init__(self) -> None:
         if not self.circuits:
@@ -124,8 +123,6 @@ class BatchSpec:
             raise ValueError("shots must be >= 1")
         if self.max_chunk_circuits < 1:
             raise ValueError("max_chunk_circuits must be >= 1")
-        if self.max_chunk_bytes < 1:
-            raise ValueError("max_chunk_bytes must be >= 1")
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -238,13 +235,14 @@ class StackEntry:
 class StackChunk:
     """Circuits sharing a lowering plan, executed as one ndarray pass.
 
-    The parent materialises the fleet's evolution *position-stacked* as
-    ``steps``: a ``("gate", qubits, structures, matrices)`` step carries the
-    ``(batch, 2, 2)`` / ``(batch, 4, 4)`` per-row matrices of one gate
-    position (fused runs already reduced by vectorised matmul, adjacent
-    dense pairs merged into 4x4 gemms), and a ``("perm", indices)`` step is
-    a run of row-shared permutation gates (a cnot ladder) collapsed into
-    one basis-index gather.  Workers only run kernels and sample.
+    The worker that plans the window materialises the rows' evolution
+    *position-stacked* as ``steps``: a ``("gate", qubits, structures,
+    matrices)`` step carries the ``(batch, 2, 2)`` / ``(batch, 4, 4)``
+    per-row matrices of one gate position (fused runs already reduced by
+    vectorised matmul, adjacent dense pairs merged into 4x4 gemms), and a
+    ``("perm", indices)`` step is a run of row-shared permutation gates (a
+    cnot ladder) collapsed into one basis-index gather.  :meth:`run` only
+    runs kernels and samples.
     """
 
     num_qubits: int
@@ -458,18 +456,26 @@ def _compose_permutations(steps: list[tuple], num_qubits: int) -> list[tuple]:
 # ---------------------------------------------------------------------- #
 # Windows: the unit of pool dispatch
 # ---------------------------------------------------------------------- #
+#: Stacked amplitudes one stack chunk may hold; a larger plan group splits.
+MAX_CHUNK_BYTES = 1 << 27
+
+
+def window_size(points: int, max_chunk_circuits: int, workers: int) -> int:
+    """Points per window, the rule :class:`BatchRunner` and the experiment
+    service both cut by: at least one window per worker, so the workers
+    share the fleet, and at most ``max_chunk_circuits`` points in one."""
+    return min(max_chunk_circuits, -(-points // workers))
+
+
 @dataclass
 class BatchWindow:
     """A contiguous run of fleet points that one worker plans, stacks and runs.
 
-    Windows hold ``max_chunk_circuits`` points each, in circuit order.  The
-    layout is a pure function of the spec, never of the worker count.
+    Drivers cut the fleet into windows of :func:`window_size` points, in
+    circuit order, so the layout follows the worker count; results never do.
     """
 
     points: list[SweepPoint]
-    max_chunk_bytes: int
-    #: The runner's artifact cache directory (``None``: no cache).
-    cache_dir: str | None
     strict_verify: bool
 
 
@@ -480,7 +486,6 @@ class WindowResult:
     circuits: list[PointResult]
     #: Plan shape and lowering-cache counters of this window alone.
     plan: dict
-    cache_stats: dict
     #: ``(category, message)`` of each warning planning raised.
     warnings: list[tuple[type, str]]
 
@@ -490,7 +495,7 @@ def _bundles(planned: list[PlannedPoint], max_chunk_bytes: int) -> tuple[list[li
 
     Stack rows are grouped by lowering plan and each group is cut into
     chunks of at most ``max_chunk_bytes`` of stacked amplitudes (a window
-    already holds at most ``max_chunk_circuits`` rows); each chunk is a
+    already holds at most :func:`window_size` rows); each chunk is a
     one-unit bundle.  The window's unstackable points make one more bundle
     of their work units.
     """
@@ -546,24 +551,20 @@ def _add_counters(total: dict, part: dict) -> dict:
 def run_window(window: BatchWindow) -> WindowResult:
     """Plan, stack and run one window; the function the pool maps.
 
-    A fresh planner per window: it verifies once per structure per window,
-    and its cache counters are the window's own.  Warnings are recorded and
-    handed back, so the caller re-issues them even when a pool worker
-    raised them.
+    A fresh planner per window, without the artifact cache (a fleet circuit
+    compiles faster than the cache hashes and pickles it), verifies once
+    per structure per window.  Warnings are recorded and handed back, so
+    the caller re-issues them even when a pool worker raised them.
     """
     # The planner plans the window's points; its own spec is never read.
     planner = ExperimentRunner(
-        window.points[0].spec,
-        workers=1,
-        cache_dir=window.cache_dir,
-        use_cache=window.cache_dir is not None,
-        strict_verify=window.strict_verify,
+        window.points[0].spec, workers=1, use_cache=False, strict_verify=window.strict_verify
     )
     plan_before = compiled.plan_cache_stats()
     content_before = compiled.content_cache_stats()
     with warnings.catch_warnings(record=True) as recorded:
         planned = [planner.plan_point(point, stack=True) for point in window.points]
-        bundles, stack_chunks, stack_groups = _bundles(planned, window.max_chunk_bytes)
+        bundles, stack_chunks, stack_groups = _bundles(planned, MAX_CHUNK_BYTES)
         units = [result for bundle in bundles for result in run_batch_chunk(bundle)]
     stacked = sum(1 for circuit in planned if circuit.stackable)
     return WindowResult(
@@ -578,39 +579,28 @@ def run_window(window: BatchWindow) -> WindowResult:
             "plan_cache": _counter_delta(compiled.plan_cache_stats(), plan_before),
             "program_content_cache": _counter_delta(compiled.content_cache_stats(), content_before),
         },
-        cache_stats=planner.cache.stats() if planner.cache is not None else {},
         warnings=[(caught.category, str(caught.message)) for caught in recorded],
     )
 
 
 @dataclass
 class BatchResult:
-    """Merged per-circuit results plus plan/cache observability."""
+    """Merged per-circuit results plus plan observability."""
 
     name: str
     workers: int
     circuits: list[PointResult] = field(default_factory=list)
     total_time_s: float = 0.0
-    #: Artifact-cache counters of this run, summed over its windows.
-    cache_stats: dict = field(default_factory=dict)
     #: Plan shape of this run, summed over its windows: stacked vs fallback
     #: counts, group/chunk layout, and the lowering-cache hits and misses
     #: planning and execution caused.
     plan: dict = field(default_factory=dict)
-
-    def circuit(self, label: str) -> PointResult:
-        """Look up a circuit's result by its label."""
-        for candidate in self.circuits:
-            if candidate.params.get("label") == label:
-                return candidate
-        raise KeyError(f"no batch circuit labelled {label!r}")
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "workers": self.workers,
             "total_time_s": round(self.total_time_s, 6),
-            "cache_stats": dict(self.cache_stats),
             "plan": dict(self.plan),
             "circuits": [point.to_dict() for point in self.circuits],
         }
@@ -628,11 +618,19 @@ class BatchResult:
 class BatchRunner(ExperimentRunner):
     """Plans and executes a :class:`BatchSpec`.
 
-    The fleet is cut into :class:`BatchWindow` windows; :func:`run_window`
-    plans, stacks and runs each one — inline for one worker or one window,
-    else one pool task per window.  The parent only concatenates the
-    windows' results in point order.
+    The fleet is cut into :class:`BatchWindow` windows of
+    :func:`window_size` points; :func:`run_window` plans, stacks and runs
+    each one — inline for one worker or one window, else one pool task per
+    window.  The parent only concatenates the windows' results in point
+    order.
+
+    It takes :class:`ExperimentRunner`'s arguments, so one call builds
+    either runner, but builds no artifact cache: ``cache_dir`` and
+    ``use_cache`` are ignored.
     """
+
+    def __init__(self, spec, workers=None, cache_dir=None, use_cache=True, strict_verify=False):
+        super().__init__(spec, workers=workers, use_cache=False, strict_verify=strict_verify)
 
     def plan(self) -> list[PlannedPoint]:
         """Every fleet point planned in this process, stacking on.
@@ -643,15 +641,11 @@ class BatchRunner(ExperimentRunner):
         return [self.plan_point(point, stack=True) for point in self.spec.points()]
 
     def _windows(self) -> list[BatchWindow]:
-        """The fleet cut into ``max_chunk_circuits``-point windows, in order."""
-        spec = self.spec
-        points = spec.points()
-        cache_dir = str(self.cache.directory) if self.cache is not None else None
-        size = spec.max_chunk_circuits
+        """The fleet cut into :func:`window_size`-point windows, in order."""
+        points = self.spec.points()
+        size = window_size(len(points), self.spec.max_chunk_circuits, self.workers)
         return [
-            BatchWindow(
-                points[start : start + size], spec.max_chunk_bytes, cache_dir, self.strict_verify
-            )
+            BatchWindow(points[start : start + size], self.strict_verify)
             for start in range(0, len(points), size)
         ]
 
@@ -660,28 +654,21 @@ class BatchRunner(ExperimentRunner):
         start = time.perf_counter()
         windows = self._execute(run_window, self._windows())
         plan: dict = {}
-        cache_stats: dict = {}
         for window in windows:
             _add_counters(plan, window.plan)
-            _add_counters(cache_stats, window.cache_stats)
             for category, message in window.warnings:
                 warnings.warn(message, category, stacklevel=2)
         result = BatchResult(
             name=self.spec.name,
             workers=self.workers,
             circuits=[circuit for window in windows for circuit in window.circuits],
-            cache_stats=cache_stats,
             plan=plan,
         )
         result.total_time_s = time.perf_counter() - start
         return result
 
 
-def run_batch(
-    spec: BatchSpec,
-    workers: int | None = None,
-    cache_dir: str | os.PathLike | None = None,
-    use_cache: bool = True,
-) -> BatchResult:
-    """Convenience wrapper: plan and execute a batch in one call."""
-    return BatchRunner(spec, workers=workers, cache_dir=cache_dir, use_cache=use_cache).run()
+def run_batch(spec: BatchSpec, workers: int | None = None, cache_dir=None) -> BatchResult:
+    """Plan and execute a batch in one call (``cache_dir`` is ignored, as by
+    :class:`BatchRunner`)."""
+    return BatchRunner(spec, workers=workers).run()

@@ -15,11 +15,12 @@ sweep points are classified exactly once:
   each charged its declared ``cost``: a deterministic circuit point is one
   unit (it evolves once and samples every shard), any other point one
   unit per shard.  A batch job's fresh points are cut, in point order,
-  into windows (at least one per worker, at most ``max_chunk_circuits``
-  points each): one unit each, charged its points' shots, that a pool
-  worker runs with :func:`~repro.runtime.batch.run_window` without the
-  compile cache.  A window that fails runs again point by point, so a bad
-  circuit fails only the jobs subscribed to its own point.
+  into windows by :func:`~repro.runtime.batch.window_size`, the rule
+  :class:`~repro.runtime.batch.BatchRunner` cuts by: one unit each,
+  charged its points' shots, that a pool worker runs with
+  :func:`~repro.runtime.batch.run_window` without the compile cache.  A
+  window that fails runs again point by point, so a bad circuit fails
+  only the jobs subscribed to its own point.
 
 A pump coroutine moves units from the scheduler into a process pool as
 slots free up.  The slot rule: in a pool of more than one worker a window
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.runtime.aggregate import PointResult
-from repro.runtime.batch import BatchWindow, run_window
+from repro.runtime.batch import BatchWindow, run_window, window_size
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.runner import ExperimentRunner, PlannedPoint, available_workers
 from repro.runtime.spec import SweepPoint
@@ -269,13 +270,15 @@ class JobService:
             # An experiment job's points are planned one by one, so cached
             # and joined points skip compilation; the daemon's own cache
             # instance is shared so artifacts and their counters are common
-            # to every tenant.  A batch job's windows start as they fill.
+            # to every tenant; only the daemon writes it, so compile points
+            # plan without it.  A batch job's windows start as they fill.
             planner = ExperimentRunner(
                 spec, workers=1, use_cache=False, strict_verify=self.strict_verify
             )
-            planner.cache = self.cache
             batch = job.kind == "batch"
-            size = min(spec.max_chunk_circuits, -(-len(points) // self.workers)) if batch else 1
+            if not batch and spec.kind != "compile":
+                planner.cache = self.cache
+            size = window_size(len(points), spec.max_chunk_circuits, self.workers) if batch else 1
             from_cache = joined = 0
             for point in points:
                 if job.finished:  # e.g. a point it joined failed: admit nothing more
@@ -303,8 +306,8 @@ class JobService:
                         await self._deliver_point(sub_job, sub_point, cached, source="cache")
                     continue
                 if len(claimed) == size:
-                    await self._schedule_claimed(job, spec, planner, claimed)
-            await self._schedule_claimed(job, spec, planner, claimed)
+                    await self._schedule_claimed(job, planner, claimed)
+            await self._schedule_claimed(job, planner, claimed)
             if job.finished:
                 return
             job.deliver(
@@ -326,11 +329,10 @@ class JobService:
             await self._fail_job(job, f"{type(exc).__name__}: {exc}")
 
     async def _schedule_claimed(
-        self, job: Job, spec, planner: ExperimentRunner, claimed: list[tuple[str, SweepPoint]]
+        self, job: Job, planner: ExperimentRunner, claimed: list[tuple[str, SweepPoint]]
     ) -> None:
         """Queue (and clear) ``claimed``: a batch job's points as one window
-        charged its shots, with no compile cache (its writes would escape the
-        daemon's byte total); an experiment job's one point as its planned
+        charged its shots; an experiment job's one point as its planned
         shards.  Once the job's stream has ended, points no other job joined
         are released instead of run."""
         self._release_unjoined(job, claimed)
@@ -340,7 +342,7 @@ class JobService:
             keys, points = zip(*claimed, strict=True)
             claimed.clear()
             self.counters["points_executed"] += len(keys)
-            unit = BatchWindow(list(points), spec.max_chunk_bytes, None, self.strict_verify)
+            unit = BatchWindow(list(points), self.strict_verify)
             await self._schedule(job, (keys, unit), sum(point.spec.shots for point in points))
             return
         [(key, point)] = claimed

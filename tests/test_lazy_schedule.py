@@ -94,7 +94,7 @@ def test_batch_fleet_never_schedules(no_scheduler):
         shots=64,
         compiler=CompilerSpec(enabled=True),
     )
-    batch = run_batch(spec, workers=1, use_cache=False)
+    batch = run_batch(spec, workers=1)
     assert [sum(circuit.counts.values()) for circuit in batch.circuits] == [64, 64, 64]
 
 

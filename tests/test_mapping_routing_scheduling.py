@@ -166,6 +166,20 @@ class TestScheduler:
         constrained = Scheduler("asap", max_parallel_two_qubit=1).schedule(circuit)
         assert constrained.makespan > unconstrained.makespan
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_issue_limit_below_one_is_rejected(self, limit):
+        """A limit below 1 could never issue a two-qubit gate; the scheduler
+        and the scheduling pass refuse it when built."""
+        from repro.openql.passes.scheduling_pass import SchedulingPass
+
+        with pytest.raises(ValueError, match="max_parallel_two_qubit must be >= 1"):
+            Scheduler("asap", max_parallel_two_qubit=limit)
+        with pytest.raises(ValueError, match="max_parallel_two_qubit must be >= 1"):
+            SchedulingPass(max_parallel_two_qubit=limit)
+        circuit = Circuit(2)
+        circuit.cnot(0, 1)
+        assert Scheduler("asap", max_parallel_two_qubit=1).schedule(circuit).makespan > 0
+
     def test_schedule_respects_qubit_exclusivity(self):
         circuit = random_circuit(5, 12, seed=6)
         schedule = Scheduler("asap").schedule(circuit)

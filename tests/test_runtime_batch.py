@@ -18,7 +18,8 @@ from oracles.sampled_reference import sample_index_counts
 
 from repro.qx.keying import PreparedIndexSampler
 from repro.runtime.aggregate import merge_counts
-from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch
+from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch, window_size
+from repro.runtime.cache import ArtifactCache
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.seeding import shard_seed, shard_sizes
 from repro.runtime.spec import CircuitSpec, CompilerSpec, ExperimentSpec, PlatformSpec
@@ -67,7 +68,7 @@ def _assert_counts_match(serial_points, batch_circuits):
 def test_batch_matches_serial_sweep():
     seeds = range(6)
     serial = _serial_sweep(seeds)
-    batch = run_batch(_batch_product(seeds), workers=1, use_cache=False)
+    batch = run_batch(_batch_product(seeds), workers=1)
     _assert_counts_match(serial.points, batch.circuits)
     assert batch.plan["stacked_circuits"] == 6
     assert batch.plan["fallback_circuits"] == 0
@@ -76,16 +77,14 @@ def test_batch_matches_serial_sweep():
 def test_batch_matches_serial_sweep_with_compiler():
     seeds = range(3)
     serial = _serial_sweep(seeds, compile_enabled=True)
-    batch = run_batch(_batch_product(seeds, compile_enabled=True), workers=1, use_cache=False)
+    batch = run_batch(_batch_product(seeds, compile_enabled=True), workers=1)
     _assert_counts_match(serial.points, batch.circuits)
 
 
 def test_workers_and_chunk_layout_do_not_change_results():
     seeds = range(6)
-    reference = run_batch(_batch_product(seeds), workers=1, use_cache=False)
-    chunked = run_batch(
-        _batch_product(seeds, max_chunk_circuits=2), workers=3, use_cache=False
-    )
+    reference = run_batch(_batch_product(seeds), workers=1)
+    chunked = run_batch(_batch_product(seeds, max_chunk_circuits=2), workers=3)
     assert chunked.plan["chunks"] == 3
     _assert_counts_match(reference.circuits, chunked.circuits)
 
@@ -123,24 +122,42 @@ def _window_fleet(max_chunk_circuits: int, platform: str = "perfect") -> BatchSp
     )
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+#: The stack structure of each ``_window_fleet`` row (``None``: cannot stack).
+WINDOW_FLEET_ROWS = ["wide", "narrow", "wide", None, None, None, "narrow", "wide", "narrow"]
+
+
+def test_window_size_is_one_window_per_worker_up_to_the_chunk_bound():
+    assert window_size(9, 64, 1) == 9
+    assert window_size(9, 64, 2) == 5
+    assert window_size(9, 64, 3) == 3
+    assert window_size(9, 2, 3) == 2
+    assert window_size(1, 64, 4) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("max_chunk_circuits", [1, 2, 64])
 def test_windows_match_the_serial_runner(max_chunk_circuits, workers):
     fleet = _window_fleet(max_chunk_circuits)
     serial = ExperimentRunner(fleet, workers=1, use_cache=False).run()
-    batch = run_batch(fleet, workers=workers, use_cache=False)
+    batch = run_batch(fleet, workers=workers)
     _assert_counts_match(serial.points, batch.circuits)
     assert [circuit.index for circuit in batch.circuits] == list(range(9))
     plan = batch.plan
     assert (plan["circuits"], plan["stacked_circuits"], plan["fallback_circuits"]) == (9, 6, 3)
-    windows = -(-9 // max_chunk_circuits)
-    if windows == 1:
-        # One window: the two structures are one stack chunk each, and the
-        # three unstackable rows share one bundle.
-        assert (plan["stack_groups"], plan["stack_chunks"], plan["chunks"]) == (2, 2, 3)
-    if max_chunk_circuits == 1:
-        assert plan["stack_groups"] == plan["stack_chunks"] == 6
-        assert plan["chunks"] == 9
+    # Each window stacks each of its structures as one chunk, and its
+    # unstackable rows share one more bundle.
+    size = window_size(9, max_chunk_circuits, workers)
+    groups = bundles = 0
+    for start in range(0, 9, size):
+        rows = WINDOW_FLEET_ROWS[start : start + size]
+        structures = {row for row in rows if row is not None}
+        groups += len(structures)
+        bundles += len(structures) + (None in rows)
+    assert (plan["stack_groups"], plan["stack_chunks"], plan["chunks"]) == (
+        groups,
+        groups,
+        bundles,
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -149,35 +166,60 @@ def test_noisy_windows_match_the_serial_runner(workers):
     fleet = _window_fleet(2, platform="realistic")
     fleet.circuits = [entry for entry in fleet.circuits if entry.backend != "mps"]
     serial = ExperimentRunner(fleet, workers=1, use_cache=False).run()
-    batch = run_batch(fleet, workers=workers, use_cache=False)
+    batch = run_batch(fleet, workers=workers)
     _assert_counts_match(serial.points, batch.circuits)
     assert batch.plan["stacked_circuits"] == 0
     assert batch.plan["chunks"] == 4
 
 
 def test_uncached_stack_rows_skip_the_compile_key(monkeypatch, tmp_path):
-    """Without a cache, planning a compiled stack row never hashes the
-    circuit for the compile-cache key, and histograms are unchanged."""
+    """A batch plans without a cache, so planning a compiled stack row never
+    hashes the circuit for the compile-cache key, and histograms equal a
+    cached serial sweep's."""
     import repro.runtime.runner as runner_module
 
     fleet = _batch_product(range(3), compile_enabled=True)
-    reference = run_batch(fleet, workers=1, cache_dir=tmp_path)
+    reference = ExperimentRunner(fleet, workers=1, cache_dir=tmp_path).run()
 
     def forbidden(circuit):
         raise AssertionError("compile-cache key computed without a cache")
 
     monkeypatch.setattr(runner_module, "circuit_content_key", forbidden)
-    uncached = run_batch(fleet, workers=1, use_cache=False)
+    uncached = run_batch(fleet, workers=1)
     assert uncached.plan["stacked_circuits"] == 3
-    _assert_counts_match(reference.circuits, uncached.circuits)
+    _assert_counts_match(reference.points, uncached.circuits)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_runner_given_a_cache_dir_never_touches_it(monkeypatch, tmp_path, workers):
+    """``BatchRunner`` keeps ``ExperimentRunner``'s constructor but plans
+    without the artifact cache, inline and in a pool: a cache read or write
+    raises, and the directory stays empty."""
+    fleet = _batch_product(range(4), compile_enabled=True, max_chunk_circuits=2)
+    fleet.circuits += UNSTACKABLE
+    serial = ExperimentRunner(fleet, workers=1, use_cache=False).run()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a batch touched the artifact cache")
+
+    monkeypatch.setattr(ArtifactCache, "get", forbidden)
+    monkeypatch.setattr(ArtifactCache, "put", forbidden)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    runner = BatchRunner(fleet, workers=workers, cache_dir=cache_dir)
+    assert runner.cache is None
+    batch = runner.run()
+    _assert_counts_match(serial.points, batch.circuits)
+    assert all(not circuit.compile_cached for circuit in batch.circuits)
+    assert list(cache_dir.iterdir()) == []
 
 
 def test_plan_counters_cover_this_run_only():
     """The plan dict reports this run's lowering-cache lookups, not the
     process's lifetime totals: a repeated run reports the same lookups."""
     fleet = _batch_product(range(4), max_chunk_circuits=2)
-    first = run_batch(fleet, workers=1, use_cache=False)
-    second = run_batch(fleet, workers=1, use_cache=False)
+    first = run_batch(fleet, workers=1)
+    second = run_batch(fleet, workers=1)
     for key in ("plan_cache", "program_content_cache"):
         assert sum(first.plan[key].values()) == sum(second.plan[key].values())
     # Every circuit looks its structure up once; the repeat only hits.
@@ -213,7 +255,6 @@ def test_mixed_backend_batch_matches_serial():
             compiler=CompilerSpec(enabled=False),
         ),
         workers=1,
-        use_cache=False,
     )
     _assert_counts_match(serial.points, batch.circuits)
     # Pinned statevector stacks; stabilizer and MPS run as fallback tasks.
@@ -254,7 +295,7 @@ def test_mixed_engine_batch_with_unstackable_circuits_matches_serial(workers):
     assert [len(point.tasks) for point in planned] == [0, 8, 1, 1, 1]
     assert [len(point.tasks) for point in serial_plan[1:]] == [8, 1, 1, 1]
     serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
-    batch = run_batch(spec, workers=workers, use_cache=False)
+    batch = run_batch(spec, workers=workers)
     _assert_counts_match(serial.points, batch.circuits)
     assert batch.plan["stacked_circuits"] == 1
     assert [circuit.shots for circuit in batch.circuits] == [64, 64, 64, 1024, 1024]
@@ -269,7 +310,6 @@ def test_cross_mapped_measurements_match_serial():
     batch = run_batch(
         _batch_product(seeds, builder="helpers:cross_measured_circuit", measure="asis"),
         workers=1,
-        use_cache=False,
     )
     assert batch.plan["stacked_circuits"] == 3  # the cross map stays stackable
     _assert_counts_match(serial.points, batch.circuits)
@@ -292,7 +332,6 @@ def test_cross_mapped_measurements_key_by_classical_bit():
             compiler=CompilerSpec(enabled=False),
         ),
         workers=1,
-        use_cache=False,
     )
     # Qubit 0 (the flipped one) measures into bit 1, the leftmost character.
     assert batch.circuits[0].counts == {"10": 32}
@@ -315,7 +354,6 @@ def test_per_circuit_overrides_resolve_like_batch_defaults():
             compiler=CompilerSpec(enabled=False),
         ),
         workers=1,
-        use_cache=False,
     )
     as_defaults = run_batch(
         BatchSpec(
@@ -326,7 +364,6 @@ def test_per_circuit_overrides_resolve_like_batch_defaults():
             compiler=CompilerSpec(enabled=False),
         ),
         workers=1,
-        use_cache=False,
     )
     assert sum(overridden.circuits[0].counts.values()) == 96
     assert sum(overridden.circuits[1].counts.values()) == 32
@@ -349,7 +386,7 @@ def test_same_structure_circuits_share_one_plan():
 
 
 def test_plan_cache_counters_reach_point_metrics():
-    result = run_batch(_batch_product(range(4)), workers=1, use_cache=False)
+    result = run_batch(_batch_product(range(4)), workers=1)
     metrics = [circuit.metrics for circuit in result.circuits]
     assert all("plan_cache_hits" in m and "plan_cache_misses" in m for m in metrics)
     # One structural miss for the group, hits for every subsequent circuit.
@@ -361,7 +398,7 @@ def test_point_wall_time_is_its_own_execution_time():
     own execution time, not the wall of the whole run."""
     spec = _batch_product(range(3), compile_enabled=False)
     spec.circuits += UNSTACKABLE
-    batch = run_batch(spec, workers=1, use_cache=False)
+    batch = run_batch(spec, workers=1)
     serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
     assert batch.plan["stacked_circuits"] == 3
     for points, total in ((batch.circuits, batch.total_time_s), (serial.points, serial.total_time_s)):

@@ -42,8 +42,8 @@ def test_capped_windows_match_the_inline_run_byte_for_byte():
         compiler=CompilerSpec(enabled=False),
         max_chunk_circuits=4,
     )
-    inline = run_batch(fleet, workers=1, use_cache=False)
-    pooled = run_batch(fleet, workers=2, use_cache=False)
+    inline = run_batch(fleet, workers=1)
+    pooled = run_batch(fleet, workers=2)
     assert json.dumps([row.counts for row in pooled.circuits]) == json.dumps(
         [row.counts for row in inline.circuits]
     )

@@ -233,7 +233,7 @@ def test_point_above_kernel_split_threshold_identical_across_drivers():
     fleet = BatchSpec(
         name="split-threshold", circuits=[BatchCircuit(circuit=circuit)], shots=2000, seed=23
     )
-    batch = run_batch(fleet, workers=2, use_cache=False)
+    batch = run_batch(fleet, workers=2)
     assert (batch.plan["fallback_circuits"], batch.plan["chunks"]) == (1, 1)
     assert len(reference[0]) > 100
     assert _histograms(serial) == _histograms(threaded) == reference
@@ -365,7 +365,7 @@ def _zero_text_runs(tmp_path) -> dict:
     )
 
     def batch():
-        result = run_batch(fleet, workers=1, cache_dir=tmp_path / "cache-batch")
+        result = run_batch(fleet, workers=1)
         assert result.plan["stacked_circuits"] == 2
         assert result.plan["fallback_circuits"] == 2
 

@@ -26,7 +26,7 @@ from repro.runtime import (
     PlatformSpec,
     QecSpec,
 )
-from repro.runtime.batch import BatchRunner, BatchSpec, StackChunk, _bundles
+from repro.runtime.batch import MAX_CHUNK_BYTES, BatchRunner, BatchSpec, StackChunk, _bundles
 from repro.runtime.worker import (
     CompileShardTask,
     QecShardTask,
@@ -81,7 +81,7 @@ def _unit(kind: str):
         compiler=CompilerSpec(enabled=False),
     )
     planned = BatchRunner(spec, workers=1, use_cache=False).plan()
-    bundles, stack_chunks, _ = _bundles(planned, spec.max_chunk_bytes)
+    bundles, stack_chunks, _ = _bundles(planned, MAX_CHUNK_BYTES)
     assert stack_chunks == len(bundles) == 1
     (unit,) = bundles[0]
     assert isinstance(unit, StackChunk)

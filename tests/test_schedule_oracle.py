@@ -219,3 +219,38 @@ def test_validate_agrees_with_the_oracle_on_perturbed_schedules():
         assert outcomes[0] == outcomes[1], seed
         rejected += outcomes[0] is not None
     assert rejected > 10
+
+
+def test_validate_agrees_with_the_oracle_on_random_intervals():
+    """Random start times and durations, zero included, on three qubits:
+    ``validate`` sorts each qubit's intervals once and compares neighbours,
+    and must reject exactly the schedules the oracle's all-pairs check
+    rejects, naming the same double-booking."""
+    rng = np.random.default_rng(11)
+    rejected = accepted = 0
+    for _ in range(400):
+        circuit = Circuit(3)
+        for _ in range(int(rng.integers(1, 7))):
+            if rng.random() < 0.3:
+                first, second = rng.choice(3, size=2, replace=False)
+                circuit.cnot(int(first), int(second))
+            else:
+                circuit.h(int(rng.integers(3)))
+        entries = []
+        for op in circuit.operations:
+            start = int(rng.integers(0, 6))
+            entries.append(ScheduledOperation(op, start, start + int(rng.integers(0, 3))))
+        schedule = Schedule(circuit=circuit, entries=entries, policy="asap")
+        outcomes = []
+        for check in (schedule.validate, lambda: oracle.validate(schedule)):
+            try:
+                check()
+                outcomes.append(None)
+            except ValueError as exc:
+                # A dependency check may name another violated edge first.
+                message = str(exc)
+                outcomes.append(message if "double-booked" in message else message.split(":")[0])
+        assert outcomes[0] == outcomes[1]
+        rejected += outcomes[0] is not None and "double-booked" in outcomes[0]
+        accepted += outcomes[0] is None
+    assert rejected > 50 and accepted > 20

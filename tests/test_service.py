@@ -375,7 +375,7 @@ class TestJobServiceEngine:
                 ],
             }
         )
-        reference = run_batch(spec, workers=1, use_cache=False)
+        reference = run_batch(spec, workers=1)
         planned = ExperimentRunner(spec, workers=1, use_cache=False).plan()
         assert [len(point.tasks) for point in planned[2:]] == [1, 1]
 
@@ -570,6 +570,49 @@ class TestJobServiceEngine:
         fresh = ArtifactCache(tmp_path / "cache").size_bytes()
         assert delivered == fresh == stats["cache"]["size_bytes"]
         assert fresh <= 16 * 1024
+
+    @pytest.mark.parametrize("max_cache_bytes", [None, 1 << 20])
+    def test_compile_job_cache_size_matches_the_disk(self, tmp_path, max_cache_bytes):
+        """Only the daemon writes its cache: a compile job's pool units
+        publish no mapping artifact, so the O(1) byte total equals the bytes
+        on disk, and the points still equal a serial run's."""
+        spec = ExperimentSpec(
+            name="svc-compile",
+            kind="compile",
+            circuit=CircuitSpec(builder="random", kwargs={"num_qubits": 6, "depth": 6, "seed": 3}),
+            sweep={"compile.router": ["path", "sabre"]},
+            shots=1,
+            seed=0,
+        )
+
+        async def scenario():
+            service = _service(tmp_path, max_cache_bytes=max_cache_bytes)
+            await service.start()
+            try:
+                _, events = await _run_job(service, spec)
+                return events, service.stats()
+            finally:
+                await service.close()
+
+        events, stats = asyncio.run(scenario())
+        assert _terminal(events)["event"] == "done"
+        on_disk = sum(path.stat().st_size for path in (tmp_path / "cache").glob("*/*.pkl"))
+        assert stats["cache"]["size_bytes"] == on_disk
+        # Two point results, and no mapping artifact beside them.
+        assert stats["cache"]["writes"] == 2
+        assert len(list((tmp_path / "cache").glob("*/*.pkl"))) == 2
+        serial = ExperimentRunner(spec, workers=1, use_cache=False).run()
+        points = sorted(_point_events(events), key=lambda event: event["index"])
+        delivered = [
+            {
+                key: value
+                for key, value in event["result"]["metrics"].items()
+                if not key.startswith("artifact_cache_") and key != "point_source"
+            }
+            for event in points
+        ]
+        assert delivered == [point.metrics for point in serial.points]
+        assert all(event["result"]["compile_cached"] is False for event in points)
 
     @pytest.mark.parametrize("failing", ["cache", "journal"])
     def test_failed_point_commit_fails_its_jobs(self, tmp_path, monkeypatch, failing):
@@ -917,7 +960,7 @@ class TestBatchWindows:
         ]
         for spec, events in ((in_flight, second), (fleet, third)):
             assert _terminal(events)["event"] == "done"
-            reference = run_batch(spec, workers=1, use_cache=False)
+            reference = run_batch(spec, workers=1)
             svc_points = _terminal(events)["result"]["points"]
             assert [point["counts"] for point in svc_points] == [
                 circuit.counts for circuit in reference.circuits
@@ -957,7 +1000,7 @@ class TestBatchWindows:
         assert counters["points_executed"] == 10
         assert {event["source"] for event in _point_events(first)} == {"executed"}
         assert {event["source"] for event in _point_events(second)} == {"inflight"}
-        reference = run_batch(fleet, workers=1, use_cache=False)
+        reference = run_batch(fleet, workers=1)
         reference = [circuit.counts for circuit in reference.circuits]
         for events in (first, second):
             assert [point["counts"] for point in _terminal(events)["result"]["points"]] == reference
@@ -1007,7 +1050,7 @@ class TestBatchWindows:
         sources = {event["index"]: event["source"] for event in _point_events(third)}
         assert sources == {0: "inflight", 1: "executed", 2: "inflight"}
         assert _terminal(third)["event"] == "done"
-        reference = run_batch(clean, workers=1, use_cache=False).circuits
+        reference = run_batch(clean, workers=1).circuits
         assert [point["counts"] for point in _terminal(third)["result"]["points"]] == [
             circuit.counts for circuit in reference
         ]
@@ -1279,7 +1322,7 @@ class TestBatchWindows:
 
         first, second = asyncio.run(scenario())
         assert {event["source"] for event in _point_events(second)} == {"cache"}
-        reference = run_batch(fleet, workers=1, use_cache=False).circuits
+        reference = run_batch(fleet, workers=1).circuits
         for executed, cached, circuit in zip(
             _point_events(first), _point_events(second), reference, strict=True
         ):
