@@ -239,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="artifact cache directory (a batch plans without it)"
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the on-disk artifact cache"
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk artifact cache (a batch never uses it)",
     )
     parser.add_argument("--no-compile", action="store_true", help="skip the OpenQL pass pipeline")
     parser.add_argument("--output", help="write the merged results as JSON to this path")

@@ -14,8 +14,8 @@ over the operations and ALAP one backward loop.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 from repro.core.circuit import Circuit
 from repro.core.operations import Barrier, ConditionalGate, GateOperation, Measurement, Operation
@@ -69,24 +69,27 @@ class Schedule:
         lets a measurement overwrite a bit before the conditional gate that
         reads it is rejected, not silently accepted.
         """
+        # Each qubit's intervals so far, sorted and pairwise disjoint: only
+        # the neighbours at a new interval's insertion point can overlap it
+        # (zero-duration ones included), so this raises on the same entry
+        # and qubit as comparing each entry with every earlier one.
         busy: dict[int, list[tuple[int, int]]] = {}
         for entry in self.entries:
+            interval = (entry.start, entry.end)
             for qubit in () if isinstance(entry.operation, Barrier) else entry.operation.qubits:
-                busy.setdefault(qubit, []).append((entry.start, entry.end))
-        # Sorted by (start, end), two intervals of a qubit overlap only if two
-        # neighbours do, zero-duration ones included; only then is the first
-        # double-booking in entry order searched for, to name it.
-        if any(b[0] < a[1] for intervals in busy.values() for a, b in pairwise(sorted(intervals))):
-            seen: dict[int, list[tuple[int, int]]] = {}
-            for entry in self.entries:
-                for qubit in () if isinstance(entry.operation, Barrier) else entry.operation.qubits:
-                    for start, end in seen.get(qubit, []):
-                        if entry.start < end and start < entry.end:
-                            raise ValueError(
-                                f"qubit {qubit} double-booked: [{start},{end}) vs "
-                                f"[{entry.start},{entry.end})"
-                            )
-                    seen.setdefault(qubit, []).append((entry.start, entry.end))
+                intervals = busy.setdefault(qubit, [])
+                at = bisect_right(intervals, interval)
+                if at and entry.start < intervals[at - 1][1]:
+                    start, end = intervals[at - 1]
+                elif at < len(intervals) and intervals[at][0] < entry.end:
+                    start, end = intervals[at]
+                else:
+                    intervals.insert(at, interval)
+                    continue
+                raise ValueError(
+                    f"qubit {qubit} double-booked: [{start},{end}) vs "
+                    f"[{entry.start},{entry.end})"
+                )
         # Pair operations with entries by identity; repeated operation
         # objects (e.g. flattened kernel iterations) pair in start-time
         # order, the only order a valid schedule can use.
@@ -118,9 +121,7 @@ class Scheduler:
         if policy not in ("asap", "alap"):
             raise ValueError("policy must be 'asap' or 'alap'")
         if max_parallel_two_qubit is not None and max_parallel_two_qubit < 1:
-            raise ValueError(
-                f"max_parallel_two_qubit must be >= 1 (or None), got {max_parallel_two_qubit}"
-            )
+            raise ValueError(f"max_parallel_two_qubit must be >= 1, got {max_parallel_two_qubit}")
         self.policy = policy
         self.max_parallel_two_qubit = max_parallel_two_qubit
 

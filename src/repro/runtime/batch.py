@@ -197,6 +197,7 @@ class BatchSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "BatchSpec":
         data = dict(data)
+        data.pop("max_chunk_bytes", None)  # now MAX_CHUNK_BYTES; old specs carry it
         circuits = []
         for entry in data.get("circuits", []):
             entry = dict(entry)
@@ -460,11 +461,17 @@ def _compose_permutations(steps: list[tuple], num_qubits: int) -> list[tuple]:
 MAX_CHUNK_BYTES = 1 << 27
 
 
+#: A fleet is spread over at most one window per this many points: a window
+#: of fewer rows costs more as a pool task than it saves.
+MIN_WINDOW_POINTS = 4
+
+
 def window_size(points: int, max_chunk_circuits: int, workers: int) -> int:
     """Points per window, the rule :class:`BatchRunner` and the experiment
-    service both cut by: at least one window per worker, so the workers
-    share the fleet, and at most ``max_chunk_circuits`` points in one."""
-    return min(max_chunk_circuits, -(-points // workers))
+    service both cut by: one window per worker, at most one per
+    :data:`MIN_WINDOW_POINTS` points, at most ``max_chunk_circuits`` each."""
+    windows = max(1, min(workers, points // MIN_WINDOW_POINTS))
+    return min(max_chunk_circuits, -(-points // windows))
 
 
 @dataclass
@@ -621,9 +628,7 @@ class BatchRunner(ExperimentRunner):
     The fleet is cut into :class:`BatchWindow` windows of
     :func:`window_size` points; :func:`run_window` plans, stacks and runs
     each one — inline for one worker or one window, else one pool task per
-    window.  The parent only concatenates the windows' results in point
-    order.
-
+    window — and the parent concatenates their results in point order.
     It takes :class:`ExperimentRunner`'s arguments, so one call builds
     either runner, but builds no artifact cache: ``cache_dir`` and
     ``use_cache`` are ignored.
@@ -640,19 +645,15 @@ class BatchRunner(ExperimentRunner):
         """
         return [self.plan_point(point, stack=True) for point in self.spec.points()]
 
-    def _windows(self) -> list[BatchWindow]:
-        """The fleet cut into :func:`window_size`-point windows, in order."""
-        points = self.spec.points()
-        size = window_size(len(points), self.spec.max_chunk_circuits, self.workers)
-        return [
-            BatchWindow(points[start : start + size], self.strict_verify)
-            for start in range(0, len(points), size)
-        ]
-
     # ------------------------------------------------------------------ #
     def run(self) -> BatchResult:
         start = time.perf_counter()
-        windows = self._execute(run_window, self._windows())
+        points = self.spec.points()
+        size = window_size(len(points), self.spec.max_chunk_circuits, self.workers)
+        cuts = range(0, len(points), size)
+        windows = self._execute(
+            run_window, [BatchWindow(points[at : at + size], self.strict_verify) for at in cuts]
+        )
         plan: dict = {}
         for window in windows:
             _add_counters(plan, window.plan)
@@ -669,6 +670,5 @@ class BatchRunner(ExperimentRunner):
 
 
 def run_batch(spec: BatchSpec, workers: int | None = None, cache_dir=None) -> BatchResult:
-    """Plan and execute a batch in one call (``cache_dir`` is ignored, as by
-    :class:`BatchRunner`)."""
+    """Plan and execute a batch in one call (``cache_dir`` is ignored)."""
     return BatchRunner(spec, workers=workers).run()

@@ -18,7 +18,14 @@ from oracles.sampled_reference import sample_index_counts
 
 from repro.qx.keying import PreparedIndexSampler
 from repro.runtime.aggregate import merge_counts
-from repro.runtime.batch import BatchCircuit, BatchRunner, BatchSpec, run_batch, window_size
+from repro.runtime.batch import (
+    MIN_WINDOW_POINTS,
+    BatchCircuit,
+    BatchRunner,
+    BatchSpec,
+    run_batch,
+    window_size,
+)
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.runner import ExperimentRunner
 from repro.runtime.seeding import shard_seed, shard_sizes
@@ -126,12 +133,19 @@ def _window_fleet(max_chunk_circuits: int, platform: str = "perfect") -> BatchSp
 WINDOW_FLEET_ROWS = ["wide", "narrow", "wide", None, None, None, "narrow", "wide", "narrow"]
 
 
-def test_window_size_is_one_window_per_worker_up_to_the_chunk_bound():
+def test_window_size_spreads_over_workers_in_windows_of_min_points():
+    assert MIN_WINDOW_POINTS == 4
     assert window_size(9, 64, 1) == 9
     assert window_size(9, 64, 2) == 5
-    assert window_size(9, 64, 3) == 3
-    assert window_size(9, 2, 3) == 2
+    assert window_size(12, 64, 3) == 4
+    # Fewer than MIN_WINDOW_POINTS points per worker: fewer, fuller windows.
+    assert window_size(9, 64, 3) == 5
+    assert window_size(7, 64, 2) == 7
+    assert window_size(16, 64, 16) == 4
     assert window_size(1, 64, 4) == 1
+    # max_chunk_circuits bounds every window, the floor included.
+    assert window_size(9, 2, 3) == 2
+    assert window_size(64, 8, 2) == 8
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -415,6 +429,17 @@ def test_batchspec_json_roundtrip():
     assert restored.to_dict() == spec.to_dict()
     assert restored.circuits[1].circuit.kwargs["seed"] == 1
     assert restored.max_chunk_circuits == 7
+
+
+def test_batchspec_loads_a_spec_that_still_carries_max_chunk_bytes():
+    """Saved specs and journaled service jobs written while the chunk byte
+    cap was a spec field still load, through the service's parser too."""
+    from repro.service.jobs import parse_job_spec
+
+    spec = _batch_product(range(3), max_chunk_circuits=7)
+    payload = {**spec.to_dict(), "max_chunk_bytes": 1 << 20}
+    assert BatchSpec.from_dict(payload).to_dict() == spec.to_dict()
+    assert parse_job_spec(payload, "batch").to_dict() == spec.to_dict()
 
 
 def test_from_product_orders_like_a_sweep():

@@ -439,7 +439,12 @@ class TestJobServiceEngine:
         first, second, stats = asyncio.run(scenario())
         assert [e["source"] for e in _point_events(first)] == ["executed", "executed"]
         assert [e["source"] for e in _point_events(second)] == ["cache", "cache"]
-        for left, right in zip(_point_events(first), _point_events(second)):
+        # Executed points stream in completion order; pair them by index.
+        executed, cached = (
+            sorted(_point_events(events), key=lambda event: event["index"])
+            for events in (first, second)
+        )
+        for left, right in zip(executed, cached):
             assert left["result"]["counts"] == right["result"]["counts"]
         assert stats["counters"]["points_from_cache"] == 2
 
@@ -855,7 +860,7 @@ async def _events(service: JobService, job_id: str) -> list[dict]:
 
 def _use_before_write_fleet(clean: bool = False) -> BatchSpec:
     """A clean circuit, a use-before-write one (a clean GHZ-4 if
-    ``clean``), a clean one: two windows on two workers."""
+    ``clean``), a clean one: one window."""
     bad = "version 1.0\nqubits 2\nh q[0]\nc-x b[0], q[1]\nmeasure q[0], b[0]\n"
     middle = {"builder": "ghz", "kwargs": {"num_qubits": 4}} if clean else {"cqasm": bad}
     return BatchSpec.from_dict(
@@ -1111,10 +1116,11 @@ class TestBatchWindows:
         # Each window is charged its points' shots.
         assert bulk_vtime == sum(point.spec.shots for point in fleet.points())
 
-    @pytest.mark.parametrize(("workers", "sizes"), [(1, [10]), (3, [4, 4, 2])])
-    def test_windows_are_at_least_as_many_as_the_workers(self, tmp_path, monkeypatch, workers, sizes):
+    @pytest.mark.parametrize(("workers", "sizes"), [(1, [10]), (2, [5, 5]), (3, [5, 5])])
+    def test_windows_spread_over_the_workers(self, tmp_path, monkeypatch, workers, sizes):
         """A default-spec fleet (``max_chunk_circuits`` 64) of ten points is
-        cut into ``ceil(10 / workers)``-point windows."""
+        cut into one window per worker, but at most one per
+        ``MIN_WINDOW_POINTS`` (4) points: two windows on three workers."""
         seen = []
 
         def record(window):
