@@ -2,8 +2,10 @@
 """Run the REPRO contract linter over the source tree.
 
 The linter (:mod:`repro.analysis.contracts`) enforces the project's
-determinism, keying, pickling and rng-provenance contracts as AST rules
-REPRO001–REPRO007.  Exit status is 0 when the tree is clean, 1 when any
+rng-provenance, one-draw, keying, determinism, pickling, worker-purity,
+rng-isolation and event-loop contracts as AST rules REPRO001–REPRO008, and
+with REPRO010 keeps ``src/`` free of definitions only ``tests/`` reach
+(REPRO009 is reserved).  Exit status is 0 when the tree is clean, 1 when any
 violation is found; each violation prints as ``path:line:col: RULE message``
 so editors and CI annotate it directly.
 

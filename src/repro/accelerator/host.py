@@ -65,17 +65,12 @@ class OffloadReport:
     decisions: list[OffloadDecision] = field(default_factory=list)
 
     @property
-    def amdahl_speedup(self) -> float:
+    def amdahl_speedup(self) -> float:  # contract: ignore[REPRO010] the paper's offload speed-up
         """Overall speed-up: 1 / sum(fraction_i / speedup_i)."""
         denominator = sum(
             d.kernel.fraction_of_runtime / max(d.speedup, 1e-12) for d in self.decisions
         )
         return 1.0 / denominator if denominator > 0 else 1.0
-
-    def accelerated_fraction(self) -> float:
-        return sum(
-            d.kernel.fraction_of_runtime for d in self.decisions if d.accelerator != "host"
-        )
 
 
 class HostCPU:
@@ -96,7 +91,9 @@ class HostCPU:
         #: "one worker per available core".
         self.runtime_workers = runtime_workers
 
-    def attach_accelerator(self, kind: str, typical_speedup: float) -> None:
+    def attach_accelerator(  # contract: ignore[REPRO010] how the paper's host gains accelerators
+        self, kind: str, typical_speedup: float
+    ) -> None:
         """Register an accelerator of a given kind with its typical kernel speed-up."""
         if kind not in self._AFFINITY:
             raise ValueError(

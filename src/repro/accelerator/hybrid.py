@@ -35,12 +35,6 @@ class HybridResult:
     quantum_executions: int
     history: list[float] = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        if len(self.history) < 3:
-            return False
-        return abs(self.history[-1] - self.history[-3]) < 1e-4
-
 
 class HybridExecutor:
     """Generic hybrid loop: circuit generator + expectation estimator + optimiser."""

@@ -17,7 +17,7 @@ from repro.annealing.quantum_annealer import SimulatedQuantumAnnealer
 from repro.core.circuit import Circuit
 from repro.microarch.executor import ExecutionTrace, QuantumAccelerator
 from repro.openql.compiler import Compiler
-from repro.openql.platform import Platform, perfect_platform
+from repro.openql.platform import Platform
 from repro.openql.program import Program
 
 
@@ -32,11 +32,9 @@ class GateModelAccelerator:
         self.compiler = Compiler()
         self.executor = QuantumAccelerator(self.platform, seed=self.seed)
 
-    @classmethod
-    def with_perfect_qubits(cls, num_qubits: int, seed: int | None = None) -> "GateModelAccelerator":
-        return cls(platform=perfect_platform(num_qubits), seed=seed)
-
-    def execute_program(self, program: Program, shots: int = 128) -> ExecutionTrace:
+    def execute_program(  # contract: ignore[REPRO010] the accelerator's OpenQL-program entry
+        self, program: Program, shots: int = 128
+    ) -> ExecutionTrace:
         """Compile and run a full OpenQL program."""
         compiled = self.compiler.compile(program)
         return self.executor.execute_circuit(compiled.flat_circuit(), shots=shots)

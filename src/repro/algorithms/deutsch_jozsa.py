@@ -60,8 +60,3 @@ class DeutschJozsa:
         result = QXSimulator(seed=seed).run(circuit, shots=1)
         bits = result.most_frequent()
         return DeutschJozsaResult(is_constant=(set(bits) == {"0"}), measured_bits=bits)
-
-    @staticmethod
-    def classical_worst_case_queries(num_qubits: int) -> int:
-        """Deterministic classical query complexity: 2^(n-1) + 1."""
-        return 2 ** (num_qubits - 1) + 1

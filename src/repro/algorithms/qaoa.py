@@ -38,12 +38,6 @@ class QAOAResult:
     #: (bitstring array, probability) pairs sorted by decreasing probability.
     top_bitstrings: list[tuple[np.ndarray, float]] = field(default_factory=list)
 
-    def approximation_ratio(self, optimal_energy: float, worst_energy: float) -> float:
-        """Quality of the expectation relative to the exact optimum."""
-        if abs(worst_energy - optimal_energy) < 1e-12:
-            return 1.0
-        return (worst_energy - self.expectation) / (worst_energy - optimal_energy)
-
 
 class QAOA:
     """Depth-p QAOA for Ising / QUBO Hamiltonians."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 from repro.core.circuit import Circuit, qft_circuit
 
 
@@ -16,28 +14,4 @@ def inverse_quantum_fourier_transform(num_qubits: int, with_swaps: bool = True) 
     """Inverse QFT: the adjoint of :func:`quantum_fourier_transform`."""
     circuit = quantum_fourier_transform(num_qubits, with_swaps=with_swaps).inverse()
     circuit.name = f"iqft_{num_qubits}"
-    return circuit
-
-
-def phase_estimation_rotation_count(num_qubits: int) -> int:
-    """Number of controlled rotations in an n-qubit QFT (n*(n-1)/2)."""
-    return num_qubits * (num_qubits - 1) // 2
-
-
-def approximate_qft(num_qubits: int, max_k: int = 4) -> Circuit:
-    """Approximate QFT dropping controlled rotations smaller than 2*pi/2^max_k.
-
-    The standard linear-depth approximation: rotations with k > ``max_k``
-    contribute phases below the realistic-qubit error floor and can be
-    omitted, cutting the two-qubit gate count from O(n^2) to O(n * max_k).
-    """
-    circuit = Circuit(num_qubits, f"aqft_{num_qubits}")
-    for target in reversed(range(num_qubits)):
-        circuit.h(target)
-        for offset, control in enumerate(reversed(range(target)), start=2):
-            if offset > max_k:
-                continue
-            circuit.cr(control, target, 2.0 * math.pi / (2 ** offset))
-    for qubit in range(num_qubits // 2):
-        circuit.swap(qubit, num_qubits - 1 - qubit)
     return circuit

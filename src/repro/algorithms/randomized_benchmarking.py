@@ -61,9 +61,6 @@ class RBResult:
     offset: float = 0.0
     shots_per_point: int = 0
 
-    def as_rows(self) -> list[tuple[int, float]]:
-        return list(zip(self.sequence_lengths, self.survival_probabilities, strict=True))
-
 
 class RandomizedBenchmarking:
     """Single-qubit randomised benchmarking on the QX simulator."""

@@ -134,17 +134,3 @@ class VQE:
             circuit_executions=self._executions,
             history=history,
         )
-
-
-def ising_hamiltonian(h: np.ndarray, couplings: np.ndarray) -> list[PauliTerm]:
-    """Pauli-term representation of an Ising Hamiltonian (for VQE)."""
-    terms: list[PauliTerm] = []
-    n = len(h)
-    for i in range(n):
-        if h[i] != 0.0:
-            terms.append(PauliTerm(float(h[i]), {i: "z"}))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if couplings[i, j] != 0.0:
-                terms.append(PauliTerm(float(couplings[i, j]), {i: "z", j: "z"}))
-    return terms

@@ -37,7 +37,13 @@ REPRO008   event-loop purity: service coroutines never call blocking runtime
            entry points (``run_shard``, ``run_window``, ``run_batch``,
            ``compile_and_map``, runner ``run``/``plan``/``plan_point``)
            directly — dispatch them through an executor.
+REPRO010   no test-only definitions: a ``src/`` def/class whose name no
+           ``src/``, ``scripts/``, ``examples/``, ``perfbench/`` or
+           ``benchmarks/`` file names besides its own definition, but a
+           ``tests/`` file does, belongs in ``tests/`` (or is deleted).
 ========== ==================================================================
+
+REPRO009 is reserved for a dotted-reference rule.
 
 ``scripts/lint_contracts.py`` is the CLI; the CI ``contracts`` job runs it
 over ``src/repro`` on every push.  See ``docs/analysis.md``.
@@ -49,6 +55,7 @@ import ast
 import io
 import re
 import tokenize
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,6 +129,7 @@ class ModuleContext:
     """
 
     path: str
+    source: str
     tree: ast.Module
     enclosing: dict[int, ast.FunctionDef | ast.AsyncFunctionDef | None] = field(
         default_factory=dict
@@ -134,7 +142,7 @@ class ModuleContext:
     @classmethod
     def build(cls, path: str, source: str) -> "ModuleContext":
         tree = ast.parse(source, filename=path)
-        context = cls(path=path, tree=tree)
+        context = cls(path=path, source=source, tree=tree)
         context._index(tree, None)
         for statement in tree.body:
             targets: list[ast.expr] = []
@@ -746,6 +754,87 @@ class EventLoopBlockingRule(Rule):
         return None
 
 
+#: Top-level directories whose files count as callers for REPRO010; names
+#: under ``tests/`` and ``docs/`` do not.
+_CALLER_DIRS = ("src", "scripts", "examples", "perfbench", "benchmarks")
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _identifiers(directory: Path) -> Counter:
+    """How often each identifier occurs in the text of ``directory``'s ``.py`` files."""
+    counts: Counter = Counter()
+    for file in sorted(directory.rglob("*.py")):
+        counts.update(_IDENTIFIER.findall(file.read_text()))
+    return counts
+
+
+class OnlyTestedDefinitionRule(Rule):
+    """REPRO010 — no ``src/`` definition that only the tests reach."""
+
+    rule_id = "REPRO010"
+    title = "no test-only definitions"
+    rationale = (
+        "Each layer's API exists to serve the layer above it.  A definition that only "
+        "tests/ name serves no layer: a reference oracle or fixture belongs in tests/, "
+        "anything else is dead weight.  A name counts as reached when it occurs (as a "
+        "word, anywhere in the text) in a caller file other than at its own definition.  "
+        "Paper-layer API that nothing calls yet stays with an ignore comment that says why."
+    )
+    scope = (
+        "src/ definitions at module or class level, in a file on disk; callers: "
+        + ", ".join(f"{name}/" for name in _CALLER_DIRS)
+    )
+
+    def __init__(self) -> None:
+        #: Per tree root: identifier counts over the caller directories, and
+        #: the identifiers that occur under ``tests/``.  The tree is read once.
+        self._indexes: dict[Path, tuple[Counter, set[str]]] = {}
+
+    @staticmethod
+    def _root(path: Path) -> Path | None:
+        """The checkout a ``src/`` file lives in: the parent of its ``src`` ancestor."""
+        return next((parent.parent for parent in path.parents if parent.name == "src"), None)
+
+    def applies_to(self, path: Path) -> bool:
+        path = path.resolve()
+        return path.is_file() and self._root(path) is not None
+
+    def check(self, context: ModuleContext) -> list[Violation]:
+        path = Path(context.path).resolve()
+        if context.source != path.read_text():
+            return []  # the index is of the saved tree; an unsaved edit is out of scope
+        root = self._root(path)
+        if root not in self._indexes:
+            callers: Counter = Counter()
+            for name in _CALLER_DIRS:
+                callers.update(_identifiers(root / name))
+            self._indexes[root] = (callers, set(_identifiers(root / "tests")))
+        callers, tested = self._indexes[root]
+        violations: list[Violation] = []
+        pending: list[tuple[ast.AST, str]] = [(context.tree, "")]
+        while pending:
+            scope, prefix = pending.pop()
+            for node in ast.iter_child_nodes(scope):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                name = f"{prefix}{node.name}"
+                if isinstance(node, ast.ClassDef):
+                    pending.append((node, f"{name}."))
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if callers[node.name] == 1 and node.name in tested:
+                    violations.append(
+                        self.violation(
+                            context,
+                            node,
+                            f"{name!r} is named only by tests/; move it there, delete it, or "
+                            "keep paper-layer API with '# contract: ignore[REPRO010] <reason>'",
+                        )
+                    )
+        return violations
+
+
 #: The rule registry, in catalogue order.
 RULES: list[Rule] = [
     RngProvenanceRule(),
@@ -756,6 +845,7 @@ RULES: list[Rule] = [
     WorkerStateRule(),
     RngSharingRule(),
     EventLoopBlockingRule(),
+    OnlyTestedDefinitionRule(),
 ]
 
 

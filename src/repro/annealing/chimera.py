@@ -80,19 +80,6 @@ class ChimeraGraph:
     def degree(self) -> float:
         return 2.0 * self.graph.number_of_edges() / self.num_qubits
 
-    def max_clique_size(self) -> int:
-        """Largest complete graph embeddable without chains (= shore_size + 1)."""
-        return self.shore_size + 1
-
-    def largest_native_complete_graph(self) -> int:
-        """Largest K_n minor-embeddable using the standard triangular layout.
-
-        For C(m, m, t) the known construction gives K_{t*m + 1}; for the
-        D-Wave 2000Q (m = 16, t = 4) this is K_65, which bounds TSP capacity.
-        """
-        m = min(self.rows, self.cols)
-        return self.shore_size * m + 1
-
 
 def chimera_topology(rows: int = 16, cols: int = 16, shore_size: int = 4) -> nx.Graph:
     """Convenience constructor returning the bare networkx graph."""

@@ -254,23 +254,3 @@ def chimera_clique_embedding(chimera, num_variables: int) -> EmbeddingResult:
         num_physical_qubits_used=total,
         max_chain_length=max(len(c) for c in chains.values()),
     )
-
-
-def embedding_capacity(
-    hardware_graph: nx.Graph,
-    problem_for_size,
-    sizes: list[int],
-    seed: int | None = None,
-) -> dict[int, bool]:
-    """Feasibility sweep: which problem sizes embed into the hardware graph.
-
-    ``problem_for_size(size)`` must return the logical interaction graph for
-    that size (e.g. the TSP QUBO graph for ``size`` cities).
-    """
-    embedder = MinorEmbedder(hardware_graph, seed=seed, tries=2)
-    feasibility: dict[int, bool] = {}
-    for size in sizes:
-        problem = problem_for_size(size)
-        result = embedder.embed(problem)
-        feasibility[size] = result.success and embedder.verify(problem, result)
-    return feasibility

@@ -38,16 +38,6 @@ class IsingModel:
             raise ValueError("spin vector has the wrong length")
         return float(self.h @ s + s @ self.couplings @ s)
 
-    def local_field(self, spins: np.ndarray, index: int) -> float:
-        """Effective field on one spin: dE/ds_i (used by single-spin-flip moves)."""
-        s = np.asarray(spins, dtype=float)
-        coupling_row = self.couplings[index, :] + self.couplings[:, index]
-        return float(self.h[index] + coupling_row @ s)
-
-    def energy_delta(self, spins: np.ndarray, index: int) -> float:
-        """Energy change if spin ``index`` were flipped."""
-        return -2.0 * spins[index] * self.local_field(spins, index)
-
     def brute_force(self) -> tuple[np.ndarray, float]:
         """Exact ground state by enumeration (up to 24 spins)."""
         n = self.num_spins
@@ -64,27 +54,6 @@ class IsingModel:
         return best, float(best_energy)
 
     # ------------------------------------------------------------------ #
-    def to_qubo(self) -> tuple["QUBO", float]:
-        """Convert to the isomorphic QUBO via ``s_i = 2 x_i - 1``."""
-        from repro.annealing.qubo import QUBO
-
-        n = self.num_spins
-        matrix = np.zeros((n, n))
-        offset = 0.0
-        for i in range(n):
-            matrix[i, i] += 2.0 * self.h[i]
-            offset -= self.h[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                j_ij = self.couplings[i, j]
-                if j_ij == 0.0:
-                    continue
-                matrix[i, j] += 4.0 * j_ij
-                matrix[i, i] += -2.0 * j_ij
-                matrix[j, j] += -2.0 * j_ij
-                offset += j_ij
-        return QUBO(matrix), offset
-
     def edges(self) -> list[tuple[int, int]]:
         """Spin pairs with non-zero coupling."""
         rows, cols = np.nonzero(self.couplings)
@@ -92,20 +61,3 @@ class IsingModel:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"IsingModel(spins={self.num_spins}, couplings={len(self.edges())})"
-
-
-def random_ising(
-    num_spins: int,
-    density: float = 0.5,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> IsingModel:
-    """Random spin-glass instance for solver benchmarks."""
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    h = rng.uniform(-1.0, 1.0, size=num_spins)
-    couplings = np.zeros((num_spins, num_spins))
-    for i in range(num_spins):
-        for j in range(i + 1, num_spins):
-            if rng.random() < density:
-                couplings[i, j] = rng.choice([-1.0, 1.0])
-    return IsingModel(h=h, couplings=couplings)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.apps.qgs.dna import encode_sequence, hamming_distance
+from repro.apps.qgs.dna import encode_sequence
 from repro.qx.statevector import StateVector
 
 
@@ -66,26 +66,7 @@ class QuantumAssociativeMemory:
     def amplitudes(self) -> np.ndarray:
         return self._state.amplitudes.copy()
 
-    def capacity_advantage(self) -> float:
-        """Classical bits needed to store the database per qubit used.
-
-        The headline "exponential increase in capacity": M slices of L bases
-        occupy M * 2L classical bits but only ceil(log2 M) + 2L qubits.
-        """
-        classical_bits = self.num_entries * 2 * self.slice_length
-        return classical_bits / self.total_qubits
-
     # ------------------------------------------------------------------ #
-    def marked_addresses(self, query: str, max_mismatches: int = 0) -> list[int]:
-        """Addresses whose stored slice is within ``max_mismatches`` of the query."""
-        if len(query) != self.slice_length:
-            raise ValueError("query length must equal the slice length")
-        return [
-            address
-            for address, sequence in enumerate(self.slices)
-            if hamming_distance(sequence, query) <= max_mismatches
-        ]
-
     def oracle_phase_flip(self, amplitudes: np.ndarray, addresses: list[int]) -> np.ndarray:
         """Flip the phase of every database entry whose address is marked.
 

@@ -107,15 +107,6 @@ class ArtificialGenome:
         return "".join(BASES[b] for b in bases)
 
     # ------------------------------------------------------------------ #
-    def slice_reference(self, slice_length: int) -> list[str]:
-        """All overlapping slices (k-mers) of the reference, index = position."""
-        if slice_length > self.length:
-            raise ValueError("slice length exceeds genome length")
-        return [
-            self.sequence[i : i + slice_length]
-            for i in range(self.length - slice_length + 1)
-        ]
-
     def sample_read(self, read_length: int, error_rate: float = 0.0) -> Read:
         """Sample one read from a random position with per-base substitution errors."""
         if read_length > self.length:

@@ -29,12 +29,6 @@ class TSPSolution:
     evaluations: int = 0
     valid: bool = True
 
-    def gap_to(self, optimal_cost: float) -> float:
-        """Relative excess cost over the optimum."""
-        if optimal_cost <= 0:
-            return 0.0
-        return self.cost / optimal_cost - 1.0
-
 
 # ---------------------------------------------------------------------- #
 # Classical solvers
@@ -53,43 +47,6 @@ def brute_force_tsp(instance: TSPInstance) -> TSPSolution:
             best_tour = tour
     assert best_tour is not None
     return TSPSolution(tour=best_tour, cost=float(best_cost), solver="brute_force",
-                       evaluations=evaluations)
-
-
-def branch_and_bound_tsp(instance: TSPInstance) -> TSPSolution:
-    """Depth-first branch and bound with a running-cost prune.
-
-    The exact method the paper attributes the classical 85 900-city record
-    to (in spirit): explores partial tours and prunes branches whose partial
-    cost already exceeds the best complete tour found so far.
-    """
-    n = instance.num_cities
-    best_cost = np.inf
-    best_tour: list[int] | None = None
-    evaluations = 0
-
-    def recurse(partial: list[int], cost: float) -> None:
-        nonlocal best_cost, best_tour, evaluations
-        if cost >= best_cost:
-            return
-        if len(partial) == n:
-            total = cost + instance.weights[partial[-1], partial[0]]
-            evaluations += 1
-            if total < best_cost:
-                best_cost = total
-                best_tour = list(partial)
-            return
-        last = partial[-1]
-        remaining = sorted(
-            (city for city in range(n) if city not in partial),
-            key=lambda city: instance.weights[last, city],
-        )
-        for city in remaining:
-            recurse(partial + [city], cost + instance.weights[last, city])
-
-    recurse([0], 0.0)
-    assert best_tour is not None
-    return TSPSolution(tour=best_tour, cost=float(best_cost), solver="branch_and_bound",
                        evaluations=evaluations)
 
 

@@ -69,19 +69,6 @@ def tsp_to_qubo(instance: TSPInstance, penalty: float | None = None) -> QUBO:
     return qubo
 
 
-def qubo_constant_offset(instance: TSPInstance, penalty: float | None = None) -> float:
-    """Constant dropped by the QUBO expansion of the one-hot constraints.
-
-    ``(sum x - 1)^2`` contributes a constant ``penalty`` per constraint, so
-    the true tour cost of a feasible assignment is
-    ``qubo.energy(x) + 2 * n * penalty``.
-    """
-    n = instance.num_cities
-    if penalty is None:
-        penalty = 2.0 * float(np.max(instance.weights)) * n
-    return 2.0 * n * penalty
-
-
 def decode_tour(assignment: np.ndarray, num_cities: int) -> list[int] | None:
     """Decode a binary assignment into a tour (None when constraints are violated)."""
     assignment = np.asarray(assignment).reshape(num_cities, num_cities)
@@ -98,11 +85,3 @@ def decode_tour(assignment: np.ndarray, num_cities: int) -> list[int] | None:
 
 def tour_is_valid(assignment: np.ndarray, num_cities: int) -> bool:
     return decode_tour(assignment, num_cities) is not None
-
-
-def tour_to_assignment(tour: list[int], num_cities: int) -> np.ndarray:
-    """One-hot encoding of a tour (inverse of :func:`decode_tour`)."""
-    assignment = np.zeros(num_cities * num_cities, dtype=int)
-    for time, city in enumerate(tour):
-        assignment[variable_index(city, time, num_cities)] = 1
-    return assignment

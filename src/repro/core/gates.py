@@ -56,11 +56,6 @@ class Gate:
                 f"{dim}x{dim} matrix, got {self.matrix.shape}"
             )
 
-    def is_unitary(self, atol: float = 1e-9) -> bool:
-        """Return True when the gate matrix is unitary within ``atol``."""
-        ident = np.eye(self.matrix.shape[0])
-        return bool(np.allclose(self.matrix @ self.matrix.conj().T, ident, atol=atol))
-
     def dagger(self) -> "Gate":
         """Return the Hermitian adjoint of this gate."""
         return Gate(
@@ -70,20 +65,6 @@ class Gate:
             params=tuple(-p for p in self.params),
             duration=self.duration,
         )
-
-    def equivalent_to(self, other: "Gate", atol: float = 1e-8) -> bool:
-        """Return True when two gates are equal up to a global phase."""
-        if self.num_qubits != other.num_qubits:
-            return False
-        a, b = self.matrix, other.matrix
-        # Find first non-zero entry of b to fix the phase.
-        idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-        if abs(b[idx]) < atol:
-            return bool(np.allclose(a, b, atol=atol))
-        phase = a[idx] / b[idx]
-        if abs(abs(phase) - 1.0) > 1e-6:
-            return False
-        return bool(np.allclose(a, phase * b, atol=atol))
 
 
 def identity_gate() -> Gate:

@@ -17,7 +17,6 @@ nearest-neighbour constraint applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 
@@ -69,21 +68,6 @@ class QubitModel:
     @property
     def is_perfect(self) -> bool:
         return self.kind == "perfect"
-
-    def decay_probability(self, duration_ns: float) -> float:
-        """Probability of a T1 relaxation event over ``duration_ns``."""
-        if math.isinf(self.t1_ns):
-            return 0.0
-        return 1.0 - math.exp(-duration_ns / self.t1_ns)
-
-    def dephasing_probability(self, duration_ns: float) -> float:
-        """Probability of a pure-dephasing event over ``duration_ns``."""
-        if math.isinf(self.t2_ns):
-            return 0.0
-        # Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2*T1).
-        inv_tphi = 1.0 / self.t2_ns - 0.5 / self.t1_ns
-        inv_tphi = max(inv_tphi, 0.0)
-        return 1.0 - math.exp(-duration_ns * inv_tphi)
 
     def with_error_rate(self, error_rate: float) -> "QubitModel":
         """Return a copy scaled to a new single-qubit error rate.

@@ -66,7 +66,9 @@ class EqasmAssembler:
         program.codeword_table = {cw: name for (name, *_), cw in self._codewords.items()}
         return program
 
-    def assemble_cqasm(self, cqasm_text: str) -> EqasmProgram:
+    def assemble_cqasm(  # contract: ignore[REPRO010] the paper's cQASM -> eQASM step
+        self, cqasm_text: str
+    ) -> EqasmProgram:
         """Convenience: parse cQASM text and assemble it."""
         circuit = cqasm_to_circuit(cqasm_text)
         return self.assemble(circuit)
@@ -102,6 +104,3 @@ class EqasmAssembler:
         if isinstance(operation, ClassicalOperation):
             return None
         return None
-
-    def codeword_count(self) -> int:
-        return len(self._codewords)

@@ -25,13 +25,6 @@ class TimingReport:
     average_parallelism: float
     qubit_busy_ns: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def issue_rate(self) -> float:
-        """Quantum operations issued per cycle of total execution."""
-        if self.total_cycles == 0:
-            return 0.0
-        return self.instruction_count / self.total_cycles
-
     def utilisation(self, num_qubits: int) -> float:
         """Fraction of qubit-time spent executing operations."""
         if self.total_duration_ns == 0 or num_qubits == 0:

@@ -96,17 +96,3 @@ def greedy_placement(circuit: Circuit, topology: Topology) -> dict[int, int]:
         free_mask[site] = False
 
     return placement
-
-
-def placement_cost(circuit: Circuit, topology: Topology, placement: dict[int, int]) -> int:
-    """Total weighted distance of all two-qubit gates under a placement.
-
-    A cost equal to the number of two-qubit gates means every interaction is
-    already nearest-neighbour (distance 1).
-    """
-    total = 0
-    for op in circuit.gate_operations():
-        if len(op.qubits) == 2:
-            a, b = op.qubits
-            total += topology.distance(placement[a], placement[b])
-    return total

@@ -335,15 +335,3 @@ class Router:
         if logical_there is not None:
             logical_to_physical[logical_there] = here
         physical_to_logical[here], physical_to_logical[there] = logical_there, logical_here
-
-
-def decompose_swaps(circuit: Circuit) -> Circuit:
-    """Rewrite SWAP gates as three CNOTs (for devices without native SWAP)."""
-    result = Circuit(circuit.num_qubits, name=f"{circuit.name}_noswap", num_bits=circuit.num_bits)
-    for op in circuit.operations:
-        if isinstance(op, GateOperation) and op.name == "swap":
-            a, b = op.qubits
-            result.cnot(a, b).cnot(b, a).cnot(a, b)
-        else:
-            result.append(op)
-    return result

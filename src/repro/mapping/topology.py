@@ -156,9 +156,6 @@ class Topology:
             raise nx.NetworkXError("graph is not connected: diameter undefined")
         return int(matrix.max())
 
-    def average_degree(self) -> float:
-        return 2.0 * self.graph.number_of_edges() / self.num_qubits
-
     def is_connected(self) -> bool:
         return nx.is_connected(self.graph)
 

@@ -47,12 +47,6 @@ class TrafficReport:
         """1.0 = perfectly in-memory (no movement), approaching 0 = movement dominated."""
         return 1.0 - self.movement_fraction
 
-    @property
-    def hottest_qubit(self) -> int | None:
-        if not self.moves_per_qubit:
-            return None
-        return max(self.moves_per_qubit, key=lambda q: self.moves_per_qubit[q])
-
     def moved_qubit_count(self) -> int:
         return sum(1 for moves in self.moves_per_qubit.values() if moves > 0)
 

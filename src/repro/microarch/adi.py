@@ -83,20 +83,3 @@ class AnalogDigitalInterface:
             for event in events
         ]
         return self.pulses
-
-    def total_energy(self) -> float:
-        return sum(pulse.energy for pulse in self.pulses)
-
-    def channel_waveform(self, channel: str, end_ns: int | None = None) -> np.ndarray:
-        """Reconstruct the full sampled waveform of one channel."""
-        if end_ns is None:
-            end_ns = max((p.start_ns + p.duration_ns for p in self.pulses), default=0)
-        samples = int(round(end_ns * self.library.sample_rate_gsps)) + 1
-        waveform = np.zeros(samples)
-        for pulse in self.pulses:
-            if pulse.channel != channel:
-                continue
-            start = int(round(pulse.start_ns * self.library.sample_rate_gsps))
-            stop = min(samples, start + pulse.samples.size)
-            waveform[start:stop] += pulse.samples[: stop - start]
-        return waveform

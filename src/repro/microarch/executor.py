@@ -37,10 +37,6 @@ class ExecutionTrace:
     pulses: list[Pulse] = field(default_factory=list)
     queue_max_depth: int = 0
 
-    @property
-    def wall_clock_us(self) -> float:
-        return self.total_duration_ns / 1000.0
-
 
 class QuantumAccelerator:
     """Full micro-architecture + device model for one platform."""
@@ -54,8 +50,6 @@ class QuantumAccelerator:
             error_model=error_model_for(platform.qubit_model),
             seed=seed,
         )
-
-    # ------------------------------------------------------------------ #
     def execute_circuit(self, circuit: Circuit, shots: int = 1) -> ExecutionTrace:
         """Assemble a compiled circuit to eQASM and execute it end to end."""
         program = self.assembler.assemble(circuit)
@@ -104,9 +98,3 @@ class QuantumAccelerator:
             pulses=pulses,
             queue_max_depth=timing.queues.max_depth_seen(),
         )
-
-    # ------------------------------------------------------------------ #
-    def estimated_shot_duration_ns(self, circuit: Circuit) -> int:
-        """Duration of one shot as determined by the eQASM timing."""
-        program = self.assembler.assemble(circuit)
-        return program.total_duration_ns()

@@ -97,12 +97,3 @@ class MicrocodeUnit:
 
     def codeword_table(self) -> dict[tuple[str, str], int]:
         return dict(self._codewords)
-
-    def channel_names(self) -> list[str]:
-        """All control channels the platform exposes."""
-        channels: set[str] = set()
-        for qubit in range(self.platform.num_qubits):
-            channels.add(f"drive_{qubit}")
-            channels.add(f"flux_{qubit}")
-            channels.add(f"readout_{qubit}")
-        return sorted(channels)

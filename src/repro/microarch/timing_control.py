@@ -65,14 +65,6 @@ class TimingControlUnit:
             longest = max(longest, operation.offset_ns + operation.duration_ns)
         return longest
 
-    def wait_until_free(self, channels: list[str]) -> None:
-        """Advance the clock until every listed channel is idle."""
-        latest = max((self._channel_busy_until.get(c, 0) for c in channels), default=0)
-        if latest > self.clock_ns:
-            delta = latest - self.clock_ns
-            cycles = -(-delta // self.cycle_time_ns)
-            self.advance(cycles)
-
     # ------------------------------------------------------------------ #
     def trace(self) -> list[TimedEvent]:
         return sorted(self.events, key=lambda e: (e.time_ns, e.operation.channel))

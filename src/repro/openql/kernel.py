@@ -44,7 +44,7 @@ class Kernel:
     def z(self, qubit: int) -> "Kernel":
         return self.gate("z", qubit)
 
-    def hadamard(self, qubit: int) -> "Kernel":
+    def hadamard(self, qubit: int) -> "Kernel":  # contract: ignore[REPRO010] OpenQL API parity
         return self.gate("h", qubit)
 
     def h(self, qubit: int) -> "Kernel":
@@ -89,7 +89,7 @@ class Kernel:
         self.circuit.barrier(*qubits)
         return self
 
-    def prepz(self, qubit: int) -> "Kernel":
+    def prepz(self, qubit: int) -> "Kernel":  # contract: ignore[REPRO010] OpenQL API parity
         """Prepare a qubit in |0>.
 
         Registers always start in the all-zeros state, so this is a no-op at

@@ -56,11 +56,15 @@ class Program:
             raise ValueError("iterations must be >= 1")
         self.entries.append(KernelEntry(kernel=kernel, iterations=iterations, condition=condition))
 
-    def add_for(self, kernel: Kernel, iterations: int) -> None:
+    def add_for(  # contract: ignore[REPRO010] OpenQL's classical for-loop
+        self, kernel: Kernel, iterations: int
+    ) -> None:
         """Classical for-loop around a kernel."""
         self.add_kernel(kernel, iterations=iterations)
 
-    def add_if(self, kernel: Kernel, condition: str) -> None:
+    def add_if(  # contract: ignore[REPRO010] OpenQL's host-conditioned kernel
+        self, kernel: Kernel, condition: str
+    ) -> None:
         """Classically conditioned kernel (condition evaluated by the host)."""
         self.add_kernel(kernel, condition=condition)
 

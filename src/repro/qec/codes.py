@@ -221,18 +221,6 @@ class SteaneCode:
                 circuit.x(qubit)
         return circuit
 
-    def codeword_support(self) -> set[int]:
-        """Basis-state indices (qubit 0 = LSB) that |0>_L is supported on."""
-        rows = [sum(1 << q for q in check) for check in self.PARITY_CHECKS]
-        support = set()
-        for mask in range(8):
-            word = 0
-            for bit, row in enumerate(rows):
-                if (mask >> bit) & 1:
-                    word ^= row
-            support.add(word)
-        return support
-
     def syndrome_of_flips(self, flipped_qubits: set[int]) -> tuple[int, ...]:
         """Classical X-error syndrome from the Hamming parity checks."""
         return tuple(

@@ -167,19 +167,6 @@ class LookupDecoder:
     def __init__(self, table: dict[tuple[int, ...], tuple[int, ...]]):
         self.table = dict(table)
 
-    @classmethod
-    def for_parity_checks(
-        cls, checks: tuple[tuple[int, ...], ...], num_qubits: int
-    ) -> "LookupDecoder":
-        """Build the single-error lookup table for a set of parity checks."""
-        table: dict[tuple[int, ...], tuple[int, ...]] = {
-            tuple(0 for _ in checks): (),
-        }
-        for qubit in range(num_qubits):
-            syndrome = tuple(1 if qubit in check else 0 for check in checks)
-            table.setdefault(syndrome, (qubit,))
-        return cls(table)
-
     def decode(self, syndrome: tuple[int, ...]) -> tuple[int, ...]:
         """Return the qubits to flip, or the empty tuple when unknown."""
         return self.table.get(tuple(syndrome), ())

@@ -109,29 +109,6 @@ class PlanarSurfaceCode:
         #: Reference data row whose X-error parity is the logical observable.
         self.reference_row = d // 2
 
-    def x_stabilizers(self) -> list[tuple[int, ...]]:
-        """Supports of the X-type stabilisers (the complementary checkerboard).
-
-        X-stabilisers commute with every Z-plaquette (they overlap in 0 or 2
-        data qubits), so applying one as an X-error pattern is undetectable
-        *and* does not flip the logical observable — the property test of the
-        stabiliser group structure.
-        """
-        d = self.distance
-        stabilizers: list[tuple[int, ...]] = []
-        for r in range(d - 1):
-            for c in range(d - 1):
-                if (r + c) % 2 == 1:
-                    stabilizers.append(
-                        (r * d + c, r * d + c + 1, (r + 1) * d + c, (r + 1) * d + c + 1)
-                    )
-        for c in range(d - 1):
-            if (-1 + c) % 2 == 1:
-                stabilizers.append((c, c + 1))
-            if ((d - 1) + c) % 2 == 1:
-                stabilizers.append(((d - 1) * d + c, (d - 1) * d + c + 1))
-        return stabilizers
-
     @property
     def num_physical_qubits(self) -> int:
         """Data plus ancilla qubits — the resource count the paper's NISQ
@@ -156,13 +133,6 @@ class PlanarSurfaceCode:
         d = self.distance
         row = errors[self.reference_row * d : (self.reference_row + 1) * d]
         return int(np.sum(row) % 2)
-
-    def minimum_weight_logical(self) -> np.ndarray:
-        """A minimum-weight logical X operator (one full column of X errors)."""
-        errors = np.zeros(self.num_data, dtype=np.int8)
-        for r in range(self.distance):
-            errors[r * self.distance] = 1
-        return errors
 
     # ------------------------------------------------------------------ #
     # Syndrome-extraction circuit (circuit-level noise)

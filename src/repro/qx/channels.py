@@ -66,15 +66,6 @@ def pauli_elements(num_qubits: int = 1) -> np.ndarray:
     return elements
 
 
-def pauli_traces(num_qubits: int = 1) -> np.ndarray:
-    """Trace of each k-qubit basis element.
-
-    The linear functional expressing trace preservation of a PTM as
-    ``traces @ ptm == traces``.
-    """
-    return np.einsum("iaa->i", pauli_elements(num_qubits))
-
-
 # ---------------------------------------------------------------------- #
 # State conversions
 # ---------------------------------------------------------------------- #
@@ -251,28 +242,6 @@ class Channel:
     def tensor(self, other: "Channel") -> "Channel":
         """Parallel composition; ``self`` takes the more significant digits."""
         return Channel(np.kron(self.ptm, other.ptm))
-
-    # -- diagnostics ----------------------------------------------------- #
-    def choi(self) -> np.ndarray:
-        """The Choi matrix ``sum_ij ptm[i, j] B_i (x) conj(B_j)``.
-
-        Positive semidefinite iff the channel is completely positive.
-        """
-        elements = pauli_elements(self.num_qubits)
-        return np.einsum("ij,iab,jcd->acbd", self.ptm, elements, elements.conj()).reshape(
-            self.ptm.shape
-        )
-
-    def is_trace_preserving(self, atol: float = 1e-9) -> bool:
-        traces = pauli_traces(self.num_qubits)
-        return bool(np.allclose(traces @ self.ptm, traces, atol=atol))
-
-    def is_cptp(self, atol: float = 1e-9) -> bool:
-        """Complete positivity (Choi spectrum) plus trace preservation."""
-        if not self.is_trace_preserving(atol):
-            return False
-        eigenvalues = np.linalg.eigvalsh(self.choi())
-        return bool(eigenvalues.min() > -atol)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Channel(qubits={self.num_qubits})"

@@ -376,11 +376,6 @@ class DensityMatrixSimulator:
     def trace(self) -> float:
         return float(_to_numpy(self.vector[0])) * float(np.sqrt(2.0) ** self.num_qubits)
 
-    def fidelity_with_pure(self, state: np.ndarray) -> float:
-        """``<psi| rho |psi>`` (materialises rho; small registers only)."""
-        state = np.asarray(state, dtype=complex)
-        return float(np.real(state.conj() @ self.rho @ state))
-
 
 def _ground_state_vector(num_qubits: int, dtype) -> np.ndarray:
     """Coefficient vector of ``|0...0><0...0|``: ``(B_I + B_Z)/sqrt2`` per qubit."""

@@ -351,14 +351,6 @@ class CrosstalkError(ErrorModel):
         if not 0.0 <= self.spectator_error_rate <= 1.0:
             raise ValueError("spectator_error_rate outside [0, 1]")
 
-    @classmethod
-    def from_topology(cls, topology, spectator_error_rate: float) -> "CrosstalkError":
-        """Build the neighbour table from a :class:`~repro.mapping.topology.Topology`."""
-        neighbours = {
-            site: tuple(topology.neighbours(site)) for site in range(topology.num_qubits)
-        }
-        return cls(spectator_error_rate=spectator_error_rate, neighbours=neighbours)
-
     def spectators_for(self, qubits: tuple[int, ...]) -> set[int]:
         """Spectator qubits disturbed by a gate on ``qubits``.
 

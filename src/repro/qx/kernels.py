@@ -174,26 +174,6 @@ def _pair_view(amplitudes: np.ndarray, q_low: int, q_high: int) -> np.ndarray:
     return amplitudes.reshape(-1, 2, mid, 2, low)
 
 
-def pair_parity_expectation(amplitudes: np.ndarray, qubit_a: int, qubit_b: int) -> float:
-    """``<Z_a Z_b>``: signed probability sum over the four qubit-pair blocks.
-
-    Uses the strided pair view directly instead of materialising a
-    ``(-1)**parity`` table over all ``2**n`` basis indices per qubit pair.
-    """
-    if qubit_a == qubit_b:
-        # Z_q Z_q = I: the parity is identically zero.
-        return float(np.vdot(amplitudes, amplitudes).real)
-    q_low, q_high = sorted((qubit_a, qubit_b))
-    view = _pair_view(amplitudes, q_low, q_high)
-    total = 0.0
-    for bit_high in (0, 1):
-        for bit_low in (0, 1):
-            block = view[:, bit_high, :, bit_low, :]
-            weight = float(np.vdot(block, block).real)
-            total += weight if bit_high == bit_low else -weight
-    return total
-
-
 def probability_of_one(amplitudes: np.ndarray, qubit: int) -> float:
     """Weight of the ``|1>`` half-space of ``qubit``."""
     ones = qubit_view(amplitudes, qubit)[:, 1, :]

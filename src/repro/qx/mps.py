@@ -335,19 +335,6 @@ class MPSState:
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
-    def bond_dimensions(self) -> list[int]:
-        """Current bond dimension at each of the ``n - 1`` internal bonds."""
-        return [self.tensors[i].shape[2] for i in range(self.num_qubits - 1)]
-
-    def schmidt_values(self, bond: int) -> np.ndarray:
-        """Schmidt coefficients across the cut between sites ``bond``/``bond+1``."""
-        if not 0 <= bond < self.num_qubits - 1:
-            raise IndexError(f"bond {bond} out of range")
-        self._move_centre(bond)
-        tensor = self.tensors[bond]
-        d_left, _, d_right = tensor.shape
-        return np.linalg.svd(tensor.reshape(d_left * 2, d_right), compute_uv=False)
-
     def norm(self) -> float:
         self._move_centre(0)
         return float(np.linalg.norm(self.tensors[0]))

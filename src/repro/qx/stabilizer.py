@@ -254,13 +254,6 @@ class StabilizerState:
     def measure_all(self) -> list[int]:
         return [self.measure(q) for q in range(self.num_qubits)]
 
-    def expectation_z_deterministic(self, qubit: int) -> int | None:
-        """+1/-1 if <Z_q> is deterministic, None if the outcome is random."""
-        n = self.num_qubits
-        if self.x[n:, qubit].any():
-            return None
-        return 1 if self._deterministic_outcome(qubit) == 0 else -1
-
     # ------------------------------------------------------------------ #
     def copy(self) -> "StabilizerState":
         """Independent deep copy, including an independently derived rng.
@@ -275,18 +268,6 @@ class StabilizerState:
         clone.z = self.z.copy()
         clone.r = self.r.copy()
         return clone
-
-    def stabilizer_strings(self) -> list[str]:
-        """Human-readable stabilizer generators (e.g. ``+XXI``)."""
-        strings = []
-        for p in range(self.num_qubits, 2 * self.num_qubits):
-            sign = "-" if self.r[p] else "+"
-            paulis = []
-            for q in range(self.num_qubits):
-                xq, zq = self.x[p, q], self.z[p, q]
-                paulis.append({(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}[(xq, zq)])
-            strings.append(sign + "".join(paulis))
-        return strings
 
 
 #: Gate name -> tableau update, resolved once at import time: apply_gate sits
@@ -403,13 +384,3 @@ class StabilizerSimulator:
             elif isinstance(op, Measurement):
                 raise ValueError("final_state() requires a measurement-free circuit")
         return state
-
-    @staticmethod
-    def is_clifford_circuit(circuit: Circuit) -> bool:
-        """True when every (conditional) gate is in the supported Clifford set."""
-        for op in circuit.operations:
-            if isinstance(op, GateOperation) and op.name not in CLIFFORD_GATES:
-                return False
-            if isinstance(op, ConditionalGate) and op.gate.name not in CLIFFORD_GATES:
-                return False
-        return True

@@ -11,8 +11,6 @@ kernels rely on.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.qx import kernels
@@ -72,9 +70,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def probability_of(self, basis_index: int) -> float:
-        return float(abs(self.amplitudes[basis_index]) ** 2)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -175,24 +170,8 @@ class StateVector:
         """Expectation value of Pauli-Z on a qubit."""
         return 1.0 - 2.0 * self.probability_of_one(qubit)
 
-    def expectation_zz(self, qubit_a: int, qubit_b: int) -> float:
-        """Expectation value of Z_a Z_b, used by QAOA/Ising energy evaluation."""
-        return kernels.pair_parity_expectation(self.amplitudes, qubit_a, qubit_b)
-
 
 def zero_state(num_qubits: int) -> np.ndarray:
     state = np.zeros(2 ** num_qubits, dtype=complex)
     state[0] = 1.0
     return state
-
-
-def ghz_state(num_qubits: int) -> np.ndarray:
-    state = np.zeros(2 ** num_qubits, dtype=complex)
-    state[0] = 1.0 / math.sqrt(2.0)
-    state[-1] = 1.0 / math.sqrt(2.0)
-    return state
-
-
-def uniform_superposition(num_qubits: int) -> np.ndarray:
-    dim = 2 ** num_qubits
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)

@@ -8,10 +8,14 @@ first (historically ``benchmarks/conftest.py``, breaking collection).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 
 import numpy as np
+
+from repro.algorithms.vqe import PauliTerm
+from repro.annealing.ising import IsingModel
 
 
 def relabel_statevector(
@@ -194,3 +198,38 @@ def wait_for_path(path: str, timeout: float = 60.0) -> bool:
             return False
         time.sleep(0.005)
     return True
+
+
+def ghz_state(num_qubits: int) -> np.ndarray:
+    """Amplitudes of ``(|0...0> + |1...1>) / sqrt2``."""
+    state = np.zeros(2 ** num_qubits, dtype=complex)
+    state[0] = state[-1] = 1.0 / math.sqrt(2.0)
+    return state
+
+
+def uniform_superposition(num_qubits: int) -> np.ndarray:
+    """Amplitudes of the equal superposition over all basis states."""
+    dim = 2 ** num_qubits
+    return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+
+
+def random_ising(num_spins: int, density: float = 0.5, seed: int | None = None) -> IsingModel:
+    """Seeded random spin glass: uniform fields, +-1 couplings at ``density``."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1.0, 1.0, size=num_spins)
+    couplings = np.zeros((num_spins, num_spins))
+    for i in range(num_spins):
+        for j in range(i + 1, num_spins):
+            if rng.random() < density:
+                couplings[i, j] = rng.choice([-1.0, 1.0])
+    return IsingModel(h=h, couplings=couplings)
+
+
+def ising_hamiltonian(h: np.ndarray, couplings: np.ndarray) -> list[PauliTerm]:
+    """Pauli-term representation of an Ising Hamiltonian (for VQE)."""
+    terms = [PauliTerm(float(h[i]), {i: "z"}) for i in range(len(h)) if h[i] != 0.0]
+    for i in range(len(h)):
+        for j in range(i + 1, len(h)):
+            if couplings[i, j] != 0.0:
+                terms.append(PauliTerm(float(couplings[i, j]), {i: "z", j: "z"}))
+    return terms

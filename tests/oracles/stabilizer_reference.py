@@ -5,7 +5,9 @@ The tableau engine now executes a lowered
 every gate they folded; runs that multiply out to the identity are
 dropped).  This module keeps the loop it replaced, which walks the source
 :class:`~repro.core.circuit.Circuit` operation by operation, as the oracle
-the program path is tested against.
+the program path is tested against, plus three read-only views of a
+tableau the tests judge it by: :func:`is_clifford_circuit`,
+:func:`expectation_z_deterministic` and :func:`stabilizer_strings`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.operations import ConditionalGate, GateOperation, Measurement
-from repro.qx.stabilizer import StabilizerState
+from repro.qx.stabilizer import CLIFFORD_GATES, StabilizerState
 
 
 def run_shot(circuit, rng: np.random.Generator) -> dict[int, int]:
@@ -41,3 +43,36 @@ def run(circuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
             key = "".join(str(bits[bit]) for bit in sorted(bits, reverse=True))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def is_clifford_circuit(circuit) -> bool:
+    """True when every (conditional) gate is in the tableau's Clifford set."""
+    for op in circuit.operations:
+        if isinstance(op, GateOperation) and op.name not in CLIFFORD_GATES:
+            return False
+        if isinstance(op, ConditionalGate) and op.gate.name not in CLIFFORD_GATES:
+            return False
+    return True
+
+
+def expectation_z_deterministic(state: StabilizerState, qubit: int) -> int | None:
+    """+1/-1 if ``<Z_q>`` is deterministic, None if the outcome is random.
+
+    Reads the outcome the way :meth:`StabilizerState.measure` does on its
+    deterministic branch, without touching the tableau or the rng.
+    """
+    n = state.num_qubits
+    if state.x[n:, qubit].any():
+        return None
+    return 1 if state._deterministic_outcome(qubit) == 0 else -1
+
+
+def stabilizer_strings(state: StabilizerState) -> list[str]:
+    """Human-readable stabilizer generators (e.g. ``+XXI``)."""
+    letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    n = state.num_qubits
+    return [
+        ("-" if state.r[p] else "+")
+        + "".join(letters[(state.x[p, q], state.z[p, q])] for q in range(n))
+        for p in range(n, 2 * n)
+    ]

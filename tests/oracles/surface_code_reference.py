@@ -5,6 +5,10 @@ one incidence-matrix product and processes every trial's rounds as one
 batch; this module keeps the loops it replaced, unchanged, as the oracle
 the vectorized code is tested and benchmarked against (bit-identical
 failure counts and defect totals for equal seeds).
+
+:func:`x_stabilizers` and :func:`minimum_weight_logical` write out the
+code's X-stabiliser group and a logical operator, the patterns the
+syndrome and observable are checked against.
 """
 
 from __future__ import annotations
@@ -73,3 +77,32 @@ def run_memory_experiment_reference(
         total_defects=total_defects,
         decoder=decoder,
     )
+
+
+def x_stabilizers(code: PlanarSurfaceCode) -> list[tuple[int, ...]]:
+    """Supports of the X-type stabilisers (the complementary checkerboard).
+
+    X-stabilisers commute with every Z-plaquette (they overlap in 0 or 2
+    data qubits), so applying one as an X-error pattern is undetectable
+    *and* does not flip the logical observable — the property test of the
+    stabiliser group structure.
+    """
+    d = code.distance
+    stabilizers: list[tuple[int, ...]] = []
+    for r in range(d - 1):
+        for c in range(d - 1):
+            if (r + c) % 2 == 1:
+                stabilizers.append((r * d + c, r * d + c + 1, (r + 1) * d + c, (r + 1) * d + c + 1))
+    for c in range(d - 1):
+        if (-1 + c) % 2 == 1:
+            stabilizers.append((c, c + 1))
+        if ((d - 1) + c) % 2 == 1:
+            stabilizers.append(((d - 1) * d + c, (d - 1) * d + c + 1))
+    return stabilizers
+
+
+def minimum_weight_logical(code: PlanarSurfaceCode) -> np.ndarray:
+    """A minimum-weight logical X operator (one full column of X errors)."""
+    errors = np.zeros(code.num_data, dtype=np.int8)
+    errors[:: code.distance] = 1
+    return errors

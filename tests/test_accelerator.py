@@ -36,7 +36,6 @@ class TestHostCPU:
     def test_no_accelerators_means_no_speedup(self):
         report = HostCPU().offload(self._profile())
         assert report.amdahl_speedup == pytest.approx(1.0)
-        assert report.accelerated_fraction() == 0.0
 
     def test_quantum_accelerators_speed_up_matching_kernels(self):
         host = HostCPU()
@@ -68,7 +67,7 @@ class TestHostCPU:
 
 class TestQuantumDevices:
     def test_gate_model_accelerator_runs_program(self):
-        accelerator = GateModelAccelerator.with_perfect_qubits(3, seed=1)
+        accelerator = GateModelAccelerator(perfect_platform(3), seed=1)
         program = Program("ghz", perfect_platform(3))
         kernel = program.new_kernel("main")
         kernel.h(0).cnot(0, 1).cnot(1, 2).measure_all()
@@ -118,17 +117,3 @@ class TestHybridExecutor:
         assert result.quantum_executions == 2 * 30
         assert result.total_shots == 2 * 30 * 128
         assert len(result.history) == 30
-
-    def test_convergence_flag(self):
-        def generator(params):
-            circuit = Circuit(1)
-            circuit.measure(0)
-            return circuit
-
-        executor = HybridExecutor(
-            generator, lambda counts: 0.0, num_parameters=1,
-            shots_per_burst=16, max_iterations=5, seed=6,
-        )
-        result = executor.run()
-        assert result.converged
-        assert result.best_value == 0.0

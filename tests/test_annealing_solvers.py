@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import random_ising
 from repro.annealing.digital_annealer import DigitalAnnealer
-from repro.annealing.ising import random_ising
 from repro.annealing.qubo import QUBO, maxcut_qubo, random_qubo
 from repro.annealing.quantum_annealer import SimulatedQuantumAnnealer
 from repro.annealing.simulated_annealing import SimulatedAnnealer

@@ -56,12 +56,6 @@ class TestDNA:
         gc = sum(1 for i in range(len(sequence) - 1) if sequence[i : i + 2] == "GC")
         assert cg < gc  # CpG suppression
 
-    def test_slice_reference_indexing(self):
-        genome = ArtificialGenome(20, seed=4)
-        slices = genome.slice_reference(5)
-        assert len(slices) == 16
-        assert slices[3] == genome.sequence[3:8]
-
     def test_sample_read_error_injection(self):
         genome = ArtificialGenome(100, seed=5)
         clean = genome.sample_read(10, error_rate=0.0)
@@ -78,8 +72,6 @@ class TestDNA:
         with pytest.raises(ValueError):
             ArtificialGenome(2)
         genome = ArtificialGenome(10, seed=7)
-        with pytest.raises(ValueError):
-            genome.slice_reference(11)
         with pytest.raises(ValueError):
             genome.sample_read(11)
 
@@ -102,19 +94,6 @@ class TestAssociativeMemory:
     def test_qubit_budget_enforced(self):
         with pytest.raises(ValueError):
             QuantumAssociativeMemory(["A" * 16, "C" * 16])
-
-    def test_capacity_advantage_grows_with_entries(self):
-        small = QuantumAssociativeMemory(["ACGT"] * 2)
-        large = QuantumAssociativeMemory([f"{'ACGT'}"] * 2 + ["AAAA", "CCCC", "GGGG", "TTTT"])
-        assert large.capacity_advantage() > small.capacity_advantage()
-
-    def test_marked_addresses_with_tolerance(self):
-        slices = ["AAAA", "AAAT", "CCCC"]
-        memory = QuantumAssociativeMemory(slices)
-        assert memory.marked_addresses("AAAA", 0) == [0]
-        assert memory.marked_addresses("AAAA", 1) == [0, 1]
-        with pytest.raises(ValueError):
-            memory.marked_addresses("AAA", 0)
 
     def test_oracle_flips_only_marked_entries(self):
         slices = ["AA", "AC", "CA"]

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles.tsp_reference import branch_and_bound_tsp, qubo_constant_offset, tour_to_assignment
 from repro.annealing.digital_annealer import DigitalAnnealer
 from repro.annealing.simulated_annealing import SimulatedAnnealer
 from repro.apps.tsp.solvers import (
-    branch_and_bound_tsp,
     brute_force_tsp,
     monte_carlo_tsp,
     nearest_neighbour_tsp,
@@ -17,9 +17,7 @@ from repro.apps.tsp.solvers import (
 from repro.apps.tsp.tsp import PAPER_OPTIMAL_COST, TSPInstance, netherlands_tsp, random_tsp
 from repro.apps.tsp.tsp_qubo import (
     decode_tour,
-    qubo_constant_offset,
     tour_is_valid,
-    tour_to_assignment,
     tsp_to_qubo,
     variable_index,
 )
@@ -115,7 +113,7 @@ class TestClassicalSolvers:
         exact = brute_force_tsp(instance)
         greedy = nearest_neighbour_tsp(instance)
         assert greedy.cost >= exact.cost - 1e-12
-        assert greedy.gap_to(exact.cost) < 1.0
+        assert greedy.cost < 2.0 * exact.cost
 
     def test_two_opt_improves_or_matches_nearest_neighbour(self, instance):
         greedy = nearest_neighbour_tsp(instance)
@@ -125,7 +123,7 @@ class TestClassicalSolvers:
     def test_monte_carlo_finds_good_tour(self, instance):
         exact = brute_force_tsp(instance)
         heuristic = monte_carlo_tsp(instance, iterations=4000, seed=3)
-        assert heuristic.gap_to(exact.cost) < 0.25
+        assert heuristic.cost < 1.25 * exact.cost
 
     def test_solution_tours_are_valid_permutations(self, instance):
         for solution in (

@@ -1,7 +1,5 @@
 """Unit tests for the real / realistic / perfect qubit models."""
 
-import math
-
 import pytest
 
 from repro.core.qubits import PERFECT, REAL_SPIN, REAL_TRANSMON, REALISTIC, QubitModel
@@ -10,8 +8,6 @@ from repro.core.qubits import PERFECT, REAL_SPIN, REAL_TRANSMON, REALISTIC, Qubi
 def test_perfect_qubits_have_no_errors():
     assert PERFECT.is_perfect
     assert PERFECT.single_qubit_error_rate == 0.0
-    assert PERFECT.decay_probability(1e9) == 0.0
-    assert PERFECT.dephasing_probability(1e9) == 0.0
 
 
 def test_realistic_qubits_enforce_nearest_neighbour():
@@ -59,20 +55,6 @@ def test_nonpositive_coherence_rejected():
             two_qubit_error_rate=0.0,
             measurement_error_rate=0.0,
         )
-
-
-def test_decay_probability_follows_exponential():
-    model = REAL_TRANSMON
-    duration = 10_000.0
-    expected = 1.0 - math.exp(-duration / model.t1_ns)
-    assert abs(model.decay_probability(duration) - expected) < 1e-12
-    # Longer duration, higher decay probability.
-    assert model.decay_probability(20_000.0) > model.decay_probability(10_000.0)
-
-
-def test_dephasing_probability_nonnegative():
-    assert REAL_TRANSMON.dephasing_probability(5_000.0) >= 0.0
-    assert REAL_SPIN.dephasing_probability(5_000.0) >= 0.0
 
 
 def test_with_error_rate_scales_all_channels():

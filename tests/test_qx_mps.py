@@ -14,6 +14,18 @@ def _apply_circuit(state: MPSState, circuit: Circuit) -> MPSState:
     return state
 
 
+def _bond_dimensions(state: MPSState) -> list[int]:
+    """Current bond dimension at each of the ``n - 1`` internal bonds."""
+    return [tensor.shape[2] for tensor in state.tensors[:-1]]
+
+
+def _schmidt_values(state: MPSState, bond: int) -> np.ndarray:
+    """Schmidt coefficients across the cut between sites ``bond``/``bond+1``."""
+    state._move_centre(bond)
+    d_left, _, d_right = state.tensors[bond].shape
+    return np.linalg.svd(state.tensors[bond].reshape(d_left * 2, d_right), compute_uv=False)
+
+
 class TestExactEvolution:
     """With an unbounded bond the MPS engine is the dense engine, reshaped."""
 
@@ -51,13 +63,13 @@ class TestExactEvolution:
 
     def test_ghz_bond_dimension_stays_two(self):
         state = _apply_circuit(MPSState(24), ghz_circuit(24))
-        assert max(state.bond_dimensions()) == 2
+        assert max(_bond_dimensions(state)) == 2
         assert state.max_bond_reached == 2
 
     def test_schmidt_values_ghz(self):
         state = _apply_circuit(MPSState(8), ghz_circuit(8))
         for bond in range(7):
-            values = state.schmidt_values(bond)
+            values = _schmidt_values(state, bond)
             np.testing.assert_allclose(
                 np.sort(values[values > 1e-12]), [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-10
             )
@@ -72,7 +84,7 @@ class TestTruncation:
         circuit = random_circuit(8, 10, seed=4, two_qubit_fraction=0.5)
         state = MPSState(8, max_bond=3)
         _apply_circuit(state, circuit)
-        assert max(state.bond_dimensions()) <= 3
+        assert max(_bond_dimensions(state)) <= 3
 
     def test_truncation_error_grows_as_bond_shrinks(self):
         circuit = random_circuit(8, 10, seed=4, two_qubit_fraction=0.5)

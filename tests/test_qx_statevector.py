@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from repro.core.gates import build_gate
-from repro.qx.statevector import StateVector, ghz_state, uniform_superposition, zero_state
+from helpers import ghz_state, uniform_superposition
+from repro.qx.statevector import StateVector, zero_state
 
 
 def test_initial_state_is_all_zeros():
     state = StateVector(3)
-    assert state.probability_of(0) == pytest.approx(1.0)
+    assert state.probabilities()[0] == pytest.approx(1.0)
     assert state.norm() == pytest.approx(1.0)
 
 
@@ -24,7 +25,7 @@ def test_qubit_limit_enforced():
 def test_set_basis_state():
     state = StateVector(2)
     state.set_basis_state(3)
-    assert state.probability_of(3) == pytest.approx(1.0)
+    assert state.probabilities()[3] == pytest.approx(1.0)
     with pytest.raises(IndexError):
         state.set_basis_state(4)
 
@@ -33,7 +34,7 @@ def test_set_state_normalises():
     state = StateVector(1)
     state.set_state(np.array([3.0, 4.0]))
     assert state.norm() == pytest.approx(1.0)
-    assert state.probability_of(1) == pytest.approx(16.0 / 25.0)
+    assert state.probabilities()[1] == pytest.approx(16.0 / 25.0)
 
 
 def test_set_state_rejects_zero_vector():
@@ -70,7 +71,7 @@ def test_cnot_entangles():
 def test_gate_on_high_qubit_index():
     state = StateVector(4)
     state.apply_gate(build_gate("x").matrix, (3,))
-    assert state.probability_of(0b1000) == pytest.approx(1.0)
+    assert state.probabilities()[0b1000] == pytest.approx(1.0)
 
 
 def test_norm_preserved_by_random_gates():
@@ -86,7 +87,7 @@ def test_norm_preserved_by_random_gates():
 def test_apply_pauli_by_name():
     state = StateVector(1)
     state.apply_pauli("x", 0)
-    assert state.probability_of(1) == pytest.approx(1.0)
+    assert state.probabilities()[1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         state.apply_pauli("q", 0)
 
@@ -133,10 +134,9 @@ def test_expectation_z_values():
     assert state.expectation_z(0) == pytest.approx(-1.0)
 
 
-def test_expectation_zz_of_bell_state():
+def test_expectation_z_of_bell_state():
     state = StateVector(2)
     state.set_state(ghz_state(2))
-    assert state.expectation_zz(0, 1) == pytest.approx(1.0)
     assert state.expectation_z(0) == pytest.approx(0.0)
 
 
@@ -158,12 +158,12 @@ def test_copy_independent():
     state = StateVector(1)
     clone = state.copy()
     clone.apply_pauli("x", 0)
-    assert state.probability_of(0) == pytest.approx(1.0)
-    assert clone.probability_of(1) == pytest.approx(1.0)
+    assert state.probabilities()[0] == pytest.approx(1.0)
+    assert clone.probabilities()[1] == pytest.approx(1.0)
 
 
 def test_reset_restores_ground_state():
     state = StateVector(2)
     state.apply_pauli("x", 1)
     state.reset()
-    assert state.probability_of(0) == pytest.approx(1.0)
+    assert state.probabilities()[0] == pytest.approx(1.0)
