@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.algorithms.vqe import PauliTerm
 from repro.annealing.ising import IsingModel
+from repro.annealing.qubo import QUBO
 
 
 def relabel_statevector(
@@ -223,6 +224,21 @@ def random_ising(num_spins: int, density: float = 0.5, seed: int | None = None) 
             if rng.random() < density:
                 couplings[i, j] = rng.choice([-1.0, 1.0])
     return IsingModel(h=h, couplings=couplings)
+
+
+def ising_to_qubo(model: IsingModel) -> tuple[QUBO, float]:
+    """The isomorphic QUBO under ``s_i = 2 x_i - 1``: ``E_ising(s) = E_qubo(x) + offset``."""
+    n = model.num_spins
+    matrix = np.diag(2.0 * np.asarray(model.h, dtype=float))
+    offset = -float(np.sum(model.h))
+    for i in range(n):
+        for j in range(i + 1, n):
+            j_ij = model.couplings[i, j]
+            matrix[i, j] += 4.0 * j_ij
+            matrix[i, i] -= 2.0 * j_ij
+            matrix[j, j] -= 2.0 * j_ij
+            offset += j_ij
+    return QUBO(matrix), offset
 
 
 def ising_hamiltonian(h: np.ndarray, couplings: np.ndarray) -> list[PauliTerm]:

@@ -117,3 +117,20 @@ class TestHybridExecutor:
         assert result.quantum_executions == 2 * 30
         assert result.total_shots == 2 * 30 * 128
         assert len(result.history) == 30
+
+    def test_convergence_flag(self):
+        """A flat objective gives a zero SPSA gradient: the loop is converged
+        from its first iteration and never moves the parameters."""
+        def generator(params):
+            circuit = Circuit(1)
+            circuit.measure(0)
+            return circuit
+
+        executor = HybridExecutor(
+            generator, lambda counts: 0.0, num_parameters=1,
+            shots_per_burst=16, max_iterations=5, seed=6,
+        )
+        result = executor.run(np.array([0.3]))
+        assert result.history == [0.0] * 5
+        assert result.best_value == 0.0
+        np.testing.assert_array_equal(result.best_parameters, [0.3])

@@ -67,6 +67,13 @@ class TestRandomizedBenchmarking:
         assert fitted == pytest.approx(decay, abs=0.01)
         assert offset == 0.5
 
+    def test_result_rows_helper(self):
+        rb = RandomizedBenchmarking(error_model=NoError(), seed=6)
+        result = rb.run(sequence_lengths=[1, 2], shots=20, sequences_per_length=1)
+        rows = list(zip(result.sequence_lengths, result.survival_probabilities, strict=True))
+        assert rows[0][0] == 1 and rows[1][0] == 2
+        assert result.shots_per_point == 20
+
 
 class TestShor:
     def test_classical_period_finding(self):

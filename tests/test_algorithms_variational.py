@@ -66,6 +66,17 @@ class TestQAOA:
         result = QAOA(depth=2, seed=7, max_iterations=60).solve_ising(model)
         assert result.expectation < random_average
 
+    def test_approximation_ratio_bounds(self):
+        """The variational expectation lies between the exact optimum and worst
+        energy, so the approximation ratio is in [0, 1]."""
+        qubo = maxcut_qubo([(0, 1), (1, 2), (0, 2)], 3)
+        ising, offset = qubo.to_ising()
+        energies = _all_energies(ising)
+        result = QAOA(depth=2, seed=8, max_iterations=50).solve_ising(ising)
+        optimal, worst = float(energies.min()), float(energies.max())
+        ratio = (worst - result.expectation) / (worst - optimal)
+        assert 0.0 <= ratio <= 1.0 + 1e-9
+
     def test_top_bitstrings_sorted_by_probability(self):
         model = random_ising(3, density=1.0, seed=9)
         result = QAOA(depth=1, seed=10, max_iterations=20).solve_ising(model)

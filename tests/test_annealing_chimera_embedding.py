@@ -125,3 +125,19 @@ class TestCliqueEmbedding:
         for chain in result.chains.values():
             assert not (seen & set(chain))
             seen.update(chain)
+
+
+class TestEmbeddingCapacity:
+    def test_capacity_sweep_monotone(self):
+        hardware = chimera_topology(2, 2, 4)
+        embedder = MinorEmbedder(hardware, seed=4, tries=2)
+        feasibility = {}
+        for size in [2, 4, 10, 16]:
+            problem = nx.complete_graph(size)
+            result = embedder.embed(problem)
+            feasibility[size] = result.success and embedder.verify(problem, result)
+        assert feasibility[2]
+        # Once a size fails, larger sizes should not magically succeed for cliques.
+        failed = [size for size, ok in feasibility.items() if not ok]
+        if failed:
+            assert all(not feasibility[s] for s in feasibility if s >= min(failed))

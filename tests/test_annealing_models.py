@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import ising_to_qubo, random_ising
 from repro.annealing.ising import IsingModel
 from repro.annealing.qubo import QUBO, maxcut_qubo, random_qubo
+from repro.annealing.simulated_annealing import SimulatedAnnealer
 
 
 class TestQUBO:
@@ -72,6 +74,14 @@ class TestIsing:
         assert model.energy(np.array([1, 1])) == -1.0
         assert model.energy(np.array([1, -1])) == 1.0
 
+    def test_energy_delta_matches_explicit_flip(self):
+        """The annealer tracks its energy as a running sum of single-flip deltas
+        from local fields; it must land on the explicitly evaluated energy."""
+        model = random_ising(6, density=0.7, seed=2)
+        result = SimulatedAnnealer(num_sweeps=50, num_reads=1, seed=3).solve_ising(model)
+        assert result.energy == pytest.approx(model.energy(result.spins))
+        assert result.energy_trace[-1] == pytest.approx(result.energy)
+
     def test_brute_force_ground_state_of_frustration_free_model(self):
         couplings = np.zeros((3, 3))
         couplings[0, 1] = couplings[1, 2] = -1.0
@@ -97,6 +107,18 @@ class TestConversions:
             x = rng.integers(0, 2, size=6)
             spins = 2 * x - 1
             assert qubo.energy(x) == pytest.approx(ising.energy(spins) + offset)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_ising_to_qubo_energy_consistency(self, seed):
+        ising = random_ising(5, density=0.7, seed=seed)
+        qubo, offset = ising_to_qubo(ising)
+        back, back_offset = qubo.to_ising()
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            spins = rng.choice([-1, 1], size=5)
+            x = (spins + 1) // 2
+            assert ising.energy(spins) == pytest.approx(qubo.energy(x) + offset)
+            assert ising.energy(spins) == pytest.approx(back.energy(spins) + back_offset + offset)
 
     def test_round_trip_preserves_ground_state(self):
         qubo = random_qubo(8, density=0.5, seed=9)

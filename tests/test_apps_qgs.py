@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.algorithms.grover import classical_search_queries
 from repro.apps.qgs.associative_memory import QuantumAssociativeMemory
 from repro.apps.qgs.classical_alignment import ClassicalAligner, IndexedAligner
 from repro.apps.qgs.dna import (
@@ -56,6 +57,17 @@ class TestDNA:
         gc = sum(1 for i in range(len(sequence) - 1) if sequence[i : i + 2] == "GC")
         assert cg < gc  # CpG suppression
 
+    def test_slice_reference_indexing(self):
+        genome = ArtificialGenome(20, seed=4)
+        for slices in (
+            ClassicalAligner(genome.sequence, 5).slices,
+            QuantumAligner(genome.sequence, 5, seed=1).memory.slices,
+        ):
+            assert len(slices) == 16
+            assert slices[3] == genome.sequence[3:8]
+        with pytest.raises(ValueError):
+            QuantumAligner(genome.sequence, 21)
+
     def test_sample_read_error_injection(self):
         genome = ArtificialGenome(100, seed=5)
         clean = genome.sample_read(10, error_rate=0.0)
@@ -94,6 +106,33 @@ class TestAssociativeMemory:
     def test_qubit_budget_enforced(self):
         with pytest.raises(ValueError):
             QuantumAssociativeMemory(["A" * 16, "C" * 16])
+
+    def test_capacity_advantage_grows_with_entries(self):
+        def classical_bits_per_qubit(memory):
+            return memory.num_entries * 2 * memory.slice_length / memory.total_qubits
+
+        small = QuantumAssociativeMemory(["ACGT"] * 2)
+        large = QuantumAssociativeMemory(["ACGT"] * 2 + ["AAAA", "CCCC", "GGGG", "TTTT"])
+        assert (small.total_qubits, large.total_qubits) == (9, 11)
+        assert classical_bits_per_qubit(large) > classical_bits_per_qubit(small)
+
+    def test_marked_addresses_with_tolerance(self):
+        """The oracle marks the entries nearest the query; the tolerance only
+        widens when no entry is within the requested mismatches."""
+        aligner = QuantumAligner("AAAATCCCC", 4, seed=1)
+        assert aligner.memory.slices[:2] == ["AAAA", "AAAT"]
+        exact = aligner.align("AAAA", max_mismatches=0)
+        assert exact.mismatches_allowed == 0
+        assert exact.classical_queries_equivalent == classical_search_queries(6, 1)
+        assert aligner.align("AAAA", max_mismatches=1).classical_queries_equivalent == (
+            classical_search_queries(6, 1)
+        )
+        widened = aligner.align("AAAC", max_mismatches=0)
+        assert widened.mismatches_allowed == 1
+        # AAAA, AAAT and AATC are each one mismatch from AAAC.
+        assert widened.classical_queries_equivalent == classical_search_queries(6, 3)
+        with pytest.raises(ValueError):
+            aligner.align("AAA", max_mismatches=0)
 
     def test_oracle_flips_only_marked_entries(self):
         slices = ["AA", "AC", "CA"]

@@ -1,8 +1,16 @@
 """Unit tests for the real / realistic / perfect qubit models."""
 
+import math
+
 import pytest
 
 from repro.core.qubits import PERFECT, REAL_SPIN, REAL_TRANSMON, REALISTIC, QubitModel
+from repro.qx.error_models import DecoherenceError
+
+
+def _decoherence(model: QubitModel) -> DecoherenceError:
+    """The T1/T2 error model a qubit model's coherence times define."""
+    return DecoherenceError(t1_ns=model.t1_ns, t2_ns=model.t2_ns)
 
 
 def test_perfect_qubits_have_no_errors():
@@ -55,6 +63,25 @@ def test_nonpositive_coherence_rejected():
             two_qubit_error_rate=0.0,
             measurement_error_rate=0.0,
         )
+
+
+def test_decay_probability_follows_exponential():
+    model = REAL_TRANSMON
+    duration = 10_000.0
+    expected = 1.0 - math.exp(-duration / model.t1_ns)
+    p_decay, _ = _decoherence(model).decay_probabilities(duration)
+    assert abs(p_decay - expected) < 1e-12
+    # Longer duration, higher decay probability.
+    assert (
+        _decoherence(model).decay_probabilities(20_000.0)[0]
+        > _decoherence(model).decay_probabilities(10_000.0)[0]
+    )
+    assert _decoherence(PERFECT).decay_probabilities(1e9) == (0.0, 0.0)
+
+
+def test_dephasing_probability_nonnegative():
+    assert _decoherence(REAL_TRANSMON).decay_probabilities(5_000.0)[1] >= 0.0
+    assert _decoherence(REAL_SPIN).decay_probabilities(5_000.0)[1] >= 0.0
 
 
 def test_with_error_rate_scales_all_channels():

@@ -8,6 +8,8 @@ from repro.core.circuit import Circuit, qft_circuit, random_circuit
 from repro.mapping.routing import Router
 from repro.mapping.scheduling import Scheduler
 from repro.mapping.topology import fully_connected_topology, grid_topology, linear_topology
+from repro.openql.passes.decomposition import DecompositionPass
+from repro.openql.platform import Platform, perfect_platform
 from repro.qx.simulator import QXSimulator
 
 
@@ -95,6 +97,16 @@ class TestRouter:
         circuit.h(0).barrier().cnot(0, 2).measure_all()
         result = Router(linear_topology(3)).route(circuit)
         assert len(result.circuit.measurements()) == 3
+
+    def test_decompose_swaps_replaces_with_cnots(self):
+        native = tuple(g for g in perfect_platform(2).primitive_gates if g != "swap")
+        platform = Platform("no_native_swap", 2, primitive_gates=native)
+        circuit = Circuit(2)
+        circuit.swap(0, 1)
+        decomposed = DecompositionPass().run(circuit, platform)
+        assert decomposed.gate_count("swap") == 0
+        assert decomposed.gate_count("cnot") == 3
+        np.testing.assert_allclose(decomposed.to_unitary(), circuit.to_unitary(), atol=1e-9)
 
 
 class TestScheduler:

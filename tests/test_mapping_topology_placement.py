@@ -76,6 +76,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.distance(0, 1)
 
+    def test_average_degree(self):
+        topo = linear_topology(4)
+        degrees = [len(topo.neighbours(site)) for site in range(topo.num_qubits)]
+        assert degrees == [1, 2, 2, 1]
+        assert sum(degrees) / topo.num_qubits == pytest.approx(2 * 3 / 4)
+
     @pytest.mark.parametrize(
         "topo",
         [grid_topology(4, 5), linear_topology(7), surface17_topology(), ibm_heavy_hex_like(20)],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.eqasm.assembler import EqasmAssembler
 from repro.eqasm.instructions import EqasmInstruction
 from repro.microarch.adi import AnalogDigitalInterface
 from repro.microarch.executor import QuantumAccelerator
@@ -45,6 +46,16 @@ class TestMicrocode:
         other = unit.expand(EqasmInstruction("y90", 0, (0,)))[0].codeword
         assert first == second
         assert other != first
+
+    def test_channel_names_cover_all_qubits(self, transmon_platform):
+        unit = MicrocodeUnit(transmon_platform)
+        channels = set()
+        for qubit in range(transmon_platform.num_qubits):
+            for opcode in ("x90", "cz", "measz"):
+                operations = unit.expand(EqasmInstruction(opcode, 0, (qubit,)))
+                channels.update(op.channel for op in operations)
+        assert len(channels) == 3 * transmon_platform.num_qubits
+        assert {"drive_0", "flux_0", "readout_0"} <= channels
 
 
 class TestQueues:
@@ -110,6 +121,18 @@ class TestTimingControl:
         with pytest.raises(ValueError):
             timing.issue(unit.expand(EqasmInstruction("measz", 0, (0,))), (0,))
 
+    def test_wait_until_free_advances_clock(self, transmon_platform):
+        unit = MicrocodeUnit(transmon_platform)
+        timing = TimingControlUnit(cycle_time_ns=20)
+        timing.issue(unit.expand(EqasmInstruction("measz", 0, (0,))), (0,))
+        busy_cycles = -(-transmon_platform.duration_of("measure") // timing.cycle_time_ns)
+        timing.advance(busy_cycles - 1)
+        with pytest.raises(ValueError):
+            timing.issue(unit.expand(EqasmInstruction("measz", 0, (0,))), (0,))
+        timing.advance(1)
+        timing.issue(unit.expand(EqasmInstruction("measz", 0, (0,))), (0,))
+        assert timing.clock_ns >= transmon_platform.duration_of("measure")
+
     def test_cannot_advance_backwards(self):
         timing = TimingControlUnit()
         with pytest.raises(ValueError):
@@ -132,6 +155,17 @@ class TestADI:
         pulses = adi.convert(timing.trace())
         assert len(pulses) == 2
         assert all(p.kind == "flux" for p in pulses)
+
+    def test_channel_waveform_reconstruction(self, transmon_platform):
+        unit = MicrocodeUnit(transmon_platform)
+        timing = TimingControlUnit(cycle_time_ns=20)
+        timing.issue(unit.expand(EqasmInstruction("x90", 0, (0,))), (0,))
+        adi = AnalogDigitalInterface()
+        adi.convert(timing.trace())
+        drive = [p for p in adi.pulses if p.channel == "drive_0"]
+        assert len(drive) == 1 and drive[0].samples.max() > 0
+        assert drive[0].samples.size == round(drive[0].duration_ns * adi.library.sample_rate_gsps)
+        assert not [p for p in adi.pulses if p.channel == "drive_5"]
 
 
 class TestExecutor:
@@ -166,6 +200,13 @@ class TestExecutor:
         trace = accelerator.execute_circuit(self._compiled(transmon_platform), shots=10)
         assert trace.channel_utilisation
         assert all(0 <= u <= 1 for u in trace.channel_utilisation.values())
+
+    def test_estimated_shot_duration_matches_eqasm(self, transmon_platform):
+        accelerator = QuantumAccelerator(transmon_platform, seed=3)
+        circuit = self._compiled(transmon_platform)
+        trace = accelerator.execute_circuit(circuit, shots=1)
+        program = EqasmAssembler(transmon_platform).assemble(circuit)
+        assert trace.total_duration_ns == program.total_duration_ns()
 
     def test_spin_platform_slower_than_transmon(self):
         spin = spin_qubit_platform()

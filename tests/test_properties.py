@@ -7,7 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles.operator_reference import is_unitary
+from repro.annealing.ising import IsingModel
 from repro.annealing.qubo import QUBO
+from repro.annealing.simulated_annealing import SimulatedAnnealer
 from repro.apps.qgs.dna import decode_sequence, encode_sequence, hamming_distance
 from repro.core.circuit import random_circuit
 from repro.core.gates import rx_gate, ry_gate, rz_gate
@@ -120,6 +122,17 @@ def test_qubo_ising_energy_isomorphism(seed, num_variables):
     ising, offset = qubo.to_ising()
     x = rng.integers(0, 2, size=num_variables)
     assert qubo.energy(x) == pytest.approx(ising.energy(2 * x - 1) + offset, abs=1e-9)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10_000), num_spins=st.integers(2, 8))
+def test_ising_energy_delta_consistent(seed, num_spins):
+    """Summing the annealer's single-flip deltas reproduces the explicit energy."""
+    rng = np.random.default_rng(seed)
+    couplings = np.triu(rng.choice([-1.0, 0.0, 1.0], size=(num_spins, num_spins)), 1)
+    model = IsingModel(h=rng.uniform(-1, 1, size=num_spins), couplings=couplings)
+    result = SimulatedAnnealer(num_sweeps=5, num_reads=1, seed=seed).solve_ising(model)
+    assert result.energy == pytest.approx(model.energy(result.spins), abs=1e-9)
 
 
 # ---------------------------------------------------------------------- #

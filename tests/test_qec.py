@@ -206,6 +206,18 @@ class TestSurfaceCode:
 
 
 class TestDecoders:
+    def test_lookup_decoder_for_steane_checks(self):
+        code = SteaneCode()
+        table = {code.syndrome_of_flips(set()): ()}
+        for qubit in range(7):
+            table.setdefault(code.syndrome_of_flips({qubit}), (qubit,))
+        decoder = LookupDecoder(table)
+        assert len(decoder) == 8
+        assert decoder.decode((0, 0, 0)) == ()
+        for qubit in range(7):
+            syndrome = code.syndrome_of_flips({qubit})
+            assert decoder.decode(syndrome) == (qubit,) == (code.decode_syndrome(syndrome),)
+
     def test_lookup_decoder_unknown_syndrome_returns_empty(self):
         decoder = LookupDecoder({(0,): (), (1, 0): (2,)})
         assert decoder.decode((1,)) == ()

@@ -132,6 +132,13 @@ class TestCrosstalkError:
         # Neighbours of {1, 2} on a line are {0, 3}: both hit at rate 1.0.
         assert injected == 2
 
+    def test_from_topology_builds_neighbour_table(self):
+        model = self._topology_neighbours()
+        assert model.neighbours[0] == (1,)
+        assert model.neighbours[1] == (0, 2)
+        assert model.spectators_for((1, 2)) == {0, 3}
+        assert model.spectators_for((0, 1)) == {2}
+
     def test_crosstalk_degrades_parallel_heavy_circuits(self):
         """GHZ on a line with strong crosstalk loses fidelity vs without."""
         circuit = ghz_circuit(4)
